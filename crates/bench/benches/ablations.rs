@@ -5,17 +5,17 @@
 //! * `parvec` sweep at a fixed DSP budget,
 //! * temporal wave-front depth on the CPU (§V.B),
 //! * overlapped-blocking redundancy vs chain depth,
-//! * generic runtime-radius row kernel vs the radius/lane-monomorphized
-//!   dispatch (`kernels_specialized`),
+//! * the compiled star row kernel at lane widths 1/2/4/8
+//!   (`kernels_specialized`),
 //! * kernel-IR 3-way on box stencils: frozen reference interpreter vs the
 //!   scalar compiled kernel vs the lane-vectorized specialized kernel
 //!   (`kernels_ir`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpga_sim::{timing, FpgaDevice, GridDims, TimingOptions};
-use stencil_core::simd::{row_2d_generic, select_row_2d};
 use stencil_core::{
-    compile_2d, kernel_ir, BlockConfig, BoundaryCond, Grid2D, KernelDesc, Stencil2D,
+    compile_2d, compile_star_2d, kernel_ir, BlockConfig, BoundaryCond, Grid2D, KernelDesc,
+    Stencil2D,
 };
 
 fn bench_memctrl_coalescing(c: &mut Criterion) {
@@ -122,10 +122,10 @@ fn bench_overlap_redundancy(c: &mut Criterion) {
 }
 
 fn bench_kernels_specialized(c: &mut Criterion) {
-    // Interior-row microbenchmark: the generic runtime-radius kernel vs the
-    // radius/lane-monomorphized kernels the dispatch table selects. All
-    // variants compute the identical canonical-order update, so any gap is
-    // pure monomorphization + vectorization.
+    // Interior-row microbenchmark: a star stencil lowered to its clamp desc
+    // and compiled at lane widths 1/2/4/8 — the one row kernel every engine
+    // runs. All widths compute the identical canonical-order update, so any
+    // gap is pure vectorization.
     let nx = 4096usize;
     let mut g = c.benchmark_group("kernels_specialized");
     g.sample_size(10);
@@ -134,40 +134,16 @@ fn bench_kernels_specialized(c: &mut Criterion) {
         let rows: Vec<Vec<f32>> = (0..2 * rad + 1)
             .map(|r| (0..nx).map(|x| ((x * 7 + r * 13) % 101) as f32).collect())
             .collect();
-        let cur = rows[rad].as_slice();
-        let south: Vec<&[f32]> = (1..=rad).map(|d| rows[rad - d].as_slice()).collect();
-        let north: Vec<&[f32]> = (1..=rad).map(|d| rows[rad + d].as_slice()).collect();
+        let window: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         let mut out = vec![0.0f32; nx];
-        let (x0, x1) = (rad, nx - rad);
-        g.bench_with_input(BenchmarkId::new("generic", rad), &rad, |b, _| {
-            b.iter(|| {
-                row_2d_generic(
-                    &st,
-                    cur,
-                    &south,
-                    &north,
-                    std::hint::black_box(&mut out),
-                    x0,
-                    x1,
-                )
-            })
-        });
-        for lanes in [2usize, 4, 8] {
-            let kernel = select_row_2d::<f32>(rad, lanes);
+        for lanes in [1usize, 2, 4, 8] {
+            let kernel = compile_star_2d(&st, lanes);
             g.bench_with_input(
                 BenchmarkId::new(format!("lanes{lanes}"), rad),
                 &rad,
                 |b, _| {
                     b.iter(|| {
-                        kernel(
-                            &st,
-                            cur,
-                            &south,
-                            &north,
-                            std::hint::black_box(&mut out),
-                            x0,
-                            x1,
-                        )
+                        kernel.run_row(&window, &[0], std::hint::black_box(&mut out), rad, nx - rad)
                     })
                 },
             );
@@ -177,8 +153,7 @@ fn bench_kernels_specialized(c: &mut Criterion) {
 }
 
 fn bench_kernels_ir(c: &mut Criterion) {
-    // Whole-grid kernel-IR comparison on the shapes the star fast path
-    // cannot express: periodic-boundary box stencils. Three data paths per
+    // Whole-grid kernel-IR comparison on periodic-boundary box stencils. Three data paths per
     // radius — the frozen generic-reference interpreter, the scalar
     // (lane width 1) compiled kernel, and the lane-8 specialized kernel —
     // all bit-exact by the specializer's contract, so any gap is pure

@@ -38,7 +38,6 @@ pub mod exec;
 pub mod grid;
 pub mod kernel_ir;
 pub mod real;
-pub mod simd;
 pub mod specialize;
 pub mod stats;
 pub mod stencil;
@@ -52,8 +51,10 @@ pub use error::{Result, StencilError};
 pub use grid::{Grid2D, Grid3D};
 pub use kernel_ir::{BoundaryCond, KernelClass, KernelDesc, TapDesc};
 pub use real::Real;
-pub use simd::{Lanes, RowKernel2D, RowKernel3D};
-pub use specialize::{compile_2d, compile_3d, CompiledKernel2D, CompiledKernel3D};
+pub use specialize::{
+    compile_2d, compile_3d, compile_star_2d, compile_star_3d, CompiledKernel, CompiledKernel2D,
+    CompiledKernel3D, Lanes,
+};
 pub use stats::FieldStats;
 pub use stencil::{Arm2, Arm3, Direction, Stencil2D, Stencil3D};
 pub use symmetric::{SymmetricStencil2D, SymmetricStencil3D};

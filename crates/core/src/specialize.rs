@@ -1,269 +1,262 @@
-//! Runtime kernel specializer: lowers a [`KernelDesc`] into a vectorized
-//! row kernel without a textual JIT.
+//! Runtime kernel specializer: lowers a [`KernelDesc`] into the vectorized
+//! row kernel every engine runs, without a textual JIT.
 //!
-//! The specializer composes **monomorphized building blocks** that already
-//! exist in the binary — const-generic tap-fusion inner loops
-//! ([`Lanes`]-based, unrolled in chunks of 8/4/2/1 taps) instantiated per
-//! lane width `W ∈ {1, 2, 4, 8}` — and selects the right instantiation at
-//! compile time via a fn pointer. "Compilation" is therefore pure data
-//! preparation (tap planning + table lookup): offline-safe, no codegen, no
-//! new dependencies, and a few microseconds per desc, which is why compiled
-//! kernels are worth caching (`StencilMemo` keys them by
-//! [`KernelDesc::stable_hash`]).
+//! The paper's processing element is one parameterised datapath: `parvec`
+//! lanes over the fully unrolled taps of the stencil. This module is its
+//! CPU analogue and the only vectorized row kernel in the workspace: star
+//! stencils are lowered with [`KernelDesc::from_star_2d`] /
+//! [`KernelDesc::from_star_3d`] and run through it like any other desc. The
+//! row loop is monomorphized per lane width `W ∈ {1, 2, 4, 8}` over a
+//! portable-SIMD value type ([`Lanes`]) and selected through a fn pointer,
+//! so "compilation" is pure data preparation (tap planning + table lookup):
+//! offline-safe, no codegen, a few microseconds per desc, and cacheable by
+//! [`KernelDesc::stable_hash`].
 //!
 //! # Execution model
 //!
-//! A [`CompiledKernel2D`] updates the *x-interior* of one output row from a
-//! window of `2·rad + 1` boundary-resolved source rows
-//! ([`CompiledKernel2D::run_row`]); a [`CompiledKernel3D`] does the same
-//! from a window of `2·rad + 1` source *planes* (full-plane access is what
-//! admits 3D corner taps, which the star row interface cannot express).
-//! Border cells — where an x tap (or, in 3D, a y tap) would leave the grid
-//! — evaluate through [`CompiledKernel2D::eval_cell`] with a caller-supplied
-//! boundary-resolving read. The [`CompiledKernel2D::step_row`] /
-//! [`CompiledKernel3D::step_row`] helpers tie both together for
-//! grid-resident execution and are what the parallel engines fan out over.
+//! A kernel updates one output row from a *window*: `src[rad + d]` is the
+//! row (2D) or plane (3D) a tap at `dy = d` (2D) or `dz = d` (3D) reads, and
+//! in 3D `yoff[rad + dy]` is the offset of the row a `dy` tap reads inside
+//! its plane (2D windows pass `yoff = [0]`). The caller resolves the
+//! boundary condition while building the window, once per row, so every
+//! row — border rows included — runs the vectorized loop
+//! ([`CompiledKernel::run_row`]) over its x-interior. Only the cells whose
+//! x taps leave the row take [`CompiledKernel::eval_cell`], with one
+//! resolved column index per x offset. The `step_row` helpers build these
+//! windows for grid-resident execution; the streaming PEs of `fpga-sim`
+//! build them from their shift registers.
+//!
+//! The row loop is register-blocked: a strip of `STRIP` (4) `W`-lane
+//! accumulators stays in registers while the taps stream past it, so each
+//! tap's metadata is read once per strip. A span's last strip overlaps the
+//! one before it and recomputes identical cells; spans shorter than a strip
+//! take `W`-wide steps, then scalar cells.
 //!
 //! # Bit-exactness
 //!
-//! Per cell, every path — W-lane interior, scalar tail, border
-//! [`CompiledKernel2D::eval_cell`] — evaluates the identical expression in
-//! desc-tap order: first term a multiply, then one separate multiply + add
-//! per tap, no FMA. Lanes are cells and nothing crosses lanes, so the
-//! specialized kernels are bit-identical to the frozen interpreter
+//! Per cell, every path — strip, single vector, scalar cell, border cell —
+//! evaluates the identical expression in desc-tap order: first term a
+//! multiply, then one separate multiply + add per tap. A hardware fused
+//! multiply-add would round once instead of twice, so the kernels never
+//! call an `fma` intrinsic and Rust never contracts float expressions on
+//! its own. Lanes are cells and nothing crosses lanes, so the compiled
+//! kernels are bit-identical to the frozen interpreter
 //! ([`crate::kernel_ir::reference_run_2d`]) for *every* desc, and to
-//! `serial_ref` for star/clamp descs (proptested in `fpga-sim`).
+//! `exec`/`serial_ref` for star/clamp descs.
 
 use crate::blocking::Dim;
 use crate::error::StencilError;
 use crate::grid::{Grid2D, Grid3D};
-use crate::kernel_ir::{KernelClass, KernelDesc, MAX_KERNEL_RADIUS};
+use crate::kernel_ir::{BoundaryCond, KernelClass, KernelDesc, MAX_KERNEL_RADIUS};
 use crate::real::Real;
-use crate::simd::Lanes;
+use crate::stencil::{Stencil2D, Stencil3D};
 
 /// Rows (2D) or planes (3D) in a kernel's source window: `2·rad + 1` at the
 /// largest supported radius.
 pub const MAX_WINDOW: usize = 2 * MAX_KERNEL_RADIUS + 1;
 
+/// `W`-lane accumulators the row loop keeps in registers per strip.
+const STRIP: usize = 4;
+
+/// A register of `W` cells processed in lockstep — a portable stand-in for
+/// one SIMD vector, written so LLVM autovectorizes the per-lane loops.
+///
+/// All operations are element-wise; nothing ever crosses lanes, which is
+/// what preserves the canonical per-cell operation order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lanes<T, const W: usize>([T; W]);
+
+impl<T: Real, const W: usize> Lanes<T, W> {
+    /// Broadcasts one value into every lane.
+    #[inline(always)]
+    pub fn splat(v: T) -> Self {
+        Self([v; W])
+    }
+
+    /// Loads the first `W` cells of `src`.
+    ///
+    /// # Panics
+    /// Panics when `src` holds fewer than `W` cells.
+    #[inline(always)]
+    pub fn load(src: &[T]) -> Self {
+        let arr: &[T; W] = src[..W].try_into().expect("load needs W cells");
+        Self(*arr)
+    }
+
+    /// Stores all lanes into the first `W` cells of `dst`.
+    ///
+    /// # Panics
+    /// Panics when `dst` holds fewer than `W` cells.
+    #[inline(always)]
+    pub fn store(self, dst: &mut [T]) {
+        let arr: &mut [T; W] = (&mut dst[..W]).try_into().expect("store needs W cells");
+        *arr = self.0;
+    }
+
+    /// `coeff · lane` for every lane — the first term of a cell update.
+    #[inline(always)]
+    pub fn mul_coeff(self, coeff: T) -> Self {
+        let mut out = self.0;
+        for v in &mut out {
+            *v = coeff * *v;
+        }
+        Self(out)
+    }
+
+    /// `lane += coeff · tap` for every lane — one accumulation step,
+    /// deliberately a separate multiply then add (see module docs).
+    #[inline(always)]
+    pub fn add_scaled(&mut self, coeff: T, taps: Self) {
+        for (acc, tap) in self.0.iter_mut().zip(taps.0) {
+            *acc += coeff * tap;
+        }
+    }
+
+    /// The lanes as a plain array.
+    #[inline(always)]
+    pub fn to_array(self) -> [T; W] {
+        self.0
+    }
+}
+
 /// A tap with its coefficient converted to execution precision and its
-/// window index precomputed.
+/// window slots precomputed.
 #[derive(Debug, Clone, Copy)]
 struct Planned<T> {
-    /// Index into the row/plane window (`rad + dy` in 2D, `rad + dz` in 3D).
-    win: usize,
-    dx: i32,
-    dy: i32,
-    dz: i32,
+    /// Window slot of the source: `rad + dy` (2D) or `rad + dz` (3D).
+    src: usize,
+    /// Row-offset slot: `rad + dy` (3D) or 0 (2D).
+    row: usize,
+    /// Slot in a border cell's column table: `rad + dx`.
+    col: usize,
+    dx: isize,
     coeff: T,
 }
 
-type RowFn2<T> = fn(&[Planned<T>], &[&[T]], &mut [T], usize, usize);
-type RowFn3<T> = fn(&[Planned<T>], &[&[T]], usize, usize, &mut [T], usize, usize);
+type RowFn<T> = fn(&[Planned<T>], &[&[T]], &[usize], &mut [T], usize, usize);
 
-/// One chunk of `K` taps fused into the accumulator — the const-generic
-/// building block the specializer composes. `K` is a compile-time constant,
-/// so LLVM fully unrolls the loop and keeps the whole chunk in registers.
+/// `N` consecutive `W`-lane vectors of cells starting at `x`, one
+/// accumulator register each, with the taps streamed past them in desc
+/// order. `block::<T, D, 1, 1>` is the scalar cell update.
 #[inline(always)]
-fn fuse_chunk_2d<T: Real, const W: usize, const K: usize>(
-    acc: &mut Lanes<T, W>,
-    chunk: &[Planned<T>],
-    rows: &[&[T]],
-    x: usize,
-) {
-    let chunk: &[Planned<T>; K] = chunk.try_into().expect("chunk of K taps");
-    for t in chunk {
-        let xx = (x as isize + t.dx as isize) as usize;
-        acc.add_scaled(t.coeff, Lanes::load(&rows[t.win][xx..]));
-    }
-}
-
-#[inline(always)]
-fn fuse_chunk_3d<T: Real, const W: usize, const K: usize>(
-    acc: &mut Lanes<T, W>,
-    chunk: &[Planned<T>],
-    planes: &[&[T]],
-    width: usize,
-    row_off: usize,
-    x: usize,
-) {
-    let chunk: &[Planned<T>; K] = chunk.try_into().expect("chunk of K taps");
-    for t in chunk {
-        let idx = (row_off as isize + t.dy as isize * width as isize + x as isize + t.dx as isize)
-            as usize;
-        acc.add_scaled(t.coeff, Lanes::load(&planes[t.win][idx..]));
-    }
-}
-
-/// Scalar evaluation of one interior cell, canonical order (used by the
-/// ragged tail and the `W = 1` scalar-generic entry).
-#[inline(always)]
-fn eval_interior_2d<T: Real>(taps: &[Planned<T>], rows: &[&[T]], x: usize) -> T {
-    let (first, rest) = taps.split_first().expect("center tap");
-    let xx = (x as isize + first.dx as isize) as usize;
-    let mut acc = first.coeff * rows[first.win][xx];
-    for t in rest {
-        let xx = (x as isize + t.dx as isize) as usize;
-        acc += t.coeff * rows[t.win][xx];
-    }
-    acc
-}
-
-#[inline(always)]
-fn eval_interior_3d<T: Real>(
+fn block<T: Real, const D: usize, const W: usize, const N: usize>(
     taps: &[Planned<T>],
-    planes: &[&[T]],
-    width: usize,
-    row_off: usize,
+    src: &[&[T]],
+    yoff: &[usize],
+    dst: &mut [T],
     x: usize,
-) -> T {
-    let (first, rest) = taps.split_first().expect("center tap");
-    let idx = |t: &Planned<T>| {
-        (row_off as isize + t.dy as isize * width as isize + x as isize + t.dx as isize) as usize
+) {
+    let cells = |t: &Planned<T>| {
+        let row = if D == 2 { 0 } else { yoff[t.row] };
+        let at = (row + x).wrapping_add_signed(t.dx);
+        &src[t.src][at..at + N * W]
     };
-    let mut acc = first.coeff * planes[first.win][idx(first)];
+    let (first, rest) = taps.split_first().expect("center tap");
+    let c = cells(first);
+    let mut acc: [Lanes<T, W>; N] =
+        std::array::from_fn(|s| Lanes::load(&c[s * W..]).mul_coeff(first.coeff));
     for t in rest {
-        acc += t.coeff * planes[t.win][idx(t)];
+        let c = cells(t);
+        for (s, a) in acc.iter_mut().enumerate() {
+            a.add_scaled(t.coeff, Lanes::load(&c[s * W..]));
+        }
     }
-    acc
+    let d = &mut dst[x..x + N * W];
+    for (s, a) in acc.into_iter().enumerate() {
+        a.store(&mut d[s * W..]);
+    }
 }
 
-/// The 2D row kernel monomorphized at lane width `W`: W-cell strides of
-/// fused tap chunks, then the scalar canonical-order tail.
-fn row_fn_2d<T: Real, const W: usize>(
+/// The row loop monomorphized at lane width `W`: strips of `STRIP`
+/// vectors (the last one overlapping its predecessor), or, for spans
+/// shorter than a strip, single vectors and then scalar cells.
+fn row_fn<T: Real, const D: usize, const W: usize>(
     taps: &[Planned<T>],
-    rows: &[&[T]],
+    src: &[&[T]],
+    yoff: &[usize],
     dst: &mut [T],
     x0: usize,
     x1: usize,
 ) {
+    let strip = STRIP * W;
     let mut x = x0;
-    if W > 1 {
-        while x + W <= x1 {
-            let (first, rest) = taps.split_first().expect("center tap");
-            let xx = (x as isize + first.dx as isize) as usize;
-            let mut acc = Lanes::<T, W>::load(&rows[first.win][xx..]).mul_coeff(first.coeff);
-            let mut rem = rest;
-            while rem.len() >= 8 {
-                fuse_chunk_2d::<T, W, 8>(&mut acc, &rem[..8], rows, x);
-                rem = &rem[8..];
-            }
-            if rem.len() >= 4 {
-                fuse_chunk_2d::<T, W, 4>(&mut acc, &rem[..4], rows, x);
-                rem = &rem[4..];
-            }
-            if rem.len() >= 2 {
-                fuse_chunk_2d::<T, W, 2>(&mut acc, &rem[..2], rows, x);
-                rem = &rem[2..];
-            }
-            if !rem.is_empty() {
-                fuse_chunk_2d::<T, W, 1>(&mut acc, rem, rows, x);
-            }
-            acc.store(&mut dst[x..]);
-            x += W;
+    if x1 - x0 >= strip {
+        while x < x1 {
+            let xs = x.min(x1 - strip);
+            block::<T, D, W, STRIP>(taps, src, yoff, dst, xs);
+            x = xs + strip;
         }
+        return;
     }
-    for (xi, d) in dst.iter_mut().enumerate().take(x1).skip(x) {
-        *d = eval_interior_2d(taps, rows, xi);
+    while x + W <= x1 {
+        block::<T, D, W, 1>(taps, src, yoff, dst, x);
+        x += W;
     }
-}
-
-/// The 3D row kernel monomorphized at lane width `W` (see [`row_fn_2d`]).
-fn row_fn_3d<T: Real, const W: usize>(
-    taps: &[Planned<T>],
-    planes: &[&[T]],
-    width: usize,
-    row_off: usize,
-    dst: &mut [T],
-    x0: usize,
-    x1: usize,
-) {
-    let mut x = x0;
-    if W > 1 {
-        while x + W <= x1 {
-            let (first, rest) = taps.split_first().expect("center tap");
-            let idx = (row_off as isize
-                + first.dy as isize * width as isize
-                + x as isize
-                + first.dx as isize) as usize;
-            let mut acc = Lanes::<T, W>::load(&planes[first.win][idx..]).mul_coeff(first.coeff);
-            let mut rem = rest;
-            while rem.len() >= 8 {
-                fuse_chunk_3d::<T, W, 8>(&mut acc, &rem[..8], planes, width, row_off, x);
-                rem = &rem[8..];
-            }
-            if rem.len() >= 4 {
-                fuse_chunk_3d::<T, W, 4>(&mut acc, &rem[..4], planes, width, row_off, x);
-                rem = &rem[4..];
-            }
-            if rem.len() >= 2 {
-                fuse_chunk_3d::<T, W, 2>(&mut acc, &rem[..2], planes, width, row_off, x);
-                rem = &rem[2..];
-            }
-            if !rem.is_empty() {
-                fuse_chunk_3d::<T, W, 1>(&mut acc, rem, planes, width, row_off, x);
-            }
-            acc.store(&mut dst[x..]);
-            x += W;
-        }
-    }
-    for (xi, d) in dst.iter_mut().enumerate().take(x1).skip(x) {
-        *d = eval_interior_3d(taps, planes, width, row_off, xi);
+    for x in x..x1 {
+        block::<T, D, 1, 1>(taps, src, yoff, dst, x);
     }
 }
 
-fn select_lanes(lanes: usize) -> usize {
-    match lanes {
-        8 | 4 | 2 => lanes,
-        _ => 1,
-    }
+/// The lane width a kernel runs at: the widest implemented width (8, 4, 2
+/// or 1) not above the requested one.
+fn lane_width(requested: usize) -> usize {
+    [8, 4, 2].into_iter().find(|&w| w <= requested).unwrap_or(1)
 }
 
-/// A 2D kernel lowered from a [`KernelDesc`] at a fixed lane width.
+/// A kernel lowered from a [`KernelDesc`] at a fixed lane width; `D` is its
+/// dimensionality (see [`CompiledKernel2D`] and [`CompiledKernel3D`]).
 #[derive(Debug, Clone)]
-pub struct CompiledKernel2D<T> {
+pub struct CompiledKernel<T, const D: usize> {
     desc: KernelDesc,
     rad: usize,
     taps: Vec<Planned<T>>,
-    row_fn: RowFn2<T>,
+    row_fn: RowFn<T>,
     lanes: usize,
 }
 
-/// Lowers a 2D desc at lane width `lanes` (1/2/4/8; anything else selects
-/// the scalar entry). This is data preparation, not codegen — a few
-/// microseconds, cacheable by [`KernelDesc::stable_hash`].
-///
-/// # Errors
-/// Returns [`StencilError`] when the desc is invalid or not 2D.
-pub fn compile_2d<T: Real>(
+/// A 2D kernel lowered from a [`KernelDesc`] ([`compile_2d`]).
+pub type CompiledKernel2D<T> = CompiledKernel<T, 2>;
+
+/// A 3D kernel lowered from a [`KernelDesc`] ([`compile_3d`]). Its window
+/// is `2·rad + 1` whole planes plus per-row offsets, which admits corner
+/// taps (`dy ≠ 0` and `dz ≠ 0`).
+pub type CompiledKernel3D<T> = CompiledKernel<T, 3>;
+
+fn lower<T: Real, const D: usize>(
     desc: &KernelDesc,
     lanes: usize,
-) -> Result<CompiledKernel2D<T>, StencilError> {
+) -> Result<CompiledKernel<T, D>, StencilError> {
     desc.validate()?;
-    if desc.dim != Dim::D2 {
+    let (dim, reason) = match D {
+        2 => (Dim::D2, "compile_2d needs a 2D kernel desc"),
+        _ => (Dim::D3, "compile_3d needs a 3D kernel desc"),
+    };
+    if desc.dim != dim {
         return Err(StencilError::InvalidConfig {
-            reason: "compile_2d needs a 2D kernel desc".into(),
+            reason: reason.into(),
         });
     }
     let rad = desc.radius();
+    let slot = |d: i32| (rad as i32 + d) as usize;
     let taps = desc
         .taps
         .iter()
         .map(|t| Planned {
-            win: (rad as i32 + t.dy) as usize,
-            dx: t.dx,
-            dy: t.dy,
-            dz: 0,
+            src: slot(if D == 2 { t.dy } else { t.dz }),
+            row: if D == 2 { 0 } else { slot(t.dy) },
+            col: slot(t.dx),
+            dx: t.dx as isize,
             coeff: T::from_f64(t.coeff),
         })
         .collect();
-    let lanes = select_lanes(lanes);
+    let lanes = lane_width(lanes);
     let row_fn = match lanes {
-        8 => row_fn_2d::<T, 8> as RowFn2<T>,
-        4 => row_fn_2d::<T, 4>,
-        2 => row_fn_2d::<T, 2>,
-        _ => row_fn_2d::<T, 1>,
+        8 => row_fn::<T, D, 8> as RowFn<T>,
+        4 => row_fn::<T, D, 4>,
+        2 => row_fn::<T, D, 2>,
+        _ => row_fn::<T, D, 1>,
     };
-    Ok(CompiledKernel2D {
+    Ok(CompiledKernel {
         desc: desc.clone(),
         rad,
         taps,
@@ -272,7 +265,53 @@ pub fn compile_2d<T: Real>(
     })
 }
 
-impl<T: Real> CompiledKernel2D<T> {
+/// Lowers a 2D desc at the widest implemented lane width not above `lanes`
+/// (8, 4, 2 or 1: 16 runs at 8, 3 at 2). This is data preparation, not
+/// codegen — a few microseconds, cacheable by [`KernelDesc::stable_hash`].
+///
+/// # Errors
+/// Returns [`StencilError`] when the desc is invalid or not 2D.
+pub fn compile_2d<T: Real>(
+    desc: &KernelDesc,
+    lanes: usize,
+) -> Result<CompiledKernel2D<T>, StencilError> {
+    lower(desc, lanes)
+}
+
+/// Lowers a 3D desc (see [`compile_2d`] for the lane rule).
+///
+/// # Errors
+/// Returns [`StencilError`] when the desc is invalid or not 3D.
+pub fn compile_3d<T: Real>(
+    desc: &KernelDesc,
+    lanes: usize,
+) -> Result<CompiledKernel3D<T>, StencilError> {
+    lower(desc, lanes)
+}
+
+/// Lowers a star stencil to its clamp-boundary desc
+/// ([`KernelDesc::from_star_2d`]) and compiles it at `lanes` — the kernel
+/// every engine runs for the paper's stencils.
+///
+/// # Panics
+/// Panics when the stencil does not lower to a valid desc: a radius above
+/// [`MAX_KERNEL_RADIUS`] or a non-finite coefficient.
+pub fn compile_star_2d<T: Real>(st: &Stencil2D<T>, lanes: usize) -> CompiledKernel2D<T> {
+    compile_2d(&KernelDesc::from_star_2d(st, BoundaryCond::Clamp), lanes)
+        .expect("star stencil lowers to a valid clamp desc")
+}
+
+/// Lowers a 3D star stencil to its clamp-boundary desc and compiles it (see
+/// [`compile_star_2d`]).
+///
+/// # Panics
+/// Panics when the stencil does not lower to a valid desc.
+pub fn compile_star_3d<T: Real>(st: &Stencil3D<T>, lanes: usize) -> CompiledKernel3D<T> {
+    compile_3d(&KernelDesc::from_star_3d(st, BoundaryCond::Clamp), lanes)
+        .expect("star stencil lowers to a valid clamp desc")
+}
+
+impl<T: Real, const D: usize> CompiledKernel<T, D> {
     /// The desc this kernel was lowered from.
     pub fn desc(&self) -> &KernelDesc {
         &self.desc
@@ -283,7 +322,7 @@ impl<T: Real> CompiledKernel2D<T> {
         self.rad
     }
 
-    /// Selected lane width (1 = the scalar-generic entry).
+    /// Lane width the kernel runs at (1 = scalar).
     pub fn lanes(&self) -> usize {
         self.lanes
     }
@@ -293,47 +332,63 @@ impl<T: Real> CompiledKernel2D<T> {
         self.desc.class()
     }
 
-    /// Updates interior cells `x0..x1` of one output row.
-    ///
-    /// `rows` is the boundary-resolved source window: `2·rad + 1` full-width
-    /// row slices, `rows[rad]` the current row, `rows[rad + dy]` the row a
-    /// `dy` tap reads. Interior means every x tap stays in range:
-    /// `x0 ≥ rad` and `x1 + rad ≤` row length.
+    /// Updates cells `x0..x1` of one output row from its window (see the
+    /// module docs): `src` holds `2·rad + 1` rows or planes, `yoff` the
+    /// row offsets (`[0]` in 2D, `2·rad + 1` of them in 3D). Every x tap
+    /// must stay inside its row: `x0 ≥ rad` and `x1 + rad` at most the row's
+    /// end.
     ///
     /// # Panics
     /// Panics when the window or span preconditions are violated.
     #[inline]
-    pub fn run_row(&self, rows: &[&[T]], dst: &mut [T], x0: usize, x1: usize) {
+    pub fn run_row(&self, src: &[&[T]], yoff: &[usize], dst: &mut [T], x0: usize, x1: usize) {
         if x0 >= x1 {
             return;
         }
-        assert_eq!(rows.len(), 2 * self.rad + 1, "window height");
-        assert!(x1 <= dst.len(), "dst too short");
+        assert_eq!(src.len(), 2 * self.rad + 1, "window height");
         assert!(x0 >= self.rad, "x0 inside the left halo");
-        assert!(
-            rows.iter().all(|r| r.len() >= x1 + self.rad),
-            "row shorter than x1 + rad"
-        );
-        (self.row_fn)(&self.taps, rows, dst, x0, x1);
+        assert!(x1 <= dst.len(), "dst too short");
+        (self.row_fn)(&self.taps, src, yoff, dst, x0, x1);
     }
 
-    /// Evaluates one cell through a caller-supplied read of tap `(dx, dy)`
-    /// — the border path, where the caller resolves the boundary condition.
-    /// Identical expression and order as the interior paths.
+    /// Evaluates one cell whose x taps may leave its row — the border
+    /// path. `xi[rad + dx]` is the resolved column a `dx` tap reads; the
+    /// window is as for [`Self::run_row`]. Identical expression and order
+    /// as the vectorized path.
     #[inline]
-    pub fn eval_cell(&self, read: impl Fn(i32, i32) -> T) -> T {
+    pub fn eval_cell(&self, src: &[&[T]], yoff: &[usize], xi: &[usize]) -> T {
+        let read = |t: &Planned<T>| src[t.src][yoff[t.row] + xi[t.col]];
         let (first, rest) = self.taps.split_first().expect("center tap");
-        let mut acc = first.coeff * read(first.dx, first.dy);
+        let mut acc = first.coeff * read(first);
         for t in rest {
-            acc += t.coeff * read(t.dx, t.dy);
+            acc += t.coeff * read(t);
         }
         acc
     }
 
-    /// Computes one full output row of a grid-resident step: vectorized
-    /// interior, [`Self::eval_cell`] borders, rows resolved through the
-    /// desc's boundary condition. The unit the parallel engines fan out
-    /// over (`dst_row` rows of a scratch grid are disjoint).
+    /// Computes one full output row from its window: the vectorized
+    /// x-interior, then the border cells with columns resolved through the
+    /// desc's boundary condition.
+    fn step_window(&self, src: &[&[T]], yoff: &[usize], dst: &mut [T]) {
+        let (nx, rad) = (dst.len(), self.rad);
+        let bc = self.desc.boundary;
+        let lo = rad.min(nx);
+        let hi = nx.saturating_sub(rad).max(lo);
+        self.run_row(src, yoff, dst, lo, hi);
+        let mut xi = [0usize; MAX_WINDOW];
+        for x in (0..lo).chain(hi..nx) {
+            for (k, v) in xi[..2 * rad + 1].iter_mut().enumerate() {
+                *v = bc.resolve(x as i64 + k as i64 - rad as i64, nx as i64);
+            }
+            dst[x] = self.eval_cell(src, yoff, &xi[..2 * rad + 1]);
+        }
+    }
+}
+
+impl<T: Real> CompiledKernel<T, 2> {
+    /// Computes output row `y` of a grid-resident step, rows resolved
+    /// through the desc's boundary condition. The unit the parallel engines
+    /// fan out over (`dst_row` rows of a scratch grid are disjoint).
     ///
     /// # Panics
     /// Panics when `dst_row` is not `src.nx()` long or `y` is out of range.
@@ -341,22 +396,12 @@ impl<T: Real> CompiledKernel2D<T> {
         let (nx, ny) = (src.nx(), src.ny());
         assert_eq!(dst_row.len(), nx, "dst row width");
         assert!(y < ny, "row out of range");
-        let rad = self.rad;
-        let bc = self.desc.boundary;
+        let (rad, bc) = (self.rad, self.desc.boundary);
         let mut rows: [&[T]; MAX_WINDOW] = [src.row(0); MAX_WINDOW];
-        for (k, slot) in rows.iter_mut().enumerate().take(2 * rad + 1) {
-            let yy = bc.resolve(y as i64 + k as i64 - rad as i64, ny as i64);
-            *slot = src.row(yy);
+        for (k, slot) in rows[..2 * rad + 1].iter_mut().enumerate() {
+            *slot = src.row(bc.resolve(y as i64 + k as i64 - rad as i64, ny as i64));
         }
-        let x_lo = rad.min(nx);
-        let x_hi = nx.saturating_sub(rad).max(x_lo);
-        self.run_row(&rows[..2 * rad + 1], dst_row, x_lo, x_hi);
-        for x in (0..x_lo).chain(x_hi..nx) {
-            dst_row[x] = self.eval_cell(|dx, dy| {
-                let xx = bc.resolve(x as i64 + dx as i64, nx as i64);
-                rows[(rad as i32 + dy) as usize][xx]
-            });
-        }
+        self.step_window(&rows[..2 * rad + 1], &[0], dst_row);
     }
 
     /// One whole grid step ([`Self::step_row`] over every row).
@@ -382,135 +427,9 @@ impl<T: Real> CompiledKernel2D<T> {
     }
 }
 
-/// A 3D kernel lowered from a [`KernelDesc`] at a fixed lane width.
-///
-/// The source window is `2·rad + 1` boundary-resolved *planes* — corner
-/// taps (`dy ≠ 0` and `dz ≠ 0`) need full-plane access, which the star
-/// kernels' per-distance row slices cannot express.
-#[derive(Debug, Clone)]
-pub struct CompiledKernel3D<T> {
-    desc: KernelDesc,
-    rad: usize,
-    taps: Vec<Planned<T>>,
-    row_fn: RowFn3<T>,
-    lanes: usize,
-}
-
-/// Lowers a 3D desc at lane width `lanes` (see [`compile_2d`]).
-///
-/// # Errors
-/// Returns [`StencilError`] when the desc is invalid or not 3D.
-pub fn compile_3d<T: Real>(
-    desc: &KernelDesc,
-    lanes: usize,
-) -> Result<CompiledKernel3D<T>, StencilError> {
-    desc.validate()?;
-    if desc.dim != Dim::D3 {
-        return Err(StencilError::InvalidConfig {
-            reason: "compile_3d needs a 3D kernel desc".into(),
-        });
-    }
-    let rad = desc.radius();
-    let taps = desc
-        .taps
-        .iter()
-        .map(|t| Planned {
-            win: (rad as i32 + t.dz) as usize,
-            dx: t.dx,
-            dy: t.dy,
-            dz: t.dz,
-            coeff: T::from_f64(t.coeff),
-        })
-        .collect();
-    let lanes = select_lanes(lanes);
-    let row_fn = match lanes {
-        8 => row_fn_3d::<T, 8> as RowFn3<T>,
-        4 => row_fn_3d::<T, 4>,
-        2 => row_fn_3d::<T, 2>,
-        _ => row_fn_3d::<T, 1>,
-    };
-    Ok(CompiledKernel3D {
-        desc: desc.clone(),
-        rad,
-        taps,
-        row_fn,
-        lanes,
-    })
-}
-
-impl<T: Real> CompiledKernel3D<T> {
-    /// The desc this kernel was lowered from.
-    pub fn desc(&self) -> &KernelDesc {
-        &self.desc
-    }
-
-    /// Kernel radius.
-    pub fn radius(&self) -> usize {
-        self.rad
-    }
-
-    /// Selected lane width (1 = the scalar-generic entry).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Structural class of the underlying desc.
-    pub fn class(&self) -> KernelClass {
-        self.desc.class()
-    }
-
-    /// Updates interior cells `x0..x1` of the output row at `row_off`
-    /// (`= y·width`) from a window of `2·rad + 1` boundary-resolved planes
-    /// (`planes[rad + dz]` is the plane a `dz` tap reads; each plane is
-    /// row-major `width`-wide). The row must be y-interior
-    /// (`rad ≤ y < height − rad`) and the span x-interior
-    /// (`x0 ≥ rad`, `x1 + rad ≤ width`).
-    ///
-    /// # Panics
-    /// Panics when the window or span preconditions are violated.
-    #[inline]
-    pub fn run_row(
-        &self,
-        planes: &[&[T]],
-        width: usize,
-        row_off: usize,
-        dst: &mut [T],
-        x0: usize,
-        x1: usize,
-    ) {
-        if x0 >= x1 {
-            return;
-        }
-        assert_eq!(planes.len(), 2 * self.rad + 1, "window depth");
-        assert!(x1 <= dst.len(), "dst too short");
-        assert!(
-            x0 >= self.rad && x1 + self.rad <= width,
-            "x span not interior"
-        );
-        let need = row_off + self.rad * width + x1 + self.rad;
-        assert!(row_off >= self.rad * width, "row inside the south halo");
-        assert!(
-            planes.iter().all(|p| p.len() >= need),
-            "plane shorter than the tap window"
-        );
-        (self.row_fn)(&self.taps, planes, width, row_off, dst, x0, x1);
-    }
-
-    /// Evaluates one cell through a caller-supplied read of tap
-    /// `(dx, dy, dz)` — the border path (see [`CompiledKernel2D::eval_cell`]).
-    #[inline]
-    pub fn eval_cell(&self, read: impl Fn(i32, i32, i32) -> T) -> T {
-        let (first, rest) = self.taps.split_first().expect("center tap");
-        let mut acc = first.coeff * read(first.dx, first.dy, first.dz);
-        for t in rest {
-            acc += t.coeff * read(t.dx, t.dy, t.dz);
-        }
-        acc
-    }
-
-    /// Computes one full output row `(y, z)` of a grid-resident step:
-    /// vectorized x-interior when the row is y-interior, [`Self::eval_cell`]
-    /// everywhere else, planes resolved through the boundary condition.
+impl<T: Real> CompiledKernel<T, 3> {
+    /// Computes output row `(y, z)` of a grid-resident step, planes and
+    /// rows resolved through the desc's boundary condition.
     ///
     /// # Panics
     /// Panics when `dst_row` is not `src.nx()` long or `(y, z)` is out of
@@ -519,33 +438,15 @@ impl<T: Real> CompiledKernel3D<T> {
         let (nx, ny, nz) = (src.nx(), src.ny(), src.nz());
         assert_eq!(dst_row.len(), nx, "dst row width");
         assert!(y < ny && z < nz, "row out of range");
-        let rad = self.rad;
-        let bc = self.desc.boundary;
+        let (rad, bc) = (self.rad, self.desc.boundary);
         let mut planes: [&[T]; MAX_WINDOW] = [src.plane(0); MAX_WINDOW];
-        for (k, slot) in planes.iter_mut().enumerate().take(2 * rad + 1) {
-            let zz = bc.resolve(z as i64 + k as i64 - rad as i64, nz as i64);
-            *slot = src.plane(zz);
+        let mut yoff = [0usize; MAX_WINDOW];
+        for k in 0..2 * rad + 1 {
+            let d = k as i64 - rad as i64;
+            planes[k] = src.plane(bc.resolve(z as i64 + d, nz as i64));
+            yoff[k] = bc.resolve(y as i64 + d, ny as i64) * nx;
         }
-        let planes = &planes[..2 * rad + 1];
-        let y_interior = y >= rad && y + rad < ny;
-        let x_lo = rad.min(nx);
-        let x_hi = nx.saturating_sub(rad).max(x_lo);
-        if y_interior {
-            self.run_row(planes, nx, y * nx, dst_row, x_lo, x_hi);
-        }
-        let border_x = if y_interior {
-            (0..x_lo).chain(x_hi..nx)
-        } else {
-            #[allow(clippy::reversed_empty_ranges)]
-            (0..nx).chain(1..1)
-        };
-        for x in border_x {
-            dst_row[x] = self.eval_cell(|dx, dy, dz| {
-                let xx = bc.resolve(x as i64 + dx as i64, nx as i64);
-                let yy = bc.resolve(y as i64 + dy as i64, ny as i64);
-                planes[(rad as i32 + dz) as usize][yy * nx + xx]
-            });
-        }
+        self.step_window(&planes[..2 * rad + 1], &yoff[..2 * rad + 1], dst_row);
     }
 
     /// One whole grid step ([`Self::step_row`] over every row of every
@@ -584,8 +485,7 @@ impl<T: Real> CompiledKernel3D<T> {
 mod tests {
     use super::*;
     use crate::exec;
-    use crate::kernel_ir::{reference_run_2d, reference_run_3d, BoundaryCond};
-    use crate::stencil::{Stencil2D, Stencil3D};
+    use crate::kernel_ir::{reference_run_2d, reference_run_3d};
 
     fn grid_2d(nx: usize, ny: usize) -> Grid2D<f32> {
         Grid2D::from_fn(nx, ny, |x, y| ((x * 31 + y * 17) % 103) as f32 - 51.0).unwrap()
@@ -645,6 +545,31 @@ mod tests {
     }
 
     #[test]
+    fn run_row_spans_of_every_length_match_reference() {
+        // Spans shorter than one strip (single vectors, scalar tails), whole
+        // strips, and ragged spans whose last strip overlaps its
+        // predecessor, at every lane width.
+        let rad = 3;
+        let desc = KernelDesc::asymmetric_2d(rad, 19, BoundaryCond::Clamp).unwrap();
+        let grid = grid_2d(90, 2 * rad + 1);
+        let expect = reference_run_2d::<f32>(&desc, &grid, 1);
+        let rows: Vec<&[f32]> = (0..2 * rad + 1).map(|y| grid.row(y)).collect();
+        for lanes in [1usize, 2, 4, 8] {
+            let k = compile_2d::<f32>(&desc, lanes).unwrap();
+            for x0 in [rad, rad + 5] {
+                for len in 0..=(90 - 2 * rad - 5) {
+                    let mut got = vec![f32::NAN; 90];
+                    k.run_row(&rows, &[0], &mut got, x0, x0 + len);
+                    let span = x0..x0 + len;
+                    assert_eq!(got[span.clone()], expect.row(rad)[span], "lanes {lanes}");
+                    assert!(got[..x0].iter().all(|v| v.is_nan()), "wrote left of x0");
+                    assert!(got[x0 + len..].iter().all(|v| v.is_nan()), "wrote past x1");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn degenerate_narrow_grids() {
         // Grids narrower than the radius: the whole row is border cells.
         for bc in BoundaryCond::ALL {
@@ -686,9 +611,44 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_lane_width_falls_back_to_scalar() {
+    fn lane_rule_takes_the_widest_implemented_width() {
         let d = KernelDesc::box_2d(1, 1, BoundaryCond::Clamp).unwrap();
-        assert_eq!(compile_2d::<f32>(&d, 16).unwrap().lanes(), 1);
-        assert_eq!(compile_2d::<f32>(&d, 0).unwrap().lanes(), 1);
+        let d3 = KernelDesc::box_3d(1, 1, BoundaryCond::Clamp).unwrap();
+        for (requested, runs) in [
+            (16, 8),
+            (9, 8),
+            (8, 8),
+            (5, 4),
+            (3, 2),
+            (2, 2),
+            (1, 1),
+            (0, 1),
+        ] {
+            assert_eq!(compile_2d::<f32>(&d, requested).unwrap().lanes(), runs);
+            assert_eq!(compile_3d::<f32>(&d3, requested).unwrap().lanes(), runs);
+        }
+    }
+
+    #[test]
+    fn lanes_ops_are_elementwise() {
+        let a = Lanes::<f64, 4>::load(&[1.0, 2.0, 3.0, 4.0]);
+        let mut acc = a.mul_coeff(0.5);
+        assert_eq!(acc.to_array(), [0.5, 1.0, 1.5, 2.0]);
+        acc.add_scaled(2.0, Lanes::splat(1.0));
+        assert_eq!(acc.to_array(), [2.5, 3.0, 3.5, 4.0]);
+        let mut out = [0.0f64; 4];
+        acc.store(&mut out);
+        assert_eq!(out, [2.5, 3.0, 3.5, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x0 inside the left halo")]
+    fn taps_left_of_the_row_panic() {
+        let desc = KernelDesc::box_2d(2, 1, BoundaryCond::Clamp).unwrap();
+        let k = compile_2d::<f32>(&desc, 4).unwrap();
+        let row = vec![0.0f32; 8];
+        let rows: Vec<&[f32]> = vec![&row; 5];
+        let mut dst = vec![0.0f32; 8];
+        k.run_row(&rows, &[0], &mut dst, 1, 6);
     }
 }

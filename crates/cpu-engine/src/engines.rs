@@ -1,12 +1,28 @@
 //! The CPU stencil engines: naive, cache-tiled, and rayon-parallel.
 //!
-//! All engines are bit-exact with the oracle (they delegate to
-//! [`crate::kernels`]); they differ only in iteration order and parallelism,
-//! neither of which changes any cell's operation order.
+//! Every engine runs the one compiled row kernel
+//! ([`stencil_core::specialize`]): a star stencil is lowered to its
+//! clamp-boundary desc and compiled at [`CPU_LANES`] once per call, and each
+//! output row is one `step_row`. The engines differ only in iteration order
+//! and parallelism, neither of which changes any cell's operation order, so
+//! all are bit-exact with the oracle. The rayon engine also runs any
+//! compiled desc (`parallel_*_kernel*`), optionally cancellable between row
+//! bands — the grid-resident executor the serving runtime uses.
 
-use crate::kernels;
 use rayon::prelude::*;
-use stencil_core::{Grid2D, Grid3D, Real, Stencil2D, Stencil3D};
+use stencil_core::{
+    compile_star_2d, compile_star_3d, CompiledKernel2D, CompiledKernel3D, Grid2D, Grid3D, Real,
+    Stencil2D, Stencil3D,
+};
+
+/// Lane width the CPU engines compile star stencils at: 8 cells per step,
+/// the widest row kernel the specializer emits.
+pub const CPU_LANES: usize = 8;
+
+/// Output rows per parallel task of the 2D engines: big enough to amortize
+/// the fork/join, small enough that a cancellation hook is polled often.
+/// 3D tasks are whole z-planes.
+pub const ROW_BAND: usize = 32;
 
 /// Spatial tile sizes for the cache-blocked engines. A dimension of 0 means
 /// "unblocked".
@@ -47,39 +63,14 @@ impl Tile {
     }
 }
 
-/// Naive engine: plain double-buffered sweeps.
-///
-/// `cur` and `next` are distinct grids, so each output row of `next` can be
-/// written in place while `cur` is read — no scratch row, no allocation
-/// inside the sweep.
+/// Naive engine: plain double-buffered sweeps, one row at a time.
 pub fn naive_2d<T: Real>(st: &Stencil2D<T>, grid: &Grid2D<T>, iters: usize) -> Grid2D<T> {
-    let mut cur = grid.clone();
-    let mut next = grid.clone();
-    for _ in 0..iters {
-        for y in 0..cur.ny() {
-            kernels::row_2d(st, &cur, next.row_mut(y), y);
-        }
-        cur.swap(&mut next);
-    }
-    cur
+    compile_star_2d(st, CPU_LANES).run(grid, iters)
 }
 
 /// Naive 3D engine.
 pub fn naive_3d<T: Real>(st: &Stencil3D<T>, grid: &Grid3D<T>, iters: usize) -> Grid3D<T> {
-    let mut cur = grid.clone();
-    let mut next = grid.clone();
-    let nx = grid.nx();
-    for _ in 0..iters {
-        for z in 0..cur.nz() {
-            for y in 0..cur.ny() {
-                let base = (z * cur.ny() + y) * nx;
-                let dst_row = &mut next.as_mut_slice()[base..base + nx];
-                kernels::row_3d(st, &cur, dst_row, y, z);
-            }
-        }
-        cur.swap(&mut next);
-    }
-    cur
+    compile_star_3d(st, CPU_LANES).run(grid, iters)
 }
 
 /// Cache-tiled engine: iterates y (and z) in tiles so the stencil's
@@ -90,6 +81,7 @@ pub fn tiled_2d<T: Real>(
     iters: usize,
     tile: Tile,
 ) -> Grid2D<T> {
+    let kernel = compile_star_2d(st, CPU_LANES);
     let ny = grid.ny();
     let ty = Tile::eff(tile.ty, ny);
     let mut cur = grid.clone();
@@ -99,7 +91,7 @@ pub fn tiled_2d<T: Real>(
         while y0 < ny {
             let y1 = (y0 + ty).min(ny);
             for y in y0..y1 {
-                kernels::row_2d(st, &cur, next.row_mut(y), y);
+                kernel.step_row(&cur, y, next.row_mut(y));
             }
             y0 = y1;
         }
@@ -115,6 +107,7 @@ pub fn tiled_3d<T: Real>(
     iters: usize,
     tile: Tile,
 ) -> Grid3D<T> {
+    let kernel = compile_star_3d(st, CPU_LANES);
     let (nx, ny, nz) = (grid.nx(), grid.ny(), grid.nz());
     let ty = Tile::eff(tile.ty, ny);
     let tz = Tile::eff(tile.tz, nz);
@@ -129,9 +122,8 @@ pub fn tiled_3d<T: Real>(
                 let y1 = (y0 + ty).min(ny);
                 for z in z0..z1 {
                     for y in y0..y1 {
-                        let base = (z * ny + y) * nx;
-                        let dst_row = &mut next.as_mut_slice()[base..base + nx];
-                        kernels::row_3d(st, &cur, dst_row, y, z);
+                        let dst_row = &mut next.plane_mut(z)[y * nx..(y + 1) * nx];
+                        kernel.step_row(&cur, y, z, dst_row);
                     }
                 }
                 y0 = y1;
@@ -145,13 +137,10 @@ pub fn tiled_3d<T: Real>(
 
 /// Rayon-parallel engine: each time step partitions the output rows across
 /// threads. Every cell's update is independent, so parallelism cannot
-/// change results. Each worker writes its disjoint `next` row in place —
+/// change results. Each worker writes its disjoint `next` rows in place —
 /// no scratch buffers, no allocation inside the sweep.
 pub fn parallel_2d<T: Real>(st: &Stencil2D<T>, grid: &Grid2D<T>, iters: usize) -> Grid2D<T> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    parallel_2d_into(st, grid, iters, &mut out, &mut scratch);
-    out
+    parallel_2d_kernel(&compile_star_2d(st, CPU_LANES), grid, iters)
 }
 
 /// [`parallel_2d`] writing the result into the caller-provided `out` grid,
@@ -168,6 +157,67 @@ pub fn parallel_2d_into<T: Real>(
     out: &mut Grid2D<T>,
     scratch: &mut Grid2D<T>,
 ) {
+    parallel_2d_kernel_into(
+        &compile_star_2d(st, CPU_LANES),
+        grid,
+        iters,
+        &|| false,
+        out,
+        scratch,
+    );
+}
+
+/// Rayon-parallel 3D engine (parallel over z-planes).
+pub fn parallel_3d<T: Real>(st: &Stencil3D<T>, grid: &Grid3D<T>, iters: usize) -> Grid3D<T> {
+    parallel_3d_kernel(&compile_star_3d(st, CPU_LANES), grid, iters)
+}
+
+/// [`parallel_3d`] writing the result into the caller-provided `out` grid,
+/// with `scratch` as the ping-pong buffer (see [`parallel_2d_into`]).
+///
+/// # Panics
+/// Panics when the buffer shapes do not match `grid`.
+pub fn parallel_3d_into<T: Real>(
+    st: &Stencil3D<T>,
+    grid: &Grid3D<T>,
+    iters: usize,
+    out: &mut Grid3D<T>,
+    scratch: &mut Grid3D<T>,
+) {
+    parallel_3d_kernel_into(
+        &compile_star_3d(st, CPU_LANES),
+        grid,
+        iters,
+        &|| false,
+        out,
+        scratch,
+    );
+}
+
+/// Rayon-parallel execution of a compiled kernel into caller-provided
+/// buffers, with a cooperative cancellation hook — the CPU engine's route
+/// into the open-ended kernel space (box/asymmetric tap sets,
+/// periodic/reflective boundaries). Each pass fans [`ROW_BAND`]-row bands
+/// of the scratch grid out across the pool; the kernel's `step_row` does
+/// the boundary-resolved vectorized update, so results are bit-exact with
+/// the frozen generic-reference interpreter at every thread count.
+///
+/// `cancel` is polled before each pass and before each band. Returns
+/// `false` when it fired — the buffers then hold partial data and must be
+/// treated as dirty — and `true` when all `iters` passes ran; `out` then
+/// holds the result and `scratch` the ping-pong partner. Both buffers must
+/// have `grid`'s shape; their prior contents are irrelevant.
+///
+/// # Panics
+/// Panics when the buffer shapes do not match `grid`.
+pub fn parallel_2d_kernel_into<T: Real>(
+    kernel: &CompiledKernel2D<T>,
+    grid: &Grid2D<T>,
+    iters: usize,
+    cancel: &(dyn Fn() -> bool + Sync),
+    out: &mut Grid2D<T>,
+    scratch: &mut Grid2D<T>,
+) -> bool {
     let nx = grid.nx();
     assert_eq!(
         (out.nx(), out.ny()),
@@ -183,132 +233,55 @@ pub fn parallel_2d_into<T: Real>(
     // backing Vec pointers only.
     out.copy_from(grid);
     for _ in 0..iters {
-        {
-            let src: &Grid2D<T> = out;
-            scratch
-                .as_mut_slice()
-                .par_chunks_mut(nx)
-                .enumerate()
-                .for_each(|(y, dst_row)| kernels::row_2d(st, src, dst_row, y));
+        if cancel() {
+            return false;
+        }
+        let src: &Grid2D<T> = out;
+        scratch
+            .as_mut_slice()
+            .par_chunks_mut(nx * ROW_BAND)
+            .enumerate()
+            .for_each(|(band, rows)| {
+                if cancel() {
+                    return;
+                }
+                for (i, dst_row) in rows.chunks_mut(nx).enumerate() {
+                    kernel.step_row(src, band * ROW_BAND + i, dst_row);
+                }
+            });
+        if cancel() {
+            return false;
         }
         out.swap(scratch);
     }
-}
-
-/// Rayon-parallel 3D engine (parallel over z-planes).
-pub fn parallel_3d<T: Real>(st: &Stencil3D<T>, grid: &Grid3D<T>, iters: usize) -> Grid3D<T> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    parallel_3d_into(st, grid, iters, &mut out, &mut scratch);
-    out
-}
-
-/// [`parallel_3d`] writing the result into the caller-provided `out` grid,
-/// with `scratch` as the ping-pong buffer (see [`parallel_2d_into`]).
-///
-/// # Panics
-/// Panics when the buffer shapes do not match `grid`.
-pub fn parallel_3d_into<T: Real>(
-    st: &Stencil3D<T>,
-    grid: &Grid3D<T>,
-    iters: usize,
-    out: &mut Grid3D<T>,
-    scratch: &mut Grid3D<T>,
-) {
-    let (nx, ny) = (grid.nx(), grid.ny());
-    assert_eq!(
-        (out.nx(), out.ny(), out.nz()),
-        (grid.nx(), grid.ny(), grid.nz()),
-        "out buffer shape mismatch"
-    );
-    assert_eq!(
-        (scratch.nx(), scratch.ny(), scratch.nz()),
-        (grid.nx(), grid.ny(), grid.nz()),
-        "scratch buffer shape mismatch"
-    );
-    out.copy_from(grid);
-    for _ in 0..iters {
-        {
-            let src: &Grid3D<T> = out;
-            scratch
-                .as_mut_slice()
-                .par_chunks_mut(nx * ny)
-                .enumerate()
-                .for_each(|(z, dst_plane)| {
-                    for (y, dst_row) in dst_plane.chunks_mut(nx).enumerate() {
-                        kernels::row_3d(st, src, dst_row, y, z);
-                    }
-                });
-        }
-        out.swap(scratch);
-    }
-}
-
-/// Rayon-parallel execution of a runtime-specialized desc kernel
-/// ([`stencil_core::CompiledKernel2D`]) — the CPU engine's route into the
-/// open-ended kernel space (box/asymmetric tap sets, periodic/reflective
-/// boundaries). Same partitioning as [`parallel_2d_into`]: each worker owns
-/// disjoint output rows, the kernel's `step_row` does the boundary-resolved
-/// vectorized update, so results are bit-exact with the frozen
-/// generic-reference interpreter at every thread count.
-///
-/// # Panics
-/// Panics when the buffer shapes do not match `grid`.
-pub fn parallel_2d_kernel_into<T: Real>(
-    kernel: &stencil_core::CompiledKernel2D<T>,
-    grid: &Grid2D<T>,
-    iters: usize,
-    out: &mut Grid2D<T>,
-    scratch: &mut Grid2D<T>,
-) {
-    let nx = grid.nx();
-    assert_eq!(
-        (out.nx(), out.ny()),
-        (grid.nx(), grid.ny()),
-        "out buffer shape mismatch"
-    );
-    assert_eq!(
-        (scratch.nx(), scratch.ny()),
-        (grid.nx(), grid.ny()),
-        "scratch buffer shape mismatch"
-    );
-    out.copy_from(grid);
-    for _ in 0..iters {
-        {
-            let src: &Grid2D<T> = out;
-            scratch
-                .as_mut_slice()
-                .par_chunks_mut(nx)
-                .enumerate()
-                .for_each(|(y, dst_row)| kernel.step_row(src, y, dst_row));
-        }
-        out.swap(scratch);
-    }
+    true
 }
 
 /// Allocating wrapper over [`parallel_2d_kernel_into`].
 pub fn parallel_2d_kernel<T: Real>(
-    kernel: &stencil_core::CompiledKernel2D<T>,
+    kernel: &CompiledKernel2D<T>,
     grid: &Grid2D<T>,
     iters: usize,
 ) -> Grid2D<T> {
     let mut out = grid.clone();
     let mut scratch = grid.clone();
-    parallel_2d_kernel_into(kernel, grid, iters, &mut out, &mut scratch);
+    parallel_2d_kernel_into(kernel, grid, iters, &|| false, &mut out, &mut scratch);
     out
 }
 
-/// 3D variant of [`parallel_2d_kernel_into`] (parallel over z-planes).
+/// 3D variant of [`parallel_2d_kernel_into`]: parallel over z-planes,
+/// `cancel` polled before each pass and each plane.
 ///
 /// # Panics
 /// Panics when the buffer shapes do not match `grid`.
 pub fn parallel_3d_kernel_into<T: Real>(
-    kernel: &stencil_core::CompiledKernel3D<T>,
+    kernel: &CompiledKernel3D<T>,
     grid: &Grid3D<T>,
     iters: usize,
+    cancel: &(dyn Fn() -> bool + Sync),
     out: &mut Grid3D<T>,
     scratch: &mut Grid3D<T>,
-) {
+) -> bool {
     let (nx, ny) = (grid.nx(), grid.ny());
     assert_eq!(
         (out.nx(), out.ny(), out.nz()),
@@ -322,31 +295,39 @@ pub fn parallel_3d_kernel_into<T: Real>(
     );
     out.copy_from(grid);
     for _ in 0..iters {
-        {
-            let src: &Grid3D<T> = out;
-            scratch
-                .as_mut_slice()
-                .par_chunks_mut(nx * ny)
-                .enumerate()
-                .for_each(|(z, dst_plane)| {
-                    for (y, dst_row) in dst_plane.chunks_mut(nx).enumerate() {
-                        kernel.step_row(src, y, z, dst_row);
-                    }
-                });
+        if cancel() {
+            return false;
+        }
+        let src: &Grid3D<T> = out;
+        scratch
+            .as_mut_slice()
+            .par_chunks_mut(nx * ny)
+            .enumerate()
+            .for_each(|(z, dst_plane)| {
+                if cancel() {
+                    return;
+                }
+                for (y, dst_row) in dst_plane.chunks_mut(nx).enumerate() {
+                    kernel.step_row(src, y, z, dst_row);
+                }
+            });
+        if cancel() {
+            return false;
         }
         out.swap(scratch);
     }
+    true
 }
 
 /// Allocating wrapper over [`parallel_3d_kernel_into`].
 pub fn parallel_3d_kernel<T: Real>(
-    kernel: &stencil_core::CompiledKernel3D<T>,
+    kernel: &CompiledKernel3D<T>,
     grid: &Grid3D<T>,
     iters: usize,
 ) -> Grid3D<T> {
     let mut out = grid.clone();
     let mut scratch = grid.clone();
-    parallel_3d_kernel_into(kernel, grid, iters, &mut out, &mut scratch);
+    parallel_3d_kernel_into(kernel, grid, iters, &|| false, &mut out, &mut scratch);
     out
 }
 
@@ -458,8 +439,63 @@ mod tests {
         let k = stencil_core::compile_2d::<f32>(&desc, 8).unwrap();
         let mut out = Grid2D::filled(41, 23, f32::NAN).unwrap();
         let mut scratch = Grid2D::filled(41, 23, -4.0e18f32).unwrap();
-        parallel_2d_kernel_into(&k, &grid2(), 3, &mut out, &mut scratch);
+        parallel_2d_kernel_into(&k, &grid2(), 3, &|| false, &mut out, &mut scratch);
         assert_eq!(out, parallel_2d_kernel(&k, &grid2(), 3));
+    }
+
+    #[test]
+    fn parallel_kernel_bands_match_interpreter() {
+        use stencil_core::kernel_ir::{reference_run_2d, BoundaryCond, KernelDesc};
+        for bc in BoundaryCond::ALL {
+            let desc = KernelDesc::box_2d(2, 77, bc).unwrap();
+            let k = stencil_core::compile_2d::<f32>(&desc, 8).unwrap();
+            // Multiple row bands (ny > ROW_BAND) and a ragged final band.
+            let grid = Grid2D::from_fn(61, 2 * ROW_BAND + 7, |x, y| {
+                ((x * 31 + y * 17) % 103) as f32
+            })
+            .unwrap();
+            assert_eq!(
+                parallel_2d_kernel(&k, &grid, 3),
+                reference_run_2d::<f32>(&desc, &grid, 3),
+                "{bc}"
+            );
+        }
+    }
+
+    #[test]
+    fn cancelled_kernel_run_returns_false() {
+        use stencil_core::kernel_ir::{BoundaryCond, KernelDesc};
+        let desc = KernelDesc::box_2d(1, 1, BoundaryCond::Periodic).unwrap();
+        let k = stencil_core::compile_2d::<f32>(&desc, 8).unwrap();
+        let (mut out, mut scratch) = (grid2(), grid2());
+        assert!(!parallel_2d_kernel_into(
+            &k,
+            &grid2(),
+            5,
+            &|| true,
+            &mut out,
+            &mut scratch
+        ));
+        assert!(parallel_2d_kernel_into(
+            &k,
+            &grid2(),
+            0,
+            &|| true,
+            &mut out,
+            &mut scratch
+        ));
+        assert_eq!(out, grid2(), "zero passes copy the input");
+        let desc3 = KernelDesc::box_3d(1, 1, BoundaryCond::Clamp).unwrap();
+        let k3 = stencil_core::compile_3d::<f32>(&desc3, 4).unwrap();
+        let (mut out3, mut scratch3) = (grid3(), grid3());
+        assert!(!parallel_3d_kernel_into(
+            &k3,
+            &grid3(),
+            2,
+            &|| true,
+            &mut out3,
+            &mut scratch3
+        ));
     }
 
     #[test]

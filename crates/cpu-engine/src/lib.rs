@@ -25,7 +25,6 @@
 
 pub mod engines;
 pub mod folded;
-pub mod kernels;
 pub mod measure;
 pub mod padded;
 pub mod tuner;

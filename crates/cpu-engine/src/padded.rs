@@ -149,7 +149,6 @@ pub fn padded_run_2d<T: Real>(st: &Stencil2D<T>, grid: &Grid2D<T>, iters: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels;
     use stencil_core::exec;
 
     #[test]
@@ -181,20 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn padded_engine_matches_row_kernels_engine() {
+    fn padded_engine_matches_oracle_on_square_grid() {
         let st = Stencil2D::<f32>::random(2, 91).unwrap();
         let g = Grid2D::from_fn(30, 30, |x, y| ((x + 3 * y) % 13) as f32).unwrap();
-        let mut row = vec![0.0f32; 30];
-        let mut cur = g.clone();
-        let mut next = g.clone();
-        for _ in 0..4 {
-            for y in 0..30 {
-                kernels::row_2d(&st, &cur, &mut row, y);
-                next.row_mut(y).copy_from_slice(&row);
-            }
-            cur.swap(&mut next);
-        }
-        assert_eq!(padded_run_2d(&st, &g, 4), cur);
+        assert_eq!(padded_run_2d(&st, &g, 4), exec::run_2d(&st, &g, 4));
     }
 
     #[test]

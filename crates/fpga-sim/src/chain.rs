@@ -20,7 +20,8 @@
 
 use crate::pe::{Pe2D, Pe3D, Produced};
 use crate::shift_register::RowPool;
-use stencil_core::{Real, Stencil2D, Stencil3D};
+use std::sync::Arc;
+use stencil_core::{CompiledKernel2D, CompiledKernel3D, Real};
 
 /// A chain of 2D PEs for one spatial block.
 #[derive(Debug, Clone)]
@@ -32,13 +33,14 @@ pub struct Chain2D<T> {
 }
 
 impl<T: Real> Chain2D<T> {
-    /// Builds a chain of `partime` PEs, the first `active` of which compute
-    /// (the rest pass through).
+    /// Builds a chain of `partime` PEs sharing `kernel`, the first `active`
+    /// of which compute (the rest pass through).
     ///
     /// # Panics
-    /// Panics when `active > partime` or `partime == 0`.
+    /// Panics when `active > partime` or `partime == 0`, or when a PE
+    /// rejects the kernel (see [`Pe2D::new`]).
     pub fn new(
-        stencil: &Stencil2D<T>,
+        kernel: &Arc<CompiledKernel2D<T>>,
         partime: usize,
         active: usize,
         x0: i64,
@@ -50,7 +52,7 @@ impl<T: Real> Chain2D<T> {
         assert!(active <= partime, "more active PEs than chain length");
         let pes = (0..partime)
             .map(|t| {
-                let mut pe = Pe2D::new(stencil.clone(), x0, width, nx, ny);
+                let mut pe = Pe2D::new(Arc::clone(kernel), x0, width, nx, ny);
                 pe.set_active(t < active);
                 pe
             })
@@ -66,14 +68,6 @@ impl<T: Real> Chain2D<T> {
     /// Chain length.
     pub fn len(&self) -> usize {
         self.pes.len()
-    }
-
-    /// Sets the interior-kernel lane width (the design's `parvec`) on every
-    /// PE in the chain — see [`Pe2D::set_lanes`].
-    pub fn set_lanes(&mut self, lanes: usize) {
-        for pe in &mut self.pes {
-            pe.set_lanes(lanes);
-        }
     }
 
     /// `true` iff the chain has no PEs (never, post-construction).
@@ -138,13 +132,15 @@ pub struct Chain3D<T> {
 }
 
 impl<T: Real> Chain3D<T> {
-    /// Builds a chain of `partime` 3D PEs, the first `active` computing.
+    /// Builds a chain of `partime` 3D PEs sharing `kernel`, the first
+    /// `active` computing.
     ///
     /// # Panics
-    /// Panics when `active > partime` or `partime == 0`.
+    /// Panics when `active > partime` or `partime == 0`, or when a PE
+    /// rejects the kernel (see [`Pe3D::new`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        stencil: &Stencil3D<T>,
+        kernel: &Arc<CompiledKernel3D<T>>,
         partime: usize,
         active: usize,
         x0: i64,
@@ -159,7 +155,7 @@ impl<T: Real> Chain3D<T> {
         assert!(active <= partime, "more active PEs than chain length");
         let pes = (0..partime)
             .map(|t| {
-                let mut pe = Pe3D::new(stencil.clone(), x0, y0, width, height, nx, ny, nz);
+                let mut pe = Pe3D::new(Arc::clone(kernel), x0, y0, width, height, nx, ny, nz);
                 pe.set_active(t < active);
                 pe
             })
@@ -175,14 +171,6 @@ impl<T: Real> Chain3D<T> {
     /// Chain length.
     pub fn len(&self) -> usize {
         self.pes.len()
-    }
-
-    /// Sets the interior-kernel lane width on every PE in the chain — see
-    /// [`Pe3D::set_lanes`].
-    pub fn set_lanes(&mut self, lanes: usize) {
-        for pe in &mut self.pes {
-            pe.set_lanes(lanes);
-        }
     }
 
     /// `true` iff the chain has no PEs.
@@ -238,7 +226,11 @@ impl<T: Real> Chain3D<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::{exec, Grid2D};
+    use stencil_core::{compile_star_2d, exec, Grid2D, Stencil2D};
+
+    fn star(st: &Stencil2D<f32>) -> Arc<CompiledKernel2D<f32>> {
+        Arc::new(compile_star_2d(st, 4))
+    }
 
     #[test]
     fn two_pe_chain_equals_two_oracle_steps_whole_grid() {
@@ -247,7 +239,7 @@ mod tests {
         let grid = Grid2D::from_fn(nx, ny, |x, y| ((3 * x) as f32).sin() + y as f32).unwrap();
         // Whole grid as one block; 2 active PEs. All committed cells are
         // valid because clamping handles the physical boundary.
-        let mut chain = Chain2D::new(&st, 2, 2, 0, nx, nx, ny);
+        let mut chain = Chain2D::new(&star(&st), 2, 2, 0, nx, nx, ny);
         let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
         for y in 0..ny {
             let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
@@ -263,8 +255,8 @@ mod tests {
         let (nx, ny) = (14, 9);
         let st = Stencil2D::<f32>::random(2, 42).unwrap();
         let grid = Grid2D::from_fn(nx, ny, |x, y| ((x * 7 + y) % 11) as f32).unwrap();
-        let mut a = Chain2D::new(&st, 3, 3, 0, nx, nx, ny);
-        let mut b = Chain2D::new(&st, 3, 3, 0, nx, nx, ny);
+        let mut a = Chain2D::new(&star(&st), 3, 3, 0, nx, nx, ny);
+        let mut b = Chain2D::new(&star(&st), 3, 3, 0, nx, nx, ny);
         for y in 0..ny {
             let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
             let via_feed = a.feed(y as i64, row.clone());
@@ -284,7 +276,7 @@ mod tests {
         let (nx, ny) = (20, 40);
         let st = Stencil2D::<f32>::random(2, 3).unwrap();
         let grid = Grid2D::from_fn(nx, ny, |x, y| (x + y) as f32).unwrap();
-        let mut chain = Chain2D::new(&st, 4, 4, 0, nx, nx, ny);
+        let mut chain = Chain2D::new(&star(&st), 4, 4, 0, nx, nx, ny);
         let mut idle_after_row = Vec::new();
         for y in 0..ny {
             let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
@@ -307,7 +299,7 @@ mod tests {
         let st = Stencil2D::<f32>::random(1, 4).unwrap();
         let grid = Grid2D::from_fn(nx, ny, |x, y| (x + y) as f32).unwrap();
         // Chain of 4 with only 1 active == one oracle step.
-        let mut chain = Chain2D::new(&st, 4, 1, 0, nx, nx, ny);
+        let mut chain = Chain2D::new(&star(&st), 4, 1, 0, nx, nx, ny);
         let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
         for y in 0..ny {
             let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
@@ -322,7 +314,7 @@ mod tests {
     fn zero_active_chain_is_identity() {
         let (nx, ny) = (6, 4);
         let st = Stencil2D::<f32>::uniform(1).unwrap();
-        let mut chain = Chain2D::new(&st, 3, 0, 0, nx, nx, ny);
+        let mut chain = Chain2D::new(&star(&st), 3, 0, 0, nx, nx, ny);
         let grid = Grid2D::from_fn(nx, ny, |x, y| (x * y) as f32).unwrap();
         let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
         for y in 0..ny {
@@ -338,6 +330,6 @@ mod tests {
     #[should_panic(expected = "more active PEs")]
     fn too_many_active_panics() {
         let st = Stencil2D::<f32>::uniform(1).unwrap();
-        let _ = Chain2D::new(&st, 2, 3, 0, 8, 8, 8);
+        let _ = Chain2D::new(&star(&st), 2, 3, 0, 8, 8, 8);
     }
 }

@@ -31,8 +31,9 @@ pub struct SimCounters {
     pub passes: u64,
     /// Spatial blocks processed, summed over passes.
     pub blocks: u64,
-    /// Lane width the interior kernels ran with (the design's `parvec`;
-    /// 1 = scalar generic path). A run-level property, not merged.
+    /// Lane width the compiled kernel ran with: the design's `parvec`, or
+    /// the widest implemented width below it (1 = scalar). A run-level
+    /// property, not merged.
     pub lane_width: u64,
     /// Wall time of each chain pass, in seconds (one entry per pass).
     pub pass_seconds: Vec<f64>,

@@ -32,9 +32,12 @@
 use crate::chain::{Chain2D, Chain3D};
 use crate::counters::SimCounters;
 use rayon::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use stencil_core::{BlockConfig, BlockSpan, Dim, Grid2D, Grid3D, Real, Stencil2D, Stencil3D};
+use stencil_core::{
+    compile_star_2d, compile_star_3d, BlockConfig, BlockSpan, CompiledKernel2D, CompiledKernel3D,
+    Dim, Grid2D, Grid3D, Real, Stencil2D, Stencil3D,
+};
 
 /// Splits `iters` into chain passes: each pass activates at most `partime`
 /// PEs; the last pass may activate fewer.
@@ -126,8 +129,10 @@ pub fn run_2d<T: Real>(
 
 /// [`run_2d`] plus the [`SimCounters`] tallied during the run.
 ///
-/// The interior kernels run at lane width `config.parvec` — the simulator
-/// executes the vector width the performance model charges for.
+/// The kernel is compiled at lane width `config.parvec` — the vector width
+/// the performance model charges for, or the widest implemented width
+/// below it (see [`stencil_core::compile_2d`]); `lane_width` reports the
+/// width that ran.
 ///
 /// # Panics
 /// Panics when `config` is not a validated 2D configuration.
@@ -140,9 +145,9 @@ pub fn run_2d_instrumented<T: Real>(
     run_2d_instrumented_lanes(stencil, grid, config, iters, config.parvec)
 }
 
-/// [`run_2d_instrumented`] with an explicit interior-kernel lane width
-/// (overriding `config.parvec`). `lanes = 1` reproduces the scalar
-/// runtime-radius data path; every width is bit-identical.
+/// [`run_2d_instrumented`] with an explicit kernel lane width (overriding
+/// `config.parvec`). `lanes = 1` runs the scalar row loop; every width is
+/// bit-identical.
 ///
 /// # Panics
 /// Panics when `config` is not a validated 2D configuration.
@@ -251,11 +256,13 @@ pub fn run_2d_replicated_cancellable_into<T: Real>(
     );
 
     let nx = grid.nx();
+    // One kernel for the whole run, shared by every PE of every block.
+    let kernel = Arc::new(compile_star_2d(stencil, lanes));
     // `out` always holds the latest completed pass; `scratch` is the
     // in-flight destination, exchanged (Vec pointers only) after each pass.
     out.copy_from(grid);
     let mut counters = SimCounters {
-        lane_width: lanes.max(1) as u64,
+        lane_width: kernel.lanes() as u64,
         ..Default::default()
     };
     let t_run = Instant::now();
@@ -270,6 +277,7 @@ pub fn run_2d_replicated_cancellable_into<T: Real>(
         let tally = Mutex::new(SimCounters::default());
         let src_ref: &Grid2D<T> = out;
         let tally_ref = &tally;
+        let kernel = &kernel;
         let partime = config.partime;
         spans
             .into_iter()
@@ -280,8 +288,7 @@ pub fn run_2d_replicated_cancellable_into<T: Real>(
                 if cancel() {
                     return;
                 }
-                let part =
-                    run_block_2d(stencil, src_ref, &span, &mut strip, partime, active, lanes);
+                let part = run_block_2d(kernel, src_ref, &span, &mut strip, partime, active);
                 tally_ref.lock().unwrap().merge(&part);
             });
         if cancel() {
@@ -299,21 +306,18 @@ pub fn run_2d_replicated_cancellable_into<T: Real>(
 /// One spatial block of one 2D pass: stream all rows of the block's read
 /// region through a fresh chain, committing the comp core into this block's
 /// pre-split destination strip.
-#[allow(clippy::too_many_arguments)]
 fn run_block_2d<T: Real>(
-    stencil: &Stencil2D<T>,
+    kernel: &Arc<CompiledKernel2D<T>>,
     src: &Grid2D<T>,
     span: &BlockSpan,
     strip: &mut [&mut [T]],
     partime: usize,
     active: usize,
-    lanes: usize,
 ) -> SimCounters {
     let x0 = span.read_start;
     let width = span.read_len();
     let (nx, ny) = (src.nx(), src.ny());
-    let mut chain = Chain2D::new(stencil, partime, active, x0 as i64, width, nx, ny);
-    chain.set_lanes(lanes);
+    let mut chain = Chain2D::new(kernel, partime, active, x0 as i64, width, nx, ny);
     // The block's only steady-state input buffer, refilled in place per row.
     let mut row = vec![T::ZERO; width];
     let off = (span.comp_start as isize - x0) as usize;
@@ -380,8 +384,8 @@ pub fn run_3d<T: Real>(
     run_3d_instrumented(stencil, grid, config, iters).0
 }
 
-/// [`run_3d`] plus the [`SimCounters`] tallied during the run; interior
-/// kernels run at lane width `config.parvec`.
+/// [`run_3d`] plus the [`SimCounters`] tallied during the run; the kernel
+/// is compiled at lane width `config.parvec` (see [`run_2d_instrumented`]).
 ///
 /// # Panics
 /// Panics when `config` is not a validated 3D configuration.
@@ -394,8 +398,8 @@ pub fn run_3d_instrumented<T: Real>(
     run_3d_instrumented_lanes(stencil, grid, config, iters, config.parvec)
 }
 
-/// [`run_3d_instrumented`] with an explicit interior-kernel lane width
-/// (see [`run_2d_instrumented_lanes`]).
+/// [`run_3d_instrumented`] with an explicit kernel lane width (see
+/// [`run_2d_instrumented_lanes`]).
 ///
 /// # Panics
 /// Panics when `config` is not a validated 3D configuration.
@@ -492,9 +496,10 @@ pub fn run_3d_replicated_cancellable_into<T: Real>(
     );
 
     let (nx, ny) = (grid.nx(), grid.ny());
+    let kernel = Arc::new(compile_star_3d(stencil, lanes));
     out.copy_from(grid);
     let mut counters = SimCounters {
-        lane_width: lanes.max(1) as u64,
+        lane_width: kernel.lanes() as u64,
         ..Default::default()
     };
     let t_run = Instant::now();
@@ -518,14 +523,13 @@ pub fn run_3d_replicated_cancellable_into<T: Real>(
         let tally = Mutex::new(SimCounters::default());
         let src_ref: &Grid3D<T> = out;
         let tally_ref = &tally;
+        let kernel = &kernel;
         let partime = config.partime;
         work.into_par_iter().for_each(move |(sx, sy, mut strip)| {
             if cancel() {
                 return;
             }
-            let part = run_block_3d(
-                stencil, src_ref, &sx, &sy, &mut strip, partime, active, lanes,
-            );
+            let part = run_block_3d(kernel, src_ref, &sx, &sy, &mut strip, partime, active);
             tally_ref.lock().unwrap().merge(&part);
         });
         if cancel() {
@@ -541,24 +545,21 @@ pub fn run_3d_replicated_cancellable_into<T: Real>(
 }
 
 /// One spatial block of one 3D pass (see [`run_block_2d`]).
-#[allow(clippy::too_many_arguments)]
 fn run_block_3d<T: Real>(
-    stencil: &Stencil3D<T>,
+    kernel: &Arc<CompiledKernel3D<T>>,
     src: &Grid3D<T>,
     sx: &BlockSpan,
     sy: &BlockSpan,
     strip: &mut [&mut [T]],
     partime: usize,
     active: usize,
-    lanes: usize,
 ) -> SimCounters {
     let (x0, y0) = (sx.read_start, sy.read_start);
     let (width, height) = (sx.read_len(), sy.read_len());
     let (nx, ny, nz) = (src.nx(), src.ny(), src.nz());
     let mut chain = Chain3D::new(
-        stencil, partime, active, x0 as i64, y0 as i64, width, height, nx, ny, nz,
+        kernel, partime, active, x0 as i64, y0 as i64, width, height, nx, ny, nz,
     );
-    chain.set_lanes(lanes);
     let mut plane = vec![T::ZERO; width * height];
     let offx = (sx.comp_start as isize - x0) as usize;
     let offy = (sy.comp_start as isize - y0) as usize;
@@ -672,6 +673,23 @@ mod tests {
                 expect,
                 "serial, rad {rad}"
             );
+        }
+    }
+
+    #[test]
+    fn table3_3d_configs_on_grids_smaller_than_one_block() {
+        // Every 3D Table III configuration (parvec 16, which runs at 8
+        // lanes) on a grid smaller than one block: the read region overhangs
+        // the grid in x and y, and only in-grid cells are evaluated.
+        for (rad, bsize_y, partime) in [(1, 256, 12), (2, 128, 6), (3, 128, 4), (4, 128, 3)] {
+            let cfg = BlockConfig::new_3d(rad, 256, bsize_y, 16, partime).unwrap();
+            let st = Stencil3D::<f32>::random(rad, 400 + rad as u64).unwrap();
+            let grid = Grid3D::from_fn(37, 29, 5, |x, y, z| ((x * 5 + y * 3 + z * 7) % 17) as f32)
+                .unwrap();
+            let iters = partime + 1;
+            let (got, c) = run_3d_instrumented(&st, &grid, &cfg, iters);
+            assert_eq!(got, run_3d_serial(&st, &grid, &cfg, iters), "rad {rad}");
+            assert_eq!(c.lane_width, 8, "rad {rad}");
         }
     }
 

@@ -46,7 +46,6 @@ pub mod device;
 pub mod event;
 pub mod fmax;
 pub mod functional;
-pub mod kernel_exec;
 pub mod pe;
 pub mod power;
 pub mod schedule;
@@ -68,9 +67,6 @@ pub use functional::{
     replica_spans, run_2d_cancellable, run_2d_cancellable_into, run_2d_replicated,
     run_2d_replicated_cancellable_into, run_3d_cancellable, run_3d_cancellable_into,
     run_3d_replicated, run_3d_replicated_cancellable_into,
-};
-pub use kernel_exec::{
-    run_kernel_2d, run_kernel_2d_cancellable_into, run_kernel_3d, run_kernel_3d_cancellable_into,
 };
 pub use schedule::{CollapsedSchedule, LoopPoint};
 pub use serial_ref::{run_2d_serial, run_3d_serial};

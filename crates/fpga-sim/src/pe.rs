@@ -2,17 +2,25 @@
 //!
 //! Each PE consumes the stream of rows (2D) or planes (3D) of time step
 //! `t − 1` for one spatial block, holds the last `2·rad + 1` of them in its
-//! shift register, and produces the stream of time step `t`. Taps clamp to
-//! the grid border per the paper's boundary condition; taps that fall outside
-//! the block's *read region* (possible only for halo cells whose results are
-//! discarded by overlapped blocking) clamp to the region edge, which is
-//! deterministic and never reaches a committed cell.
+//! shift register, and produces the stream of time step `t` by running the
+//! compiled kernel ([`stencil_core::specialize`]) over that window — one
+//! kernel, compiled once per run and shared by every PE through an `Arc`.
+//!
+//! Taps clamp to the grid border per the paper's boundary condition; taps
+//! that fall outside the block's *read region* (possible only for halo cells
+//! whose results are discarded by overlapped blocking) clamp to the region
+//! edge, which is deterministic and never reaches a committed cell. Both
+//! clamps are resolved once per PE into one index table per axis.
+//!
+//! A PE evaluates only the in-grid cells of its region. Because taps clamp
+//! to the grid before they clamp to the region, no in-grid cell ever reads
+//! a cell where the region overhangs the grid, and no such cell is
+//! committed; those cells hold zero.
 
 use crate::shift_register::{RowPool, ShiftRegister};
 use std::sync::Arc;
-use stencil_core::simd::{select_row_2d, select_row_3d};
 use stencil_core::specialize::MAX_WINDOW;
-use stencil_core::{BoundaryCond, CompiledKernel2D, CompiledKernel3D, Real, Stencil2D, Stencil3D};
+use stencil_core::{BoundaryCond, CompiledKernel, CompiledKernel2D, CompiledKernel3D, Real};
 
 /// Maximum supported stencil radius (generously above the paper's 4; §VI.A
 /// discusses feasibility up to 6).
@@ -20,6 +28,74 @@ pub const MAX_RADIUS: usize = 16;
 
 /// Output rows/planes produced by a feed, tagged with their stream index.
 pub type Produced<T> = Vec<(i64, Vec<T>)>;
+
+/// One axis of a block's read region `[o, o + len)` on a grid axis
+/// `[0, n)`, resolved once per PE.
+#[derive(Debug, Clone)]
+struct Axis {
+    /// `taps[i + rad + d]` is the local index (times the axis stride) a tap
+    /// at offset `d` of local cell `i` reads: clamped to the grid, then to
+    /// the region.
+    taps: Vec<usize>,
+    /// The in-grid cells `[grid.0, grid.1)`, the only ones evaluated.
+    grid: (usize, usize),
+    /// The cells inside `grid` whose every tap is the identity.
+    inner: (usize, usize),
+}
+
+impl Axis {
+    fn new(o: i64, len: usize, n: usize, rad: usize, stride: usize) -> Axis {
+        let (w, n, r) = (len as i64, n as i64, rad as i64);
+        let taps = (0..w + 2 * r)
+            .map(|k| ((o + k - r).clamp(0, n - 1) - o).clamp(0, w - 1) as usize * stride)
+            .collect();
+        let g0 = (-o).clamp(0, w);
+        let g1 = (n - o).clamp(g0, w);
+        let lo = r.max(r - o).clamp(g0, g1);
+        let hi = (w - r).min(n - r - o).clamp(lo, g1);
+        Axis {
+            taps,
+            grid: (g0 as usize, g1 as usize),
+            inner: (lo as usize, hi as usize),
+        }
+    }
+
+    /// Evaluates the in-grid cells of one output row (this axis is x): the
+    /// vectorized kernel over the inner cells, the border cells through the
+    /// tap table.
+    fn eval_row<T: Real, const D: usize>(
+        &self,
+        kernel: &CompiledKernel<T, D>,
+        src: &[&[T]],
+        yoff: &[usize],
+        out: &mut [T],
+    ) {
+        let w = 2 * kernel.radius() + 1;
+        let (lo, hi) = self.inner;
+        kernel.run_row(src, yoff, out, lo, hi);
+        for j in (self.grid.0..lo).chain(hi..self.grid.1) {
+            out[j] = kernel.eval_cell(src, yoff, &self.taps[j..j + w]);
+        }
+    }
+}
+
+fn check_kernel<T: Real, const D: usize>(kernel: &CompiledKernel<T, D>) {
+    assert_eq!(
+        kernel.desc().boundary,
+        BoundaryCond::Clamp,
+        "streaming PEs support clamp only"
+    );
+}
+
+/// The shift-register window around stream index `i`: `2·rad + 1` rows or
+/// planes, clamped to the stream `[0, hi]`.
+fn window<T: Real>(sr: &ShiftRegister<T>, i: i64, rad: usize, hi: i64) -> [&[T]; MAX_WINDOW] {
+    let mut win = [sr.get_clamped(i, 0, hi); MAX_WINDOW];
+    for (k, slot) in win[..2 * rad + 1].iter_mut().enumerate() {
+        *slot = sr.get_clamped(i + k as i64 - rad as i64, 0, hi);
+    }
+    win
+}
 
 /// A 2D processing element operating on one spatial block.
 ///
@@ -29,91 +105,55 @@ pub type Produced<T> = Vec<(i64, Vec<T>)>;
 /// emitted as soon as their northern taps are resident.
 #[derive(Debug, Clone)]
 pub struct Pe2D<T> {
-    stencil: Stencil2D<T>,
-    x0: i64,
-    nx: i64,
+    kernel: Arc<CompiledKernel2D<T>>,
     ny: i64,
     width: usize,
+    cols: Axis,
     sr: ShiftRegister<T>,
     next_out: i64,
     /// When false, the PE forwards rows unchanged — the simulator's
     /// equivalent of a chain longer than the remaining iteration count.
     active: bool,
-    /// Lane width for the interior kernel (the design's `parvec`): cells
-    /// updated per step. 1 selects the scalar runtime-radius path.
-    lanes: usize,
     /// Pool backing the allocating [`Self::feed`] wrapper, so repeated
     /// convenience calls recycle buffers instead of allocating per call.
     pool: RowPool<T>,
-    /// When set, the row update runs through this runtime-specialized desc
-    /// kernel instead of the star fast path (see [`Self::set_kernel`]).
-    kernel: Option<Arc<CompiledKernel2D<T>>>,
 }
 
 impl<T: Real> Pe2D<T> {
-    /// Creates a PE for a block whose read region is `[x0, x0 + width)` on a
-    /// `nx × ny` grid.
+    /// Creates a PE running `kernel` for a block whose read region is
+    /// `[x0, x0 + width)` on a `nx × ny` grid.
     ///
     /// # Panics
-    /// Panics when the stencil radius exceeds [`MAX_RADIUS`], or when
+    /// Panics when the kernel's boundary is not [`BoundaryCond::Clamp`] — a
+    /// streaming PE holds only the last `2·rad + 1` rows, so periodic or
+    /// reflective taps in the streamed dimension would need rows that have
+    /// not arrived yet (those descs run grid-resident instead) — or when
     /// `width == 0`.
-    pub fn new(stencil: Stencil2D<T>, x0: i64, width: usize, nx: usize, ny: usize) -> Self {
-        assert!(stencil.radius() <= MAX_RADIUS, "radius above MAX_RADIUS");
+    pub fn new(
+        kernel: Arc<CompiledKernel2D<T>>,
+        x0: i64,
+        width: usize,
+        nx: usize,
+        ny: usize,
+    ) -> Self {
+        check_kernel(&kernel);
         assert!(width > 0, "empty read region");
-        let rad = stencil.radius();
+        let rad = kernel.radius();
         Self {
-            stencil,
-            x0,
-            nx: nx as i64,
             ny: ny as i64,
             width,
+            cols: Axis::new(x0, width, nx, rad, 1),
             sr: ShiftRegister::new(2 * rad + 1),
             next_out: 0,
             active: true,
-            lanes: 1,
             pool: RowPool::new(),
-            kernel: None,
+            kernel,
         }
     }
 
     /// Deactivates the PE: it forwards its input unchanged (pass-through).
     pub fn set_active(&mut self, active: bool) {
         self.active = active;
-    }
-
-    /// Routes the PE's row update through a runtime-specialized desc kernel
-    /// (shared via `Arc` with the memo cache) instead of the star fast path.
-    /// Interior columns run the kernel's vectorized row update over the
-    /// shift-register window; border columns use its canonical-order
-    /// `eval_cell` with the PE's two-clamp tap scheme.
-    ///
-    /// # Panics
-    /// Panics when the desc's boundary is not [`BoundaryCond::Clamp`] — a
-    /// streaming PE holds only the last `2·rad + 1` rows, so periodic or
-    /// reflective taps in the streamed dimension would need rows that have
-    /// not arrived yet (those descs run grid-resident instead) — or when the
-    /// kernel radius differs from the PE stencil's (the shift-register depth
-    /// and halo geometry are sized by it).
-    pub fn set_kernel(&mut self, kernel: Arc<CompiledKernel2D<T>>) {
-        assert_eq!(
-            kernel.desc().boundary,
-            BoundaryCond::Clamp,
-            "streaming PEs support clamp only"
-        );
-        assert_eq!(
-            kernel.radius(),
-            self.stencil.radius(),
-            "kernel radius must match the PE's shift-register depth"
-        );
-        self.kernel = Some(kernel);
-    }
-
-    /// Selects the interior-kernel lane width (the design's `parvec`).
-    /// Widths 2/4/8 with radius ≤ 4 dispatch to a monomorphized SIMD
-    /// kernel; any other value falls back to the scalar generic path.
-    /// Results are bit-identical for every width.
-    pub fn set_lanes(&mut self, lanes: usize) {
-        self.lanes = lanes.max(1);
     }
 
     /// Feeds input row `y` (global index, `0..ny`) and returns every output
@@ -156,7 +196,7 @@ impl<T: Real> Pe2D<T> {
             return;
         }
         self.sr.push_from(y, row);
-        let rad = self.stencil.radius() as i64;
+        let rad = self.kernel.radius() as i64;
         // Output row `o` needs input rows up to min(o + rad, ny - 1).
         while self.next_out < self.ny && (y - self.next_out >= rad || y == self.ny - 1) {
             let mut buf = pool.take();
@@ -167,102 +207,12 @@ impl<T: Real> Pe2D<T> {
     }
 
     fn compute_row_into(&self, y: i64, out: &mut Vec<T>) {
-        if let Some(k) = &self.kernel {
-            self.compute_row_kernel_into(k, y, out);
-            return;
-        }
-        let rad = self.stencil.radius();
-        let hi = self.ny - 1;
-        let cur = self.sr.get_clamped(y, 0, hi);
-        // The vertical taps of every cell in this row come from the same
-        // 2·rad rows — resolve those shift-register lookups once per row
-        // instead of once per cell per tap.
-        let mut south_rows = [cur; MAX_RADIUS];
-        let mut north_rows = [cur; MAX_RADIUS];
-        for d in 1..=rad {
-            south_rows[d - 1] = self.sr.get_clamped(y - d as i64, 0, hi);
-            north_rows[d - 1] = self.sr.get_clamped(y + d as i64, 0, hi);
-        }
+        let rad = self.kernel.radius();
+        let win = window(&self.sr, y, rad, self.ny - 1);
         out.clear();
         out.resize(self.width, T::ZERO);
-        // Interior columns: every horizontal tap of cell `j` stays inside
-        // both the read region and the grid, so `tap_x(gx ± d)` is the
-        // identity `j ± d` and the clamping branches can be skipped —
-        // which is what lets the lane-parallel kernel run there.
-        let r = rad as i64;
-        let lo = r.max(r - self.x0).clamp(0, self.width as i64) as usize;
-        let hi_x = (self.width as i64 - r)
-            .min(self.nx - r - self.x0)
-            .clamp(lo as i64, self.width as i64) as usize;
-        select_row_2d::<T>(rad, self.lanes)(
-            &self.stencil,
-            cur,
-            &south_rows[..rad],
-            &north_rows[..rad],
-            out,
-            lo,
-            hi_x,
-        );
-        // Border columns: per-cell tap gather with the two-clamp scheme.
-        let mut west = [T::ZERO; MAX_RADIUS];
-        let mut east = [T::ZERO; MAX_RADIUS];
-        let mut south = [T::ZERO; MAX_RADIUS];
-        let mut north = [T::ZERO; MAX_RADIUS];
-        for j in (0..lo).chain(hi_x..self.width) {
-            let gx = self.x0 + j as i64;
-            for d in 1..=rad {
-                let di = d as i64;
-                west[d - 1] = cur[self.tap_x(gx - di)];
-                east[d - 1] = cur[self.tap_x(gx + di)];
-                south[d - 1] = south_rows[d - 1][j];
-                north[d - 1] = north_rows[d - 1][j];
-            }
-            out[j] = self.stencil.apply_taps(
-                cur[j],
-                &west[..rad],
-                &east[..rad],
-                &south[..rad],
-                &north[..rad],
-            );
-        }
-    }
-
-    /// Desc-kernel variant of [`Self::compute_row_into`]: same shift-register
-    /// window and interior/border split, but the arithmetic comes from the
-    /// specialized kernel (vectorized `run_row` interior, canonical-order
-    /// `eval_cell` borders) so arbitrary clamp-boundary tap sets stream
-    /// through the PE chain bit-exactly with the frozen interpreter.
-    fn compute_row_kernel_into(&self, k: &CompiledKernel2D<T>, y: i64, out: &mut Vec<T>) {
-        let rad = k.radius();
-        let hi = self.ny - 1;
-        let mut win: [&[T]; MAX_WINDOW] = [self.sr.get_clamped(y, 0, hi); MAX_WINDOW];
-        for d in 1..=rad {
-            win[rad - d] = self.sr.get_clamped(y - d as i64, 0, hi);
-            win[rad + d] = self.sr.get_clamped(y + d as i64, 0, hi);
-        }
-        let win = &win[..2 * rad + 1];
-        out.clear();
-        out.resize(self.width, T::ZERO);
-        let r = rad as i64;
-        let lo = r.max(r - self.x0).clamp(0, self.width as i64) as usize;
-        let hi_x = (self.width as i64 - r)
-            .min(self.nx - r - self.x0)
-            .clamp(lo as i64, self.width as i64) as usize;
-        k.run_row(win, out, lo, hi_x);
-        for j in (0..lo).chain(hi_x..self.width) {
-            let gx = self.x0 + j as i64;
-            out[j] =
-                k.eval_cell(|dx, dy| win[(rad as i32 + dy) as usize][self.tap_x(gx + dx as i64)]);
-        }
-    }
-
-    /// Local index of the tap for global column `gx`: first clamp to the
-    /// grid (`[0, nx)`, the boundary condition), then to the read region
-    /// (halo-garbage containment — see module docs).
-    #[inline]
-    fn tap_x(&self, gx: i64) -> usize {
-        let clamped = gx.clamp(0, self.nx - 1);
-        (clamped - self.x0).clamp(0, self.width as i64 - 1) as usize
+        self.cols
+            .eval_row(&self.kernel, &win[..2 * rad + 1], &[0], out);
     }
 }
 
@@ -270,31 +220,29 @@ impl<T: Real> Pe2D<T> {
 /// `[x0, x0+width) × [y0, y0+height)`), streaming z-planes.
 #[derive(Debug, Clone)]
 pub struct Pe3D<T> {
-    stencil: Stencil3D<T>,
-    x0: i64,
-    y0: i64,
-    nx: i64,
-    ny: i64,
+    kernel: Arc<CompiledKernel3D<T>>,
     nz: i64,
     width: usize,
     height: usize,
+    cols: Axis,
+    /// The y axis, its tap table scaled to row offsets (`× width`).
+    rows: Axis,
     sr: ShiftRegister<T>,
     next_out: i64,
     active: bool,
-    lanes: usize,
     pool: RowPool<T>,
-    kernel: Option<Arc<CompiledKernel3D<T>>>,
 }
 
 impl<T: Real> Pe3D<T> {
-    /// Creates a PE for a 3D block on an `nx × ny × nz` grid.
+    /// Creates a PE running `kernel` for a 3D block on an `nx × ny × nz`
+    /// grid.
     ///
     /// # Panics
-    /// Panics when the stencil radius exceeds [`MAX_RADIUS`], or when the
-    /// read region is empty.
+    /// Panics when the kernel's boundary is not [`BoundaryCond::Clamp`] (see
+    /// [`Pe2D::new`]) or the read region is empty.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        stencil: Stencil3D<T>,
+        kernel: Arc<CompiledKernel3D<T>>,
         x0: i64,
         y0: i64,
         width: usize,
@@ -303,56 +251,26 @@ impl<T: Real> Pe3D<T> {
         ny: usize,
         nz: usize,
     ) -> Self {
-        assert!(stencil.radius() <= MAX_RADIUS, "radius above MAX_RADIUS");
+        check_kernel(&kernel);
         assert!(width > 0 && height > 0, "empty read region");
-        let rad = stencil.radius();
+        let rad = kernel.radius();
         Self {
-            stencil,
-            x0,
-            y0,
-            nx: nx as i64,
-            ny: ny as i64,
             nz: nz as i64,
             width,
             height,
+            cols: Axis::new(x0, width, nx, rad, 1),
+            rows: Axis::new(y0, height, ny, rad, width),
             sr: ShiftRegister::new(2 * rad + 1),
             next_out: 0,
             active: true,
-            lanes: 1,
             pool: RowPool::new(),
-            kernel: None,
+            kernel,
         }
     }
 
     /// Deactivates the PE (pass-through).
     pub fn set_active(&mut self, active: bool) {
         self.active = active;
-    }
-
-    /// Routes the PE's plane update through a runtime-specialized desc
-    /// kernel (see [`Pe2D::set_kernel`] — same clamp-only contract, since
-    /// the streamed z dimension cannot wrap or reflect).
-    ///
-    /// # Panics
-    /// Panics when the desc's boundary is not [`BoundaryCond::Clamp`] or the
-    /// kernel radius differs from the PE stencil's.
-    pub fn set_kernel(&mut self, kernel: Arc<CompiledKernel3D<T>>) {
-        assert_eq!(
-            kernel.desc().boundary,
-            BoundaryCond::Clamp,
-            "streaming PEs support clamp only"
-        );
-        assert_eq!(
-            kernel.radius(),
-            self.stencil.radius(),
-            "kernel radius must match the PE's shift-register depth"
-        );
-        self.kernel = Some(kernel);
-    }
-
-    /// Selects the interior-kernel lane width (see [`Pe2D::set_lanes`]).
-    pub fn set_lanes(&mut self, lanes: usize) {
-        self.lanes = lanes.max(1);
     }
 
     /// Feeds input plane `z` (row-major `width × height`) and returns every
@@ -389,7 +307,7 @@ impl<T: Real> Pe3D<T> {
             return;
         }
         self.sr.push_from(z, plane);
-        let rad = self.stencil.radius() as i64;
+        let rad = self.kernel.radius() as i64;
         while self.next_out < self.nz && (z - self.next_out >= rad || z == self.nz - 1) {
             let mut buf = pool.take();
             self.compute_plane_into(self.next_out, &mut buf);
@@ -398,230 +316,91 @@ impl<T: Real> Pe3D<T> {
         }
     }
 
+    /// Every in-grid row of the plane runs the vectorized kernel over its
+    /// x-interior — rows near the y border included, their row offsets
+    /// taken from the y tap table — and the x-border cells through the x
+    /// tap table.
     fn compute_plane_into(&self, z: i64, out: &mut Vec<T>) {
-        if let Some(k) = &self.kernel {
-            self.compute_plane_kernel_into(k, z, out);
-            return;
-        }
-        let rad = self.stencil.radius();
-        let hi = self.nz - 1;
-        let cur = self.sr.get_clamped(z, 0, hi);
-        // The z taps of every cell in this plane come from the same 2·rad
-        // planes — resolve those shift-register lookups once per plane.
-        let mut below_planes = [cur; MAX_RADIUS];
-        let mut above_planes = [cur; MAX_RADIUS];
-        for d in 1..=rad {
-            below_planes[d - 1] = self.sr.get_clamped(z - d as i64, 0, hi);
-            above_planes[d - 1] = self.sr.get_clamped(z + d as i64, 0, hi);
-        }
-        let mut west = [T::ZERO; MAX_RADIUS];
-        let mut east = [T::ZERO; MAX_RADIUS];
-        let mut south = [T::ZERO; MAX_RADIUS];
-        let mut north = [T::ZERO; MAX_RADIUS];
-        let mut below = [T::ZERO; MAX_RADIUS];
-        let mut above = [T::ZERO; MAX_RADIUS];
-        out.clear();
-        out.resize(self.width * self.height, T::ZERO);
-        // Interior window where `tap_x`/`tap_y` are identities (see
-        // [`Pe2D`]): clamping branches are skipped for every cell in it.
-        let r = rad as i64;
-        let xlo = r.max(r - self.x0).clamp(0, self.width as i64) as usize;
-        let xhi = (self.width as i64 - r)
-            .min(self.nx - r - self.x0)
-            .clamp(xlo as i64, self.width as i64) as usize;
-        let ylo = r.max(r - self.y0).clamp(0, self.height as i64) as usize;
-        let yhi = (self.height as i64 - r)
-            .min(self.ny - r - self.y0)
-            .clamp(ylo as i64, self.height as i64) as usize;
-        let kernel = select_row_3d::<T>(rad, self.lanes);
-        for i in 0..self.height {
-            let gy = self.y0 + i as i64;
-            let row_interior = i >= ylo && i < yhi;
-            let row_off = i * self.width;
-            if row_interior {
-                // Interior columns of an interior row: every transverse tap
-                // family of this row is one contiguous slice, so the
-                // lane-parallel kernel runs over `[xlo, xhi)`.
-                let cur_row = &cur[row_off..row_off + self.width];
-                let mut south_rows = [cur_row; MAX_RADIUS];
-                let mut north_rows = [cur_row; MAX_RADIUS];
-                let mut below_rows = [cur_row; MAX_RADIUS];
-                let mut above_rows = [cur_row; MAX_RADIUS];
-                for d in 1..=rad {
-                    south_rows[d - 1] = &cur[row_off - d * self.width..][..self.width];
-                    north_rows[d - 1] = &cur[row_off + d * self.width..][..self.width];
-                    below_rows[d - 1] = &below_planes[d - 1][row_off..row_off + self.width];
-                    above_rows[d - 1] = &above_planes[d - 1][row_off..row_off + self.width];
-                }
-                kernel(
-                    &self.stencil,
-                    cur_row,
-                    &south_rows[..rad],
-                    &north_rows[..rad],
-                    &below_rows[..rad],
-                    &above_rows[..rad],
-                    &mut out[row_off..row_off + self.width],
-                    xlo,
-                    xhi,
-                );
-            }
-            // Border cells (whole row when outside the y window, the two
-            // column fringes otherwise): per-cell two-clamp tap gather.
-            for j in 0..self.width {
-                if row_interior && j >= xlo && j < xhi {
-                    continue;
-                }
-                let here = row_off + j;
-                let gx = self.x0 + j as i64;
-                for d in 1..=rad {
-                    let di = d as i64;
-                    west[d - 1] = cur[row_off + self.tap_x(gx - di)];
-                    east[d - 1] = cur[row_off + self.tap_x(gx + di)];
-                    south[d - 1] = cur[self.tap_y(gy - di) * self.width + j];
-                    north[d - 1] = cur[self.tap_y(gy + di) * self.width + j];
-                    below[d - 1] = below_planes[d - 1][here];
-                    above[d - 1] = above_planes[d - 1][here];
-                }
-                out[here] = self.stencil.apply_taps(
-                    cur[here],
-                    &west[..rad],
-                    &east[..rad],
-                    &south[..rad],
-                    &north[..rad],
-                    &below[..rad],
-                    &above[..rad],
-                );
-            }
-        }
-    }
-
-    /// Desc-kernel variant of [`Self::compute_plane_into`] (see
-    /// [`Pe2D::compute_row_kernel_into`]): vectorized `run_row` for rows
-    /// whose full tap footprint is interior in y, canonical-order
-    /// `eval_cell` with the two-clamp scheme everywhere else. Full-box
-    /// corner taps read arbitrary `(dy, dz)` combinations, which is why the
-    /// window here is whole planes rather than per-distance rows.
-    fn compute_plane_kernel_into(&self, k: &CompiledKernel3D<T>, z: i64, out: &mut Vec<T>) {
-        let rad = k.radius();
-        let hi = self.nz - 1;
-        let mut win: [&[T]; MAX_WINDOW] = [self.sr.get_clamped(z, 0, hi); MAX_WINDOW];
-        for d in 1..=rad {
-            win[rad - d] = self.sr.get_clamped(z - d as i64, 0, hi);
-            win[rad + d] = self.sr.get_clamped(z + d as i64, 0, hi);
-        }
+        let rad = self.kernel.radius();
+        let win = window(&self.sr, z, rad, self.nz - 1);
         let win = &win[..2 * rad + 1];
         out.clear();
         out.resize(self.width * self.height, T::ZERO);
-        let r = rad as i64;
-        let xlo = r.max(r - self.x0).clamp(0, self.width as i64) as usize;
-        let xhi = (self.width as i64 - r)
-            .min(self.nx - r - self.x0)
-            .clamp(xlo as i64, self.width as i64) as usize;
-        let ylo = r.max(r - self.y0).clamp(0, self.height as i64) as usize;
-        let yhi = (self.height as i64 - r)
-            .min(self.ny - r - self.y0)
-            .clamp(ylo as i64, self.height as i64) as usize;
-        for i in 0..self.height {
-            let gy = self.y0 + i as i64;
-            let row_interior = i >= ylo && i < yhi;
-            let row_off = i * self.width;
-            if row_interior {
-                k.run_row(
-                    win,
-                    self.width,
-                    row_off,
-                    &mut out[row_off..row_off + self.width],
-                    xlo,
-                    xhi,
-                );
-            }
-            for j in 0..self.width {
-                if row_interior && j >= xlo && j < xhi {
-                    continue;
-                }
-                let gx = self.x0 + j as i64;
-                out[row_off + j] = k.eval_cell(|dx, dy, dz| {
-                    win[(rad as i32 + dz) as usize]
-                        [self.tap_y(gy + dy as i64) * self.width + self.tap_x(gx + dx as i64)]
-                });
-            }
+        for i in self.rows.grid.0..self.rows.grid.1 {
+            let yoff = &self.rows.taps[i..i + 2 * rad + 1];
+            let row = &mut out[i * self.width..(i + 1) * self.width];
+            self.cols.eval_row(&self.kernel, win, yoff, row);
         }
-    }
-
-    #[inline]
-    fn tap_x(&self, gx: i64) -> usize {
-        let clamped = gx.clamp(0, self.nx - 1);
-        (clamped - self.x0).clamp(0, self.width as i64 - 1) as usize
-    }
-
-    #[inline]
-    fn tap_y(&self, gy: i64) -> usize {
-        let clamped = gy.clamp(0, self.ny - 1);
-        (clamped - self.y0).clamp(0, self.height as i64 - 1) as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::{exec, Grid2D, Grid3D};
+    use stencil_core::kernel_ir::{reference_run_2d, reference_run_3d, KernelDesc};
+    use stencil_core::{
+        compile_2d, compile_3d, compile_star_2d, compile_star_3d, exec, Grid2D, Grid3D, Stencil2D,
+        Stencil3D,
+    };
+
+    fn star_2d(st: &Stencil2D<f32>, lanes: usize) -> Arc<CompiledKernel2D<f32>> {
+        Arc::new(compile_star_2d(st, lanes))
+    }
+
+    /// Streams a whole grid through one PE whose read region is the grid.
+    fn whole_grid_2d(k: Arc<CompiledKernel2D<f32>>, grid: &Grid2D<f32>) -> Grid2D<f32> {
+        let (nx, ny) = (grid.nx(), grid.ny());
+        let mut pe = Pe2D::new(k, 0, nx, nx, ny);
+        let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
+        for y in 0..ny {
+            for (oy, orow) in pe.feed(y as i64, grid.row(y).to_vec()) {
+                got.row_mut(oy as usize).copy_from_slice(&orow);
+            }
+        }
+        got
+    }
+
+    fn whole_grid_3d(k: Arc<CompiledKernel3D<f32>>, grid: &Grid3D<f32>) -> Grid3D<f32> {
+        let (nx, ny, nz) = (grid.nx(), grid.ny(), grid.nz());
+        let mut pe = Pe3D::new(k, 0, 0, nx, ny, nx, ny, nz);
+        let mut got = Grid3D::<f32>::zeros(nx, ny, nz).unwrap();
+        for z in 0..nz {
+            for (oz, oplane) in pe.feed(z as i64, grid.plane(z).to_vec()) {
+                got.plane_mut(oz as usize).copy_from_slice(&oplane);
+            }
+        }
+        got
+    }
 
     /// Runs one PE over a whole grid as a single block (no halo needed) and
     /// compares with the oracle's single step.
     #[test]
     fn single_pe_whole_grid_matches_oracle_2d() {
         for rad in 1..=4 {
-            let (nx, ny) = (13, 11);
             let st = Stencil2D::<f32>::random(rad, 21).unwrap();
-            let grid = Grid2D::from_fn(nx, ny, |x, y| ((x * 7 + y * 3) % 17) as f32).unwrap();
-            let mut pe = Pe2D::new(st.clone(), 0, nx, nx, ny);
-
-            let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
-            for y in 0..ny {
-                let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
-                for (oy, orow) in pe.feed(y as i64, row) {
-                    got.row_mut(oy as usize).copy_from_slice(&orow);
-                }
+            let grid = Grid2D::from_fn(13, 11, |x, y| ((x * 7 + y * 3) % 17) as f32).unwrap();
+            for lanes in [1, 8] {
+                let got = whole_grid_2d(star_2d(&st, lanes), &grid);
+                assert_eq!(got, exec::run_2d(&st, &grid, 1), "rad {rad} lanes {lanes}");
             }
-
-            let expect = exec::run_2d(&st, &grid, 1);
-            assert_eq!(got, expect, "rad {rad}");
         }
     }
 
     #[test]
     fn single_pe_whole_grid_matches_oracle_3d() {
         for rad in 1..=3 {
-            let (nx, ny, nz) = (9, 8, 10);
             let st = Stencil3D::<f32>::random(rad, 33).unwrap();
             let grid =
-                Grid3D::from_fn(nx, ny, nz, |x, y, z| ((x + 2 * y + 5 * z) % 13) as f32).unwrap();
-            let mut pe = Pe3D::new(st.clone(), 0, 0, nx, ny, nx, ny, nz);
-
-            let mut got = Grid3D::<f32>::zeros(nx, ny, nz).unwrap();
-            for z in 0..nz {
-                let plane: Vec<f32> = (0..ny)
-                    .flat_map(|y| (0..nx).map(move |x| (x, y)))
-                    .map(|(x, y)| grid.get(x, y, z))
-                    .collect();
-                for (oz, oplane) in pe.feed(z as i64, plane) {
-                    for y in 0..ny {
-                        for x in 0..nx {
-                            got.set(x, y, oz as usize, oplane[y * nx + x]);
-                        }
-                    }
-                }
-            }
-
-            let expect = exec::run_3d(&st, &grid, 1);
-            assert_eq!(got, expect, "rad {rad}");
+                Grid3D::from_fn(9, 8, 10, |x, y, z| ((x + 2 * y + 5 * z) % 13) as f32).unwrap();
+            let got = whole_grid_3d(Arc::new(compile_star_3d(&st, 4)), &grid);
+            assert_eq!(got, exec::run_3d(&st, &grid, 1), "rad {rad}");
         }
     }
 
     #[test]
     fn inactive_pe_is_identity() {
         let st = Stencil2D::<f32>::uniform(2).unwrap();
-        let mut pe = Pe2D::new(st, 0, 8, 8, 4);
+        let mut pe = Pe2D::new(star_2d(&st, 1), 0, 8, 8, 4);
         pe.set_active(false);
         let row = vec![1.0f32; 8];
         let out = pe.feed(0, row.clone());
@@ -631,7 +410,7 @@ mod tests {
     #[test]
     fn outputs_emitted_with_radius_lag() {
         let st = Stencil2D::<f32>::uniform(2).unwrap();
-        let mut pe = Pe2D::new(st, 0, 4, 4, 10);
+        let mut pe = Pe2D::new(star_2d(&st, 1), 0, 4, 4, 10);
         assert!(pe.feed(0, vec![0.0; 4]).is_empty());
         assert!(pe.feed(1, vec![0.0; 4]).is_empty());
         // Row 2 arrives: output row 0 (needs rows up to 0+2) is computable.
@@ -650,85 +429,27 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn wrong_width_panics() {
         let st = Stencil2D::<f32>::uniform(1).unwrap();
-        let mut pe = Pe2D::new(st, 0, 4, 4, 4);
+        let mut pe = Pe2D::new(star_2d(&st, 1), 0, 4, 4, 4);
         pe.feed(0, vec![0.0; 5]);
     }
 
     #[test]
     fn pe_kernel_box_clamp_matches_interpreter_2d() {
-        use stencil_core::kernel_ir::{reference_run_2d, KernelDesc};
         for rad in 1..=3usize {
-            let (nx, ny) = (14, 11);
-            let st = Stencil2D::<f32>::random(rad, 9).unwrap();
             let desc = KernelDesc::box_2d(rad, 41, BoundaryCond::Clamp).unwrap();
-            let k = Arc::new(stencil_core::compile_2d::<f32>(&desc, 8).unwrap());
-            let grid = Grid2D::from_fn(nx, ny, |x, y| ((x * 5 + y * 7) % 19) as f32).unwrap();
-            let mut pe = Pe2D::new(st, 0, nx, nx, ny);
-            pe.set_kernel(k);
-
-            let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
-            for y in 0..ny {
-                let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
-                for (oy, orow) in pe.feed(y as i64, row) {
-                    got.row_mut(oy as usize).copy_from_slice(&orow);
-                }
-            }
+            let k = Arc::new(compile_2d::<f32>(&desc, 8).unwrap());
+            let grid = Grid2D::from_fn(14, 11, |x, y| ((x * 5 + y * 7) % 19) as f32).unwrap();
+            let got = whole_grid_2d(k, &grid);
             assert_eq!(got, reference_run_2d::<f32>(&desc, &grid, 1), "rad {rad}");
         }
     }
 
-    /// A star/clamp desc built *from* the PE's stencil must reproduce the
-    /// star fast path bit for bit — the desc route is a superset, not a
-    /// numerically different engine.
-    #[test]
-    fn pe_kernel_star_clamp_is_bit_exact_with_star_path() {
-        use stencil_core::kernel_ir::KernelDesc;
-        let (nx, ny) = (13, 11);
-        let rad = 3;
-        let st = Stencil2D::<f32>::random(rad, 21).unwrap();
-        let desc = KernelDesc::from_star_2d(&st, BoundaryCond::Clamp);
-        let k = Arc::new(stencil_core::compile_2d::<f32>(&desc, 8).unwrap());
-        let grid = Grid2D::from_fn(nx, ny, |x, y| ((x * 7 + y * 3) % 17) as f32).unwrap();
-        let mut pe = Pe2D::new(st.clone(), 0, nx, nx, ny);
-        pe.set_kernel(k);
-
-        let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
-        for y in 0..ny {
-            let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
-            for (oy, orow) in pe.feed(y as i64, row) {
-                got.row_mut(oy as usize).copy_from_slice(&orow);
-            }
-        }
-        assert_eq!(got, exec::run_2d(&st, &grid, 1));
-    }
-
     #[test]
     fn pe_kernel_matches_interpreter_3d() {
-        use stencil_core::kernel_ir::{reference_run_3d, KernelDesc};
-        let (nx, ny, nz) = (9, 8, 10);
-        let rad = 2;
-        let st = Stencil3D::<f32>::random(rad, 33).unwrap();
-        let desc = KernelDesc::box_3d(rad, 55, BoundaryCond::Clamp).unwrap();
-        let k = Arc::new(stencil_core::compile_3d::<f32>(&desc, 4).unwrap());
-        let grid =
-            Grid3D::from_fn(nx, ny, nz, |x, y, z| ((x + 2 * y + 5 * z) % 13) as f32).unwrap();
-        let mut pe = Pe3D::new(st, 0, 0, nx, ny, nx, ny, nz);
-        pe.set_kernel(k);
-
-        let mut got = Grid3D::<f32>::zeros(nx, ny, nz).unwrap();
-        for z in 0..nz {
-            let plane: Vec<f32> = (0..ny)
-                .flat_map(|y| (0..nx).map(move |x| (x, y)))
-                .map(|(x, y)| grid.get(x, y, z))
-                .collect();
-            for (oz, oplane) in pe.feed(z as i64, plane) {
-                for y in 0..ny {
-                    for x in 0..nx {
-                        got.set(x, y, oz as usize, oplane[y * nx + x]);
-                    }
-                }
-            }
-        }
+        let desc = KernelDesc::box_3d(2, 55, BoundaryCond::Clamp).unwrap();
+        let k = Arc::new(compile_3d::<f32>(&desc, 4).unwrap());
+        let grid = Grid3D::from_fn(9, 8, 10, |x, y, z| ((x + 2 * y + 5 * z) % 13) as f32).unwrap();
+        let got = whole_grid_3d(k, &grid);
         assert_eq!(got, reference_run_3d::<f32>(&desc, &grid, 1));
     }
 
@@ -736,16 +457,13 @@ mod tests {
     /// the region edges) must match the grid-resident interpreter.
     #[test]
     fn pe_kernel_halo_block_commits_interpreter_cells() {
-        use stencil_core::kernel_ir::{reference_run_2d, KernelDesc};
         let (nx, ny) = (12, 6);
         let rad = 2;
-        let st = Stencil2D::<f32>::random(rad, 5).unwrap();
         let desc = KernelDesc::box_2d(rad, 77, BoundaryCond::Clamp).unwrap();
-        let k = Arc::new(stencil_core::compile_2d::<f32>(&desc, 8).unwrap());
+        let k = Arc::new(compile_2d::<f32>(&desc, 8).unwrap());
         let grid = Grid2D::from_fn(nx, ny, |x, y| (x * x + y) as f32).unwrap();
         let (x0, width) = (-3i64, 12usize);
-        let mut pe = Pe2D::new(st, x0, width, nx, ny);
-        pe.set_kernel(k);
+        let mut pe = Pe2D::new(k, x0, width, nx, ny);
         let mut rows: Vec<Vec<f32>> = Vec::new();
         for y in 0..ny {
             let row: Vec<f32> = (0..width)
@@ -769,36 +487,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "clamp only")]
     fn pe_rejects_non_clamp_kernel() {
-        use stencil_core::kernel_ir::KernelDesc;
-        let st = Stencil2D::<f32>::uniform(2).unwrap();
         let desc = KernelDesc::box_2d(2, 1, BoundaryCond::Periodic).unwrap();
-        let k = Arc::new(stencil_core::compile_2d::<f32>(&desc, 8).unwrap());
-        let mut pe = Pe2D::new(st, 0, 8, 8, 8);
-        pe.set_kernel(k);
-    }
-
-    #[test]
-    #[should_panic(expected = "radius must match")]
-    fn pe_rejects_radius_mismatched_kernel() {
-        use stencil_core::kernel_ir::KernelDesc;
-        let st = Stencil2D::<f32>::uniform(2).unwrap();
-        let desc = KernelDesc::box_2d(1, 1, BoundaryCond::Clamp).unwrap();
-        let k = Arc::new(stencil_core::compile_2d::<f32>(&desc, 8).unwrap());
-        let mut pe = Pe2D::new(st, 0, 8, 8, 8);
-        pe.set_kernel(k);
+        let k = Arc::new(compile_2d::<f32>(&desc, 8).unwrap());
+        let _ = Pe2D::new(k, 0, 8, 8, 8);
     }
 
     #[test]
     fn grid_clamp_beats_region_clamp_for_committed_cells() {
-        // A block whose read region sticks out past the left grid edge:
-        // the committed cells must match the oracle exactly.
+        // A block whose read region sticks out past both grid edges: the
+        // committed cells must match the oracle exactly, and the cells
+        // outside the grid are not evaluated.
         let (nx, ny) = (12, 6);
         let rad = 2;
         let st = Stencil2D::<f32>::random(rad, 5).unwrap();
         let grid = Grid2D::from_fn(nx, ny, |x, y| (x * x + y) as f32).unwrap();
-        // Read region [-3, 9): x0 = -3, width 12.
-        let (x0, width) = (-3i64, 12usize);
-        let mut pe = Pe2D::new(st.clone(), x0, width, nx, ny);
+        // Read region [-3, 14): x0 = -3, width 17.
+        let (x0, width) = (-3i64, 17usize);
+        let mut pe = Pe2D::new(star_2d(&st, 4), x0, width, nx, ny);
         let mut rows: Vec<Vec<f32>> = Vec::new();
         for y in 0..ny {
             let row: Vec<f32> = (0..width)
@@ -809,15 +514,57 @@ mod tests {
             }
         }
         let expect = exec::run_2d(&st, &grid, 1);
-        // After one step, cells at distance >= rad from the region edges are
-        // valid; check the committed interior [x0+rad .. x0+width-rad) ∩ grid.
         for (y, orow) in rows.iter().enumerate() {
-            for (j, &val) in orow.iter().enumerate().take(width - rad).skip(rad) {
+            for (j, &val) in orow.iter().enumerate() {
                 let gx = x0 + j as i64;
                 if (0..nx as i64).contains(&gx) {
                     assert_eq!(val, expect.get(gx as usize, y), "cell ({gx},{y})");
+                } else {
+                    assert_eq!(val, 0.0, "out-of-grid cell ({gx},{y})");
                 }
             }
         }
+    }
+
+    #[test]
+    fn overhanging_3d_region_commits_oracle_cells() {
+        // Region [-2, 9) x [-3, 10) over a 6 x 5 grid: overhangs every
+        // edge in x and y, so every row mixes border and out-of-grid cells.
+        let (nx, ny, nz) = (6, 5, 4);
+        let st = Stencil3D::<f32>::random(2, 8).unwrap();
+        let grid =
+            Grid3D::from_fn(nx, ny, nz, |x, y, z| ((x * 3 + y * 7 + z) % 11) as f32).unwrap();
+        let (x0, y0, width, height) = (-2i64, -3i64, 11usize, 13usize);
+        let mut pe = Pe3D::new(
+            Arc::new(compile_star_3d(&st, 8)),
+            x0,
+            y0,
+            width,
+            height,
+            nx,
+            ny,
+            nz,
+        );
+        let expect = exec::run_3d(&st, &grid, 1);
+        let mut planes = 0;
+        for z in 0..nz {
+            let mut plane = vec![0.0f32; width * height];
+            grid.read_plane_clamped(z as isize, x0 as isize, y0 as isize, width, &mut plane);
+            for (oz, oplane) in pe.feed(z as i64, plane) {
+                planes += 1;
+                for (i, orow) in oplane.chunks(width).enumerate() {
+                    for (j, &val) in orow.iter().enumerate() {
+                        let (gx, gy) = (x0 + j as i64, y0 + i as i64);
+                        if (0..nx as i64).contains(&gx) && (0..ny as i64).contains(&gy) {
+                            let want = expect.get(gx as usize, gy as usize, oz as usize);
+                            assert_eq!(val, want, "cell ({gx},{gy},{oz})");
+                        } else {
+                            assert_eq!(val, 0.0, "out-of-grid cell ({gx},{gy},{oz})");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(planes, nz);
     }
 }

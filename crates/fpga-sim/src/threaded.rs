@@ -29,7 +29,11 @@
 
 use crate::pe::{Pe2D, Pe3D};
 use crate::spsc::SpscRing;
-use stencil_core::{BlockConfig, BlockSpan, Dim, Grid2D, Grid3D, Real, Stencil2D, Stencil3D};
+use std::sync::Arc;
+use stencil_core::{
+    compile_star_2d, compile_star_3d, BlockConfig, BlockSpan, Dim, Grid2D, Grid3D, Real, Stencil2D,
+    Stencil3D,
+};
 
 /// Tunables for the threaded simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,9 +41,9 @@ pub struct SimOptions {
     /// Depth of the inter-kernel channels, mirroring the on-chip FIFO depth
     /// the OpenCL compiler instantiates between kernels.
     pub channel_depth: usize,
-    /// Interior-kernel lane width override. `None` uses the configuration's
-    /// `parvec` (the hardware's vector width); `Some(1)` forces the scalar
-    /// runtime-radius path. Results are bit-identical for every width.
+    /// Kernel lane width override. `None` uses the configuration's `parvec`
+    /// (the hardware's vector width); `Some(1)` forces the scalar row loop.
+    /// Results are bit-identical for every width.
     pub lanes: Option<usize>,
 }
 
@@ -130,7 +134,12 @@ pub fn run_2d_opts_into<T: Real>(
     );
 
     let (nx, ny) = (grid.nx(), grid.ny());
-    let lanes = opts.lanes.unwrap_or(config.parvec).max(1);
+    // One kernel for the whole run, shared by every PE of every block.
+    let kernel = Arc::new(compile_star_2d(
+        stencil,
+        opts.lanes.unwrap_or(config.parvec),
+    ));
+    let kernel = &kernel;
     // `out` always holds the latest completed pass; `scratch` is the
     // in-flight destination, swapped (Vec pointers only) after each pass.
     out.copy_from(grid);
@@ -177,14 +186,13 @@ pub fn run_2d_opts_into<T: Real>(
                                 let span = &pe_spans[block];
                                 block += 1;
                                 let mut p = Pe2D::new(
-                                    stencil.clone(),
+                                    Arc::clone(kernel),
                                     span.read_start as i64,
                                     span.read_len(),
                                     nx,
                                     ny,
                                 );
                                 p.set_active(t < active);
-                                p.set_lanes(lanes);
                                 pe = Some(p);
                                 tx.send(Msg::Block);
                             }
@@ -290,7 +298,11 @@ pub fn run_3d_opts_into<T: Real>(
     );
 
     let (nx, ny, nz) = (grid.nx(), grid.ny(), grid.nz());
-    let lanes = opts.lanes.unwrap_or(config.parvec).max(1);
+    let kernel = Arc::new(compile_star_3d(
+        stencil,
+        opts.lanes.unwrap_or(config.parvec),
+    ));
+    let kernel = &kernel;
     out.copy_from(grid);
 
     for active in crate::functional::passes(iters, config.partime) {
@@ -342,7 +354,7 @@ pub fn run_3d_opts_into<T: Real>(
                                 let (sx, sy) = &pe_blocks[block];
                                 block += 1;
                                 let mut p = Pe3D::new(
-                                    stencil.clone(),
+                                    Arc::clone(kernel),
                                     sx.read_start as i64,
                                     sy.read_start as i64,
                                     sx.read_len(),
@@ -352,7 +364,6 @@ pub fn run_3d_opts_into<T: Real>(
                                     nz,
                                 );
                                 p.set_active(t < active);
-                                p.set_lanes(lanes);
                                 pe = Some(p);
                                 tx.send(Msg::Block);
                             }

@@ -98,9 +98,9 @@ pub fn tune(device: &FpgaDevice, dim: Dim, rad: usize, k: usize) -> Vec<Candidat
 }
 
 /// Lane widths considered when ranking configurations for a *serving*
-/// shape. The CPU-side SIMD kernels specialize lanes 2/4/8
-/// (`stencil_core::simd::select_row_*`); wider ports only pay off on the
-/// FPGA datapath, so the serving sweep stops at 8.
+/// shape. The compiled row kernel runs at most 8 lanes
+/// (`stencil_core::compile_2d` maps wider requests to 8); wider ports only
+/// pay off on the FPGA datapath, so the serving sweep stops at 8.
 pub const SHAPE_PARVECS: [usize; 3] = [2, 4, 8];
 
 /// Candidate block sizes for one blocked dimension of a serving-shape

@@ -24,9 +24,9 @@
 //!    panic is a *transient job failure* absorbed at the shard boundary,
 //!    retried under the [`RetryPolicy`] with capped backoff, never a dead
 //!    worker;
-//! 3. polls the job's [`CancelToken`] (the functional backend additionally
-//!    polls it at every block boundary via the `fpga-sim` cancellation
-//!    hook);
+//! 3. polls the job's [`CancelToken`] (the functional block schedule and
+//!    the grid-resident executor additionally poll it at every block or
+//!    row band through their cancellation hooks);
 //! 4. optionally re-executes the job on the frozen `serial_ref` oracle and
 //!    bit-compares the outputs (shadow verification);
 //! 5. records latency histograms, counters, and the [`JobResult`].
@@ -59,13 +59,13 @@ use crate::tenant::{Tenant, TenantPolicy, TenantRegistry, TenantSnapshot};
 use crate::trace::{outcome_label, AttemptSpan, TraceRecord, TraceWriter, TRACE_SCHEMA_VERSION};
 use cpu_engine::engines;
 use fpga_sim::cluster::{self, ClusterKernel, ClusterNode, ClusterSpec};
-use fpga_sim::{functional, kernel_exec, serial_ref, threaded, SimCounters, SimOptions};
+use fpga_sim::{functional, serial_ref, threaded, SimCounters, SimOptions};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use stencil_core::{kernel_ir, Grid2D, Grid3D, KernelDesc};
+use stencil_core::{compile_star_2d, compile_star_3d, kernel_ir, Grid2D, Grid3D, KernelDesc};
 
 /// Everything tunable about a [`Runtime`].
 #[derive(Debug, Clone)]
@@ -972,10 +972,10 @@ struct ProgramRunStats {
 }
 
 /// Runs the spec on its backend through the pooled, zero-allocation data
-/// path: grids are leased from `env.pool`, the stencil comes from
-/// `env.stencils`, and the backend writes into the leased output via its
-/// `_into` variant. Attempt numbers ≤ `fail_times` panic (the load test's
-/// injected transient fault); the panic unwinds to the shard's
+/// path: grids are leased from `env.pool`, stencils and compiled kernels
+/// come from `env.stencils`, and the executor writes into the leased output
+/// via its `_into` variant. Attempt numbers ≤ `fail_times` panic (the load
+/// test's injected transient fault); the panic unwinds to the shard's
 /// `catch_unwind`, and any live leases return to the pool on the way out.
 fn execute(
     spec: &JobSpec,
@@ -992,130 +992,36 @@ fn execute(
     if let Some(prog) = &spec.program {
         return execute_program(spec, prog, token, env);
     }
-    if spec.kernel.is_some() {
-        return execute_kernel(spec, token, env);
-    }
-    let cfg = spec.block_config().expect("spec validated at admission");
-    if spec.dim == 2 {
-        let st = env.stencils.stencil_2d(spec.rad, spec.seed);
+    let (counters, checksum, output) = if spec.dim == 2 {
         let mut input = env.pool.lease_2d(spec.nx, spec.ny);
         fill_grid_2d(spec, &mut input);
         let mut out = env.pool.lease_2d(spec.nx, spec.ny);
         let mut scratch = env.pool.lease_2d(spec.nx, spec.ny);
-        let counters = match spec.backend {
-            Backend::Functional => {
-                let cancel = || token.is_cancelled();
-                match functional::run_2d_replicated_cancellable_into(
-                    &st,
-                    &input,
-                    &cfg,
-                    spec.iters,
-                    cfg.parvec,
-                    spec.replicas.get(),
-                    &cancel,
-                    &mut out,
-                    &mut scratch,
-                ) {
-                    Some(c) => c,
-                    None => return Err(Interrupted),
-                }
-            }
-            Backend::Threaded => {
-                threaded::run_2d_opts_into(
-                    &st,
-                    &input,
-                    &cfg,
-                    spec.iters,
-                    &env.sim,
-                    &mut out,
-                    &mut scratch,
-                );
-                plain_counters(spec)
-            }
-            Backend::CpuEngine => {
-                engines::parallel_2d_into(&st, &input, spec.iters, &mut out, &mut scratch);
-                plain_counters(spec)
-            }
-            Backend::SerialRef => {
-                // The oracle is frozen and allocates internally; copy its
-                // result into the lease so the output path stays uniform.
-                out.copy_from(&serial_ref::run_2d_serial(&st, &input, &cfg, spec.iters));
-                plain_counters(spec)
-            }
-        };
-        drop(scratch);
-        drop(input);
-        if token.is_cancelled() {
-            return Err(Interrupted);
-        }
-        Ok(ExecOut {
-            checksum: checksum_f32(out.as_slice()),
-            counters,
-            output: OutputGrid::G2(out),
-            program: None,
-        })
+        let counters = run_2d(spec, token, env, &input, &mut out, &mut scratch);
+        (counters, checksum_f32(out.as_slice()), OutputGrid::G2(out))
     } else {
-        let st = env.stencils.stencil_3d(spec.rad, spec.seed);
         let mut input = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
         fill_grid_3d(spec, &mut input);
         let mut out = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
         let mut scratch = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
-        let counters = match spec.backend {
-            Backend::Functional => {
-                let cancel = || token.is_cancelled();
-                match functional::run_3d_replicated_cancellable_into(
-                    &st,
-                    &input,
-                    &cfg,
-                    spec.iters,
-                    cfg.parvec,
-                    spec.replicas.get(),
-                    &cancel,
-                    &mut out,
-                    &mut scratch,
-                ) {
-                    Some(c) => c,
-                    None => return Err(Interrupted),
-                }
-            }
-            Backend::Threaded => {
-                threaded::run_3d_opts_into(
-                    &st,
-                    &input,
-                    &cfg,
-                    spec.iters,
-                    &env.sim,
-                    &mut out,
-                    &mut scratch,
-                );
-                plain_counters(spec)
-            }
-            Backend::CpuEngine => {
-                engines::parallel_3d_into(&st, &input, spec.iters, &mut out, &mut scratch);
-                plain_counters(spec)
-            }
-            Backend::SerialRef => {
-                out.copy_from(&serial_ref::run_3d_serial(&st, &input, &cfg, spec.iters));
-                plain_counters(spec)
-            }
-        };
-        drop(scratch);
-        drop(input);
-        if token.is_cancelled() {
-            return Err(Interrupted);
-        }
-        Ok(ExecOut {
-            checksum: checksum_f32(out.as_slice()),
+        let counters = run_3d(spec, token, env, &input, &mut out, &mut scratch);
+        (counters, checksum_f32(out.as_slice()), OutputGrid::G3(out))
+    };
+    match counters {
+        Some(counters) if !token.is_cancelled() => Ok(ExecOut {
+            checksum,
             counters,
-            output: OutputGrid::G3(out),
+            output,
             program: None,
-        })
+        }),
+        _ => Err(Interrupted),
     }
 }
 
-/// Lane width every runtime-specialized kernel is compiled at. Eight f32
-/// lanes is the widest fused path the specializer emits and matches the
-/// paper's `parvec` sweet spot on the DDR profile.
+/// Lane width the worker compiles desc kernels at (through the
+/// [`StencilMemo`] kernel cache). Eight f32 lanes is the widest row kernel
+/// the specializer emits and matches the paper's `parvec` sweet spot on the
+/// DDR profile.
 const KERNEL_LANES: usize = 8;
 
 /// Rebuilds the validated [`KernelDesc`] a kernel job describes. Pure
@@ -1129,137 +1035,147 @@ fn kernel_desc_for(spec: &JobSpec) -> KernelDesc {
         .expect("kernel desc validated at admission")
 }
 
-/// Runs a kernel job — a [`JobSpec`] carrying a [`crate::job::KernelSpec`]
-/// that opens the scenario space beyond star/clamp — through the pooled
-/// data path. The desc is lowered once per (desc, lanes) pair by the
-/// [`StencilMemo`] kernel cache; repeat shapes reuse the compiled kernel.
-///
-/// Backend routing: `SerialRef` executes the frozen generic-reference
-/// interpreter (the oracle itself), `CpuEngine` the rayon row-parallel
-/// specialized path, `Functional` the grid-resident simulator runner with
-/// block-boundary cancellation. `Threaded` is rejected at admission and
-/// never planned for kernel jobs: the streaming channel pipeline cannot
-/// wrap or reflect in the streamed dimension.
-fn execute_kernel(
+/// Counters of a grid-resident run. Functional jobs tally what the
+/// simulator's grid-resident executor moves: every cell once per pass,
+/// each row read and written once, one block per parallel task; other
+/// backends report the useful work only.
+fn grid_resident_counters(spec: &JobSpec, lanes: usize) -> SimCounters {
+    let plain = SimCounters {
+        lane_width: lanes as u64,
+        ..plain_counters(spec)
+    };
+    if spec.backend != Backend::Functional {
+        return plain;
+    }
+    let iters = spec.iters as u64;
+    let (rows, tasks) = if spec.dim == 2 {
+        (spec.ny, spec.ny.div_ceil(engines::ROW_BAND).max(1))
+    } else {
+        (spec.ny * spec.nz, spec.nz)
+    };
+    SimCounters {
+        rows_fed: rows as u64 * iters,
+        bytes_moved: 2 * plain.cells_updated * std::mem::size_of::<f32>() as u64,
+        blocks: tasks as u64 * iters,
+        passes: iters,
+        ..plain
+    }
+}
+
+/// Runs a single-kernel 2D job into the leased buffers; `None` when the run
+/// was cancelled. The worker's only routing decision: a star job on
+/// Functional or Threaded runs the simulated block schedule, a desc job (a
+/// [`crate::job::KernelSpec`]) or any CpuEngine job runs the grid-resident
+/// rayon executor, cancellable between row bands, and SerialRef runs the
+/// frozen oracle of the job's kind.
+fn run_2d(
     spec: &JobSpec,
     token: &CancelToken,
     env: &ExecEnv,
-) -> Result<ExecOut, Interrupted> {
-    let desc = kernel_desc_for(spec);
-    if spec.dim == 2 {
-        let mut input = env.pool.lease_2d(spec.nx, spec.ny);
-        fill_grid_2d(spec, &mut input);
-        let mut out = env.pool.lease_2d(spec.nx, spec.ny);
-        let mut scratch = env.pool.lease_2d(spec.nx, spec.ny);
-        let counters = match spec.backend {
-            Backend::Functional => {
-                let kernel = env
-                    .stencils
-                    .kernel_2d(&desc, KERNEL_LANES)
-                    .expect("kernel desc validated at admission");
-                let cancel = || token.is_cancelled();
-                match kernel_exec::run_kernel_2d_cancellable_into(
-                    &kernel,
-                    &input,
-                    spec.iters,
-                    &cancel,
-                    &mut out,
-                    &mut scratch,
-                ) {
-                    Some(c) => c,
-                    None => return Err(Interrupted),
-                }
-            }
-            Backend::CpuEngine => {
-                let kernel = env
-                    .stencils
-                    .kernel_2d(&desc, KERNEL_LANES)
-                    .expect("kernel desc validated at admission");
-                engines::parallel_2d_kernel_into(
-                    &kernel,
-                    &input,
-                    spec.iters,
-                    &mut out,
-                    &mut scratch,
-                );
-                plain_counters(spec)
-            }
-            Backend::SerialRef => {
-                out.copy_from(&kernel_ir::reference_run_2d(&desc, &input, spec.iters));
-                plain_counters(spec)
-            }
-            Backend::Threaded => {
-                unreachable!("kernel jobs are rejected for the Threaded backend at admission")
-            }
-        };
-        drop(scratch);
-        drop(input);
-        if token.is_cancelled() {
-            return Err(Interrupted);
+    input: &Grid2D<f32>,
+    out: &mut Grid2D<f32>,
+    scratch: &mut Grid2D<f32>,
+) -> Option<SimCounters> {
+    let cancel = || token.is_cancelled();
+    let star = || env.stencils.stencil_2d(spec.rad, spec.seed);
+    let cfg = || spec.block_config().expect("spec validated at admission");
+    match (spec.backend, spec.kernel.is_some()) {
+        (Backend::Functional, false) => {
+            let cfg = cfg();
+            functional::run_2d_replicated_cancellable_into(
+                &star(),
+                input,
+                &cfg,
+                spec.iters,
+                cfg.parvec,
+                spec.replicas.get(),
+                &cancel,
+                out,
+                scratch,
+            )
         }
-        Ok(ExecOut {
-            checksum: checksum_f32(out.as_slice()),
-            counters,
-            output: OutputGrid::G2(out),
-            program: None,
-        })
-    } else {
-        let mut input = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
-        fill_grid_3d(spec, &mut input);
-        let mut out = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
-        let mut scratch = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
-        let counters = match spec.backend {
-            Backend::Functional => {
-                let kernel = env
-                    .stencils
-                    .kernel_3d(&desc, KERNEL_LANES)
-                    .expect("kernel desc validated at admission");
-                let cancel = || token.is_cancelled();
-                match kernel_exec::run_kernel_3d_cancellable_into(
-                    &kernel,
-                    &input,
-                    spec.iters,
-                    &cancel,
-                    &mut out,
-                    &mut scratch,
-                ) {
-                    Some(c) => c,
-                    None => return Err(Interrupted),
-                }
-            }
-            Backend::CpuEngine => {
-                let kernel = env
-                    .stencils
-                    .kernel_3d(&desc, KERNEL_LANES)
-                    .expect("kernel desc validated at admission");
-                engines::parallel_3d_kernel_into(
-                    &kernel,
-                    &input,
-                    spec.iters,
-                    &mut out,
-                    &mut scratch,
-                );
-                plain_counters(spec)
-            }
-            Backend::SerialRef => {
-                out.copy_from(&kernel_ir::reference_run_3d(&desc, &input, spec.iters));
-                plain_counters(spec)
-            }
-            Backend::Threaded => {
-                unreachable!("kernel jobs are rejected for the Threaded backend at admission")
-            }
-        };
-        drop(scratch);
-        drop(input);
-        if token.is_cancelled() {
-            return Err(Interrupted);
+        (Backend::Threaded, false) => {
+            threaded::run_2d_opts_into(&star(), input, &cfg(), spec.iters, &env.sim, out, scratch);
+            Some(plain_counters(spec))
         }
-        Ok(ExecOut {
-            checksum: checksum_f32(out.as_slice()),
-            counters,
-            output: OutputGrid::G3(out),
-            program: None,
-        })
+        (Backend::Threaded, true) => {
+            unreachable!("kernel jobs are rejected for the Threaded backend at admission")
+        }
+        (Backend::Functional | Backend::CpuEngine, _) => {
+            let kernel = match spec.kernel {
+                Some(_) => env
+                    .stencils
+                    .kernel_2d(&kernel_desc_for(spec), KERNEL_LANES)
+                    .expect("kernel desc validated at admission"),
+                None => Arc::new(compile_star_2d(&star(), engines::CPU_LANES)),
+            };
+            engines::parallel_2d_kernel_into(&kernel, input, spec.iters, &cancel, out, scratch)
+                .then(|| grid_resident_counters(spec, kernel.lanes()))
+        }
+        (Backend::SerialRef, _) => {
+            // The oracles are frozen and allocate internally; copy their
+            // result into the lease so the output path stays uniform.
+            out.copy_from(&match spec.kernel {
+                Some(_) => kernel_ir::reference_run_2d(&kernel_desc_for(spec), input, spec.iters),
+                None => serial_ref::run_2d_serial(&star(), input, &cfg(), spec.iters),
+            });
+            Some(plain_counters(spec))
+        }
+    }
+}
+
+/// 3D twin of [`run_2d`].
+fn run_3d(
+    spec: &JobSpec,
+    token: &CancelToken,
+    env: &ExecEnv,
+    input: &Grid3D<f32>,
+    out: &mut Grid3D<f32>,
+    scratch: &mut Grid3D<f32>,
+) -> Option<SimCounters> {
+    let cancel = || token.is_cancelled();
+    let star = || env.stencils.stencil_3d(spec.rad, spec.seed);
+    let cfg = || spec.block_config().expect("spec validated at admission");
+    match (spec.backend, spec.kernel.is_some()) {
+        (Backend::Functional, false) => {
+            let cfg = cfg();
+            functional::run_3d_replicated_cancellable_into(
+                &star(),
+                input,
+                &cfg,
+                spec.iters,
+                cfg.parvec,
+                spec.replicas.get(),
+                &cancel,
+                out,
+                scratch,
+            )
+        }
+        (Backend::Threaded, false) => {
+            threaded::run_3d_opts_into(&star(), input, &cfg(), spec.iters, &env.sim, out, scratch);
+            Some(plain_counters(spec))
+        }
+        (Backend::Threaded, true) => {
+            unreachable!("kernel jobs are rejected for the Threaded backend at admission")
+        }
+        (Backend::Functional | Backend::CpuEngine, _) => {
+            let kernel = match spec.kernel {
+                Some(_) => env
+                    .stencils
+                    .kernel_3d(&kernel_desc_for(spec), KERNEL_LANES)
+                    .expect("kernel desc validated at admission"),
+                None => Arc::new(compile_star_3d(&star(), engines::CPU_LANES)),
+            };
+            engines::parallel_3d_kernel_into(&kernel, input, spec.iters, &cancel, out, scratch)
+                .then(|| grid_resident_counters(spec, kernel.lanes()))
+        }
+        (Backend::SerialRef, _) => {
+            out.copy_from(&match spec.kernel {
+                Some(_) => kernel_ir::reference_run_3d(&kernel_desc_for(spec), input, spec.iters),
+                None => serial_ref::run_3d_serial(&star(), input, &cfg(), spec.iters),
+            });
+            Some(plain_counters(spec))
+        }
     }
 }
 
@@ -2203,6 +2119,10 @@ mod tests {
                     _ => panic!("2D kernel job produced a non-G2 output"),
                 }
                 assert!(shadow_verify(&spec, &out.output, &env));
+                if backend == Backend::Functional {
+                    // 23 rows: one row band per pass, three passes.
+                    assert_eq!((out.counters.blocks, out.counters.passes), (3, 3));
+                }
             }
         }
         // Compiled kernels are memoized: 3 distinct 2D descs were compiled
@@ -2232,9 +2152,17 @@ mod tests {
             _ => panic!("3D kernel job produced a non-G3 output"),
         }
         assert!(shadow_verify(&spec, &out.output, &env));
+        // Grid-resident Functional runs count every cell and row once per
+        // pass and one block per z-plane per pass, at the compiled width.
+        let (cells, iters) = (spec.work_cells(), spec.iters as u64);
+        let c = &out.counters;
+        assert_eq!((c.cells_updated, c.passes, c.lane_width), (cells, iters, 8));
+        assert_eq!(c.rows_fed, (spec.ny * spec.nz) as u64 * iters);
+        assert_eq!(c.blocks, spec.nz as u64 * iters);
+        assert_eq!(c.bytes_moved, 2 * cells * 4);
 
-        // A star/clamp kernel job is bit-exact with the legacy star path:
-        // the desc space strictly contains the old fast path.
+        // A star/clamp kernel job is bit-exact with the star oracle: the
+        // desc space strictly contains the paper's stencils.
         let mut star = JobSpec::new_2d(29, 2, 96, 24, 5);
         star.backend = Backend::CpuEngine;
         star.kernel = Some(KernelSpec {
@@ -2245,7 +2173,7 @@ mod tests {
         let st = Stencil2D::<f32>::random(2, star.seed).unwrap();
         let legacy = exec::run_2d(&st, &grid_2d(&star), 5);
         match &out.output {
-            OutputGrid::G2(g) => assert_eq!(&**g, &legacy, "star/clamp desc == legacy star path"),
+            OutputGrid::G2(g) => assert_eq!(&**g, &legacy, "star/clamp desc == star oracle"),
             _ => panic!("2D kernel job produced a non-G2 output"),
         }
     }

@@ -45,6 +45,33 @@ fn check_bounds(bounds: &[usize], n: usize, axis: &str) {
     );
 }
 
+/// The source and destination of sweep `i` of a run of `n` sweeps that
+/// reads `input` in place and leaves its result in `out`: sweep 0 reads
+/// `input`, sweep `n − 1` writes `out`, and the sweeps in between alternate
+/// between `out` and `scratch` so that each reads what the one before it
+/// wrote. `scratch` is used only when `n ≥ 2`, so a one-sweep run needs
+/// none and never copies its input.
+///
+/// # Panics
+/// Panics when `i ≥ n`, or when sweep `i` needs `scratch` and it is `None`.
+pub fn sweep_buffers<'a, G>(
+    i: usize,
+    n: usize,
+    input: &'a G,
+    out: &'a mut G,
+    scratch: Option<&'a mut G>,
+) -> (&'a G, &'a mut G) {
+    assert!(i < n, "sweep {i} of a {n}-sweep run");
+    let scratch = || scratch.expect("a run of two or more sweeps needs a scratch grid");
+    // A sweep followed by an even number of sweeps writes `out`.
+    match (i == 0, (n - 1 - i) % 2 == 0) {
+        (true, true) => (input, out),
+        (true, false) => (input, scratch()),
+        (false, true) => (scratch(), out),
+        (false, false) => (out, scratch()),
+    }
+}
+
 /// A dense 2D grid stored row-major (`idx = y * nx + x`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid2D<T> {
@@ -515,6 +542,31 @@ impl<T: Real> Grid3D<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sweep_buffers_read_input_first_and_write_out_last() {
+        // Label the three buffers and follow the data through n sweeps.
+        for n in 1..=5usize {
+            let (input, mut out, mut scratch) = ('i', 'o', 's');
+            let mut prev = 'i';
+            for i in 0..n {
+                let (src, dst) = sweep_buffers(i, n, &input, &mut out, Some(&mut scratch));
+                assert_eq!(*src, prev, "sweep {i} of {n} reads the last write");
+                assert_ne!(*src, *dst);
+                prev = *dst;
+            }
+            assert_eq!(prev, 'o', "the last of {n} sweeps writes out");
+        }
+        let (input, mut out) = (0u8, 1u8);
+        assert_eq!(sweep_buffers(0, 1, &input, &mut out, None), (&0, &mut 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a scratch grid")]
+    fn sweep_buffers_need_scratch_for_two_sweeps() {
+        let (input, mut out) = (0u8, 1u8);
+        let _ = sweep_buffers(0, 2, &input, &mut out, None);
+    }
 
     #[test]
     fn zeros_and_shape_2d() {

@@ -48,7 +48,7 @@ pub mod wave;
 pub use blocking::{BlockConfig, BlockSpan, Dim};
 pub use characteristics::StencilCharacteristics;
 pub use error::{Result, StencilError};
-pub use grid::{Grid2D, Grid3D};
+pub use grid::{sweep_buffers, Grid2D, Grid3D};
 pub use kernel_ir::{BoundaryCond, KernelClass, KernelDesc, TapDesc};
 pub use real::Real;
 pub use specialize::{

@@ -7,12 +7,15 @@
 //! and parallelism, neither of which changes any cell's operation order, so
 //! all are bit-exact with the oracle. The rayon engine also runs any
 //! compiled desc (`parallel_*_kernel*`), optionally cancellable between row
-//! bands — the grid-resident executor the serving runtime uses.
+//! bands — the grid-resident executor the serving runtime uses. It reads
+//! its input in place: the first sweep reads the caller's grid, the last
+//! writes the result, and only the sweeps in between use a scratch grid
+//! ([`stencil_core::sweep_buffers`]).
 
 use rayon::prelude::*;
 use stencil_core::{
-    compile_star_2d, compile_star_3d, CompiledKernel2D, CompiledKernel3D, Grid2D, Grid3D, Real,
-    Stencil2D, Stencil3D,
+    compile_star_2d, compile_star_3d, sweep_buffers, CompiledKernel2D, CompiledKernel3D, Grid2D,
+    Grid3D, Real, Stencil2D, Stencil3D,
 };
 
 /// Lane width the CPU engines compile star stencils at: 8 cells per step,
@@ -137,8 +140,8 @@ pub fn tiled_3d<T: Real>(
 
 /// Rayon-parallel engine: each time step partitions the output rows across
 /// threads. Every cell's update is independent, so parallelism cannot
-/// change results. Each worker writes its disjoint `next` rows in place —
-/// no scratch buffers, no allocation inside the sweep.
+/// change results. Each worker writes its disjoint destination rows in
+/// place — no scratch rows, no allocation inside the sweep.
 pub fn parallel_2d<T: Real>(st: &Stencil2D<T>, grid: &Grid2D<T>, iters: usize) -> Grid2D<T> {
     parallel_2d_kernel(&compile_star_2d(st, CPU_LANES), grid, iters)
 }
@@ -146,7 +149,8 @@ pub fn parallel_2d<T: Real>(st: &Stencil2D<T>, grid: &Grid2D<T>, iters: usize) -
 /// [`parallel_2d`] writing the result into the caller-provided `out` grid,
 /// with `scratch` as the ping-pong buffer — the zero-allocation entry point
 /// for pooled serving. Both buffers must have `grid`'s shape; their prior
-/// contents are irrelevant (every sweep fully overwrites its destination).
+/// contents are irrelevant (every sweep fully overwrites its destination),
+/// and `scratch` is written only when `iters ≥ 2`.
 ///
 /// # Panics
 /// Panics when the buffer shapes do not match `grid`.
@@ -205,8 +209,9 @@ pub fn parallel_3d_into<T: Real>(
 /// `cancel` is polled before each pass and before each band. Returns
 /// `false` when it fired — the buffers then hold partial data and must be
 /// treated as dirty — and `true` when all `iters` passes ran; `out` then
-/// holds the result and `scratch` the ping-pong partner. Both buffers must
-/// have `grid`'s shape; their prior contents are irrelevant.
+/// holds the result. The first pass reads `grid` in place and the last
+/// writes `out`; `scratch` is written only when `iters ≥ 2`. Both buffers
+/// must have `grid`'s shape; their prior contents are irrelevant.
 ///
 /// # Panics
 /// Panics when the buffer shapes do not match `grid`.
@@ -218,27 +223,41 @@ pub fn parallel_2d_kernel_into<T: Real>(
     out: &mut Grid2D<T>,
     scratch: &mut Grid2D<T>,
 ) -> bool {
-    let nx = grid.nx();
-    assert_eq!(
-        (out.nx(), out.ny()),
-        (grid.nx(), grid.ny()),
-        "out buffer shape mismatch"
-    );
     assert_eq!(
         (scratch.nx(), scratch.ny()),
         (grid.nx(), grid.ny()),
         "scratch buffer shape mismatch"
     );
-    // `out` always holds the latest completed sweep; swaps exchange the
-    // backing Vec pointers only.
-    out.copy_from(grid);
-    for _ in 0..iters {
+    sweeps_2d(kernel, grid, iters, cancel, out, Some(scratch))
+}
+
+/// The 2D sweep loop behind [`parallel_2d_kernel_into`] and
+/// [`parallel_2d_kernel`]. With `scratch` `None`, a scratch grid is
+/// allocated here when the run has a second sweep.
+fn sweeps_2d<T: Real>(
+    kernel: &CompiledKernel2D<T>,
+    grid: &Grid2D<T>,
+    iters: usize,
+    cancel: &(dyn Fn() -> bool + Sync),
+    out: &mut Grid2D<T>,
+    scratch: Option<&mut Grid2D<T>>,
+) -> bool {
+    let (nx, ny) = (grid.nx(), grid.ny());
+    assert_eq!((out.nx(), out.ny()), (nx, ny), "out buffer shape mismatch");
+    if iters == 0 {
+        out.copy_from(grid);
+    }
+    let mut owned = None;
+    let mut scratch = match scratch {
+        None if iters > 1 => Some(owned.insert(Grid2D::zeros(nx, ny).expect("grid shape"))),
+        s => s,
+    };
+    for i in 0..iters {
         if cancel() {
             return false;
         }
-        let src: &Grid2D<T> = out;
-        scratch
-            .as_mut_slice()
+        let (src, dst) = sweep_buffers(i, iters, grid, &mut *out, scratch.as_deref_mut());
+        dst.as_mut_slice()
             .par_chunks_mut(nx * ROW_BAND)
             .enumerate()
             .for_each(|(band, rows)| {
@@ -252,20 +271,19 @@ pub fn parallel_2d_kernel_into<T: Real>(
         if cancel() {
             return false;
         }
-        out.swap(scratch);
     }
     true
 }
 
-/// Allocating wrapper over [`parallel_2d_kernel_into`].
+/// Allocating wrapper over [`parallel_2d_kernel_into`]: allocates the
+/// result, plus a scratch grid only when `iters ≥ 2`.
 pub fn parallel_2d_kernel<T: Real>(
     kernel: &CompiledKernel2D<T>,
     grid: &Grid2D<T>,
     iters: usize,
 ) -> Grid2D<T> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    parallel_2d_kernel_into(kernel, grid, iters, &|| false, &mut out, &mut scratch);
+    let mut out = Grid2D::zeros(grid.nx(), grid.ny()).expect("same shape as the input");
+    sweeps_2d(kernel, grid, iters, &|| false, &mut out, None);
     out
 }
 
@@ -282,25 +300,43 @@ pub fn parallel_3d_kernel_into<T: Real>(
     out: &mut Grid3D<T>,
     scratch: &mut Grid3D<T>,
 ) -> bool {
-    let (nx, ny) = (grid.nx(), grid.ny());
-    assert_eq!(
-        (out.nx(), out.ny(), out.nz()),
-        (grid.nx(), grid.ny(), grid.nz()),
-        "out buffer shape mismatch"
-    );
     assert_eq!(
         (scratch.nx(), scratch.ny(), scratch.nz()),
         (grid.nx(), grid.ny(), grid.nz()),
         "scratch buffer shape mismatch"
     );
-    out.copy_from(grid);
-    for _ in 0..iters {
+    sweeps_3d(kernel, grid, iters, cancel, out, Some(scratch))
+}
+
+/// The 3D sweep loop (see [`sweeps_2d`]).
+fn sweeps_3d<T: Real>(
+    kernel: &CompiledKernel3D<T>,
+    grid: &Grid3D<T>,
+    iters: usize,
+    cancel: &(dyn Fn() -> bool + Sync),
+    out: &mut Grid3D<T>,
+    scratch: Option<&mut Grid3D<T>>,
+) -> bool {
+    let (nx, ny, nz) = (grid.nx(), grid.ny(), grid.nz());
+    assert_eq!(
+        (out.nx(), out.ny(), out.nz()),
+        (nx, ny, nz),
+        "out buffer shape mismatch"
+    );
+    if iters == 0 {
+        out.copy_from(grid);
+    }
+    let mut owned = None;
+    let mut scratch = match scratch {
+        None if iters > 1 => Some(owned.insert(Grid3D::zeros(nx, ny, nz).expect("grid shape"))),
+        s => s,
+    };
+    for i in 0..iters {
         if cancel() {
             return false;
         }
-        let src: &Grid3D<T> = out;
-        scratch
-            .as_mut_slice()
+        let (src, dst) = sweep_buffers(i, iters, grid, &mut *out, scratch.as_deref_mut());
+        dst.as_mut_slice()
             .par_chunks_mut(nx * ny)
             .enumerate()
             .for_each(|(z, dst_plane)| {
@@ -314,20 +350,19 @@ pub fn parallel_3d_kernel_into<T: Real>(
         if cancel() {
             return false;
         }
-        out.swap(scratch);
     }
     true
 }
 
-/// Allocating wrapper over [`parallel_3d_kernel_into`].
+/// Allocating wrapper over [`parallel_3d_kernel_into`]: allocates the
+/// result, plus a scratch grid only when `iters ≥ 2`.
 pub fn parallel_3d_kernel<T: Real>(
     kernel: &CompiledKernel3D<T>,
     grid: &Grid3D<T>,
     iters: usize,
 ) -> Grid3D<T> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    parallel_3d_kernel_into(kernel, grid, iters, &|| false, &mut out, &mut scratch);
+    let mut out = Grid3D::zeros(grid.nx(), grid.ny(), grid.nz()).expect("same shape as the input");
+    sweeps_3d(kernel, grid, iters, &|| false, &mut out, None);
     out
 }
 
@@ -388,24 +423,75 @@ mod tests {
         );
     }
 
+    fn bits(cells: &[f32]) -> Vec<u32> {
+        cells.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn into_variants_overwrite_dirty_buffers() {
-        // Pool-style reuse: out and scratch arrive full of garbage; the
-        // `_into` paths must fully overwrite them and match the allocating
-        // entry points bit-for-bit.
+    fn into_variants_overwrite_nan_buffers_for_every_sweep_count() {
+        // 0–3 sweeps: every case of which buffer the first sweep reads and
+        // which the last one writes. Both buffers arrive full of NaN.
+        use stencil_core::kernel_ir::{
+            reference_run_2d, reference_run_3d, BoundaryCond, KernelDesc,
+        };
         let st = Stencil2D::<f32>::random(3, 21).unwrap();
-        for iters in [0usize, 1, 5] {
-            let mut out = Grid2D::filled(41, 23, f32::NAN).unwrap();
-            let mut scratch = Grid2D::filled(41, 23, -4.0e18f32).unwrap();
-            parallel_2d_into(&st, &grid2(), iters, &mut out, &mut scratch);
-            assert_eq!(out, parallel_2d(&st, &grid2(), iters), "2d iters {iters}");
-        }
         let st3 = Stencil3D::<f32>::random(1, 22).unwrap();
-        for iters in [0usize, 2, 4] {
-            let mut out = Grid3D::filled(17, 13, 11, f32::NAN).unwrap();
-            let mut scratch = Grid3D::filled(17, 13, 11, f32::INFINITY).unwrap();
+        let desc = KernelDesc::box_2d(1, 3, BoundaryCond::Periodic).unwrap();
+        let k = stencil_core::compile_2d::<f32>(&desc, 8).unwrap();
+        let desc3 = KernelDesc::asymmetric_3d(2, 14, BoundaryCond::Reflective).unwrap();
+        let k3 = stencil_core::compile_3d::<f32>(&desc3, 4).unwrap();
+        let nan_2d = || Grid2D::filled(41, 23, f32::NAN).unwrap();
+        let nan_3d = || Grid3D::filled(17, 13, 11, f32::NAN).unwrap();
+        for iters in 0..=3 {
+            let (mut out, mut scratch) = (nan_2d(), nan_2d());
+            parallel_2d_into(&st, &grid2(), iters, &mut out, &mut scratch);
+            let expect = exec::run_2d(&st, &grid2(), iters);
+            assert_eq!(
+                bits(out.as_slice()),
+                bits(expect.as_slice()),
+                "2d iters {iters}"
+            );
+
+            let (mut out, mut scratch) = (nan_3d(), nan_3d());
             parallel_3d_into(&st3, &grid3(), iters, &mut out, &mut scratch);
-            assert_eq!(out, parallel_3d(&st3, &grid3(), iters), "3d iters {iters}");
+            let expect = exec::run_3d(&st3, &grid3(), iters);
+            assert_eq!(
+                bits(out.as_slice()),
+                bits(expect.as_slice()),
+                "3d iters {iters}"
+            );
+
+            let (mut out, mut scratch) = (nan_2d(), nan_2d());
+            assert!(parallel_2d_kernel_into(
+                &k,
+                &grid2(),
+                iters,
+                &|| false,
+                &mut out,
+                &mut scratch
+            ));
+            let expect = reference_run_2d::<f32>(&desc, &grid2(), iters);
+            assert_eq!(
+                bits(out.as_slice()),
+                bits(expect.as_slice()),
+                "2d kernel iters {iters}"
+            );
+
+            let (mut out, mut scratch) = (nan_3d(), nan_3d());
+            assert!(parallel_3d_kernel_into(
+                &k3,
+                &grid3(),
+                iters,
+                &|| false,
+                &mut out,
+                &mut scratch
+            ));
+            let expect = reference_run_3d::<f32>(&desc3, &grid3(), iters);
+            assert_eq!(
+                bits(out.as_slice()),
+                bits(expect.as_slice()),
+                "3d kernel iters {iters}"
+            );
         }
     }
 
@@ -430,17 +516,6 @@ mod tests {
                 "{bc}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_kernel_into_overwrites_dirty_buffers() {
-        use stencil_core::kernel_ir::{BoundaryCond, KernelDesc};
-        let desc = KernelDesc::box_2d(1, 3, BoundaryCond::Periodic).unwrap();
-        let k = stencil_core::compile_2d::<f32>(&desc, 8).unwrap();
-        let mut out = Grid2D::filled(41, 23, f32::NAN).unwrap();
-        let mut scratch = Grid2D::filled(41, 23, -4.0e18f32).unwrap();
-        parallel_2d_kernel_into(&k, &grid2(), 3, &|| false, &mut out, &mut scratch);
-        assert_eq!(out, parallel_2d_kernel(&k, &grid2(), 3));
     }
 
     #[test]

@@ -48,6 +48,23 @@ impl ChannelStats {
         self.useful_bytes as f64 / seconds / 1e9
     }
 
+    /// The counts accumulated since `earlier`, an earlier copy of the same
+    /// counters.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) when a field of `earlier` exceeds `self`'s.
+    pub fn since(&self, earlier: &ChannelStats) -> ChannelStats {
+        ChannelStats {
+            requests: self.requests - earlier.requests,
+            split_requests: self.split_requests - earlier.split_requests,
+            lines_charged: self.lines_charged - earlier.lines_charged,
+            row_misses: self.row_misses - earlier.row_misses,
+            turnarounds: self.turnarounds - earlier.turnarounds,
+            useful_bytes: self.useful_bytes - earlier.useful_bytes,
+            busy_cycles: self.busy_cycles - earlier.busy_cycles,
+        }
+    }
+
     /// Merges another stats block into this one.
     pub fn merge(&mut self, other: &ChannelStats) {
         self.requests += other.requests;
@@ -100,6 +117,26 @@ mod tests {
             ..Default::default()
         };
         assert!((s.effective_gbps(266.625) - 17.064).abs() < 1e-9);
+    }
+
+    #[test]
+    fn since_undoes_merge() {
+        let a = ChannelStats {
+            requests: 3,
+            split_requests: 1,
+            lines_charged: 4,
+            row_misses: 2,
+            turnarounds: 1,
+            useful_bytes: 192,
+            busy_cycles: 9,
+        };
+        let mut b = a;
+        b.merge(&a);
+        b.merge(&a);
+        let mut twice = a;
+        twice.merge(&a);
+        assert_eq!(b.since(&a), twice);
+        assert_eq!(a.since(&a), ChannelStats::default());
     }
 
     #[test]

@@ -1,22 +1,26 @@
 //! The chain of PEs that realizes temporal blocking.
 //!
-//! `partime` PEs are connected head-to-tail by channels (Fig. 2); PE *t*
-//! consumes the rows/planes of time step *t − 1* for the current spatial
-//! block and produces those of time step *t*. When the remaining iteration
-//! count is smaller than the chain length (the last pass of a run whose
-//! iteration count is not a multiple of `partime`), the surplus PEs are
-//! switched to pass-through.
+//! PEs are connected head-to-tail by channels (Fig. 2); PE *t* consumes the
+//! rows/planes of time step *t − 1* for the current spatial block and
+//! produces those of time step *t*. A chain holds only the PEs that compute
+//! in its pass: on the hardware, a pass shorter than `partime` (the last
+//! pass of a run whose iteration count is not a multiple of `partime`)
+//! streams through surplus PEs that only forward data, and in the
+//! functional model such a PE is an identity with zero delay, so it is
+//! left out.
 //!
 //! # Buffer ownership
 //!
-//! The chain owns a [`RowPool`] and two reusable wave lists. Callers feed
-//! *borrowed* rows via [`Chain2D::feed_row`] / [`Chain3D::feed_plane`] and
-//! receive outputs as borrowed slices through a callback; every buffer the
-//! cascade produces is returned to the pool before the call ends. After a
-//! few warm-up rows (which size the pool to the chain's steady occupancy)
-//! the feed path performs **no heap allocation** — this invariant is load
-//! bearing for the simulator's throughput and is checked by the
-//! `steady_state_pool_is_closed` test below.
+//! Rows move, they are not copied. The chain owns a [`RowPool`] of
+//! block-wide buffers and two reusable wave lists. A caller takes an input
+//! buffer with [`Chain2D::take_row`], fills it, and gives it back to
+//! [`Chain2D::feed_row`]; the head PE keeps it in its shift register. Each
+//! PE's output rows move into the next PE's shift register the same way,
+//! and every row a shift register evicts returns to the pool. The tail
+//! PE's outputs are lent to a callback as `&[T]` and then returned to the
+//! pool. After a few warm-up rows (which size the pool to the chain's
+//! steady occupancy) the feed path performs **no heap allocation**; the
+//! `zero_alloc` integration test counts allocations to check it.
 
 use crate::pe::{Pe2D, Pe3D, Produced};
 use crate::shift_register::RowPool;
@@ -33,33 +37,27 @@ pub struct Chain2D<T> {
 }
 
 impl<T: Real> Chain2D<T> {
-    /// Builds a chain of `partime` PEs sharing `kernel`, the first `active`
-    /// of which compute (the rest pass through).
+    /// Builds a chain of `depth` PEs sharing `kernel` — one per time step
+    /// of the pass — over a block whose read region is `[x0, x0 + width)`
+    /// on an `nx × ny` grid.
     ///
     /// # Panics
-    /// Panics when `active > partime` or `partime == 0`, or when a PE
-    /// rejects the kernel (see [`Pe2D::new`]).
+    /// Panics when `depth == 0`, or when a PE rejects the kernel (see
+    /// [`Pe2D::new`]).
     pub fn new(
         kernel: &Arc<CompiledKernel2D<T>>,
-        partime: usize,
-        active: usize,
+        depth: usize,
         x0: i64,
         width: usize,
         nx: usize,
         ny: usize,
     ) -> Self {
-        assert!(partime > 0, "empty chain");
-        assert!(active <= partime, "more active PEs than chain length");
-        let pes = (0..partime)
-            .map(|t| {
-                let mut pe = Pe2D::new(Arc::clone(kernel), x0, width, nx, ny);
-                pe.set_active(t < active);
-                pe
-            })
-            .collect();
+        assert!(depth > 0, "empty chain");
         Self {
-            pes,
-            pool: RowPool::new(),
+            pes: (0..depth)
+                .map(|_| Pe2D::new(Arc::clone(kernel), x0, width, nx, ny))
+                .collect(),
+            pool: RowPool::new(width),
             wave: Produced::new(),
             scratch: Produced::new(),
         }
@@ -75,17 +73,23 @@ impl<T: Real> Chain2D<T> {
         self.pes.is_empty()
     }
 
-    /// Number of buffers parked in the chain's pool (test hook for the
-    /// zero-allocation invariant).
+    /// Number of buffers parked in the chain's pool.
     pub fn pool_idle(&self) -> usize {
         self.pool.idle()
     }
 
-    /// Feeds one borrowed input row to the head PE, cascades it through the
-    /// chain, and invokes `emit(y, row)` for every row the tail PE
-    /// produces. All intermediate and output buffers are recycled through
-    /// the chain's pool — allocation-free in steady state.
-    pub fn feed_row(&mut self, y: i64, row: &[T], mut emit: impl FnMut(i64, &[T])) {
+    /// A block-wide input buffer from the chain's pool. Its contents are
+    /// stale: the caller overwrites every cell before feeding it.
+    pub fn take_row(&mut self) -> Vec<T> {
+        self.pool.take()
+    }
+
+    /// Feeds input row `y` to the head PE, cascades it through the chain,
+    /// and invokes `emit(y, row)` for every row the tail PE produces. The
+    /// chain keeps `row`'s buffer and recycles it through its pool; it
+    /// should come from [`Self::take_row`] — allocation-free in steady
+    /// state.
+    pub fn feed_row(&mut self, y: i64, row: Vec<T>, mut emit: impl FnMut(i64, &[T])) {
         let Self {
             pes,
             pool,
@@ -100,8 +104,7 @@ impl<T: Real> Chain2D<T> {
                 return;
             }
             for (iy, irow) in wave.drain(..) {
-                pe.feed_into(iy, &irow, scratch, pool);
-                pool.put(irow);
+                pe.feed_into(iy, irow, scratch, pool);
             }
             std::mem::swap(wave, scratch);
         }
@@ -117,7 +120,7 @@ impl<T: Real> Chain2D<T> {
     /// results; streaming callers should use `feed_row`.
     pub fn feed(&mut self, y: i64, row: Vec<T>) -> Produced<T> {
         let mut out = Produced::new();
-        self.feed_row(y, &row, |oy, orow| out.push((oy, orow.to_vec())));
+        self.feed_row(y, row, |oy, orow| out.push((oy, orow.to_vec())));
         out
     }
 }
@@ -132,17 +135,17 @@ pub struct Chain3D<T> {
 }
 
 impl<T: Real> Chain3D<T> {
-    /// Builds a chain of `partime` 3D PEs sharing `kernel`, the first
-    /// `active` computing.
+    /// Builds a chain of `depth` 3D PEs sharing `kernel` over a block whose
+    /// read region is `[x0, x0 + width) × [y0, y0 + height)` on an
+    /// `nx × ny × nz` grid.
     ///
     /// # Panics
-    /// Panics when `active > partime` or `partime == 0`, or when a PE
-    /// rejects the kernel (see [`Pe3D::new`]).
+    /// Panics when `depth == 0`, or when a PE rejects the kernel (see
+    /// [`Pe3D::new`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         kernel: &Arc<CompiledKernel3D<T>>,
-        partime: usize,
-        active: usize,
+        depth: usize,
         x0: i64,
         y0: i64,
         width: usize,
@@ -151,18 +154,12 @@ impl<T: Real> Chain3D<T> {
         ny: usize,
         nz: usize,
     ) -> Self {
-        assert!(partime > 0, "empty chain");
-        assert!(active <= partime, "more active PEs than chain length");
-        let pes = (0..partime)
-            .map(|t| {
-                let mut pe = Pe3D::new(Arc::clone(kernel), x0, y0, width, height, nx, ny, nz);
-                pe.set_active(t < active);
-                pe
-            })
-            .collect();
+        assert!(depth > 0, "empty chain");
         Self {
-            pes,
-            pool: RowPool::new(),
+            pes: (0..depth)
+                .map(|_| Pe3D::new(Arc::clone(kernel), x0, y0, width, height, nx, ny, nz))
+                .collect(),
+            pool: RowPool::new(width * height),
             wave: Produced::new(),
             scratch: Produced::new(),
         }
@@ -183,10 +180,16 @@ impl<T: Real> Chain3D<T> {
         self.pool.idle()
     }
 
-    /// Feeds one borrowed input plane through the chain, invoking
-    /// `emit(z, plane)` per tail-PE output plane; buffers are recycled
-    /// through the chain's pool (see [`Chain2D::feed_row`]).
-    pub fn feed_plane(&mut self, z: i64, plane: &[T], mut emit: impl FnMut(i64, &[T])) {
+    /// A block-sized input plane from the chain's pool, with stale contents
+    /// (see [`Chain2D::take_row`]).
+    pub fn take_plane(&mut self) -> Vec<T> {
+        self.pool.take()
+    }
+
+    /// Feeds input plane `z` through the chain, invoking `emit(z, plane)`
+    /// per tail-PE output plane; buffers move and are recycled as in
+    /// [`Chain2D::feed_row`].
+    pub fn feed_plane(&mut self, z: i64, plane: Vec<T>, mut emit: impl FnMut(i64, &[T])) {
         let Self {
             pes,
             pool,
@@ -201,8 +204,7 @@ impl<T: Real> Chain3D<T> {
                 return;
             }
             for (iz, iplane) in wave.drain(..) {
-                pe.feed_into(iz, &iplane, scratch, pool);
-                pool.put(iplane);
+                pe.feed_into(iz, iplane, scratch, pool);
             }
             std::mem::swap(wave, scratch);
         }
@@ -218,7 +220,7 @@ impl<T: Real> Chain3D<T> {
     /// results.
     pub fn feed(&mut self, z: i64, plane: Vec<T>) -> Produced<T> {
         let mut out = Produced::new();
-        self.feed_plane(z, &plane, |oz, oplane| out.push((oz, oplane.to_vec())));
+        self.feed_plane(z, plane, |oz, oplane| out.push((oz, oplane.to_vec())));
         out
     }
 }
@@ -232,22 +234,32 @@ mod tests {
         Arc::new(compile_star_2d(st, 4))
     }
 
-    #[test]
-    fn two_pe_chain_equals_two_oracle_steps_whole_grid() {
-        let (nx, ny) = (16, 12);
-        let st = Stencil2D::<f32>::random(1, 9).unwrap();
-        let grid = Grid2D::from_fn(nx, ny, |x, y| ((3 * x) as f32).sin() + y as f32).unwrap();
-        // Whole grid as one block; 2 active PEs. All committed cells are
-        // valid because clamping handles the physical boundary.
-        let mut chain = Chain2D::new(&star(&st), 2, 2, 0, nx, nx, ny);
-        let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
-        for y in 0..ny {
-            let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
-            for (oy, orow) in chain.feed(y as i64, row) {
+    /// Streams `grid` through `chain` as one whole-grid block.
+    fn run_whole_grid(chain: &mut Chain2D<f32>, grid: &Grid2D<f32>) -> Grid2D<f32> {
+        let mut got = Grid2D::<f32>::zeros(grid.nx(), grid.ny()).unwrap();
+        for y in 0..grid.ny() {
+            for (oy, orow) in chain.feed(y as i64, grid.row(y).to_vec()) {
                 got.row_mut(oy as usize).copy_from_slice(&orow);
             }
         }
-        assert_eq!(got, exec::run_2d(&st, &grid, 2));
+        got
+    }
+
+    #[test]
+    fn chain_of_depth_k_equals_k_oracle_steps_whole_grid() {
+        let (nx, ny) = (16, 12);
+        let st = Stencil2D::<f32>::random(1, 9).unwrap();
+        let grid = Grid2D::from_fn(nx, ny, |x, y| ((3 * x) as f32).sin() + y as f32).unwrap();
+        // Whole grid as one block. All committed cells are valid because
+        // clamping handles the physical boundary.
+        for depth in 1..=3 {
+            let mut chain = Chain2D::new(&star(&st), depth, 0, nx, nx, ny);
+            assert_eq!(
+                run_whole_grid(&mut chain, &grid),
+                exec::run_2d(&st, &grid, depth),
+                "depth {depth}"
+            );
+        }
     }
 
     #[test]
@@ -255,13 +267,14 @@ mod tests {
         let (nx, ny) = (14, 9);
         let st = Stencil2D::<f32>::random(2, 42).unwrap();
         let grid = Grid2D::from_fn(nx, ny, |x, y| ((x * 7 + y) % 11) as f32).unwrap();
-        let mut a = Chain2D::new(&star(&st), 3, 3, 0, nx, nx, ny);
-        let mut b = Chain2D::new(&star(&st), 3, 3, 0, nx, nx, ny);
+        let mut a = Chain2D::new(&star(&st), 3, 0, nx, nx, ny);
+        let mut b = Chain2D::new(&star(&st), 3, 0, nx, nx, ny);
         for y in 0..ny {
-            let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
-            let via_feed = a.feed(y as i64, row.clone());
+            let via_feed = a.feed(y as i64, grid.row(y).to_vec());
+            let mut row = b.take_row();
+            row.copy_from_slice(grid.row(y));
             let mut via_feed_row = Produced::new();
-            b.feed_row(y as i64, &row, |oy, orow| {
+            b.feed_row(y as i64, row, |oy, orow| {
                 via_feed_row.push((oy, orow.to_vec()))
             });
             assert_eq!(via_feed, via_feed_row, "row {y}");
@@ -270,66 +283,65 @@ mod tests {
 
     #[test]
     fn steady_state_pool_is_closed() {
-        // After warm-up, every buffer the cascade takes is returned: the
-        // pool's idle count at rest stops changing, i.e. the feed loop no
-        // longer allocates.
+        // Input rows come from the chain's pool and every buffer the cascade
+        // takes is returned: after warm-up the pool's idle count stops
+        // changing and no new buffer enters the chain. (A caller feeding
+        // fresh rows instead would grow the pool by one row per feed.)
         let (nx, ny) = (20, 40);
         let st = Stencil2D::<f32>::random(2, 3).unwrap();
         let grid = Grid2D::from_fn(nx, ny, |x, y| (x + y) as f32).unwrap();
-        let mut chain = Chain2D::new(&star(&st), 4, 4, 0, nx, nx, ny);
+        let mut chain = Chain2D::new(&star(&st), 4, 0, nx, nx, ny);
         let mut idle_after_row = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        let mut buffers_after_row = Vec::new();
         for y in 0..ny {
-            let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
-            chain.feed_row(y as i64, &row, |_, _| {});
+            let mut row = chain.take_row();
+            row.copy_from_slice(grid.row(y));
+            seen.insert(row.as_ptr() as usize);
+            chain.feed_row(y as i64, row, |_, orow| {
+                seen.insert(orow.as_ptr() as usize);
+            });
             idle_after_row.push(chain.pool_idle());
+            buffers_after_row.push(seen.len());
         }
-        // Warm-up is bounded by the chain's fill latency (partime * rad
-        // rows); past the midpoint of this grid the pool size must be flat
-        // except at the final flush.
+        // Warm-up is bounded by the chain's fill latency (depth * rad
+        // rows); past the midpoint of this grid nothing may change except
+        // at the final flush.
         let mid = ny / 2;
-        let steady = idle_after_row[mid];
-        for (y, &idle) in idle_after_row.iter().enumerate().take(ny - 1).skip(mid) {
-            assert_eq!(idle, steady, "pool grew at row {y}: {idle_after_row:?}");
+        for y in mid..ny - 1 {
+            assert_eq!(
+                idle_after_row[y], idle_after_row[mid],
+                "pool grew at row {y}: {idle_after_row:?}"
+            );
+            assert_eq!(
+                buffers_after_row[y], buffers_after_row[mid],
+                "new buffer at row {y}: {buffers_after_row:?}"
+            );
         }
     }
 
     #[test]
-    fn passthrough_tail_preserves_results() {
+    fn stale_pool_buffers_never_leak_into_results() {
+        // Poison every buffer the pool hands out first: the first input row
+        // is overwritten by the caller, every output cell by the PEs.
         let (nx, ny) = (10, 10);
         let st = Stencil2D::<f32>::random(1, 4).unwrap();
         let grid = Grid2D::from_fn(nx, ny, |x, y| (x + y) as f32).unwrap();
-        // Chain of 4 with only 1 active == one oracle step.
-        let mut chain = Chain2D::new(&star(&st), 4, 1, 0, nx, nx, ny);
-        let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
-        for y in 0..ny {
-            let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
-            for (oy, orow) in chain.feed(y as i64, row) {
-                got.row_mut(oy as usize).copy_from_slice(&orow);
-            }
+        let mut chain = Chain2D::new(&star(&st), 2, 0, nx, nx, ny);
+        for _ in 0..8 {
+            let buf = vec![f32::NAN; nx];
+            chain.pool.put(buf);
         }
-        assert_eq!(got, exec::run_2d(&st, &grid, 1));
+        assert_eq!(
+            run_whole_grid(&mut chain, &grid),
+            exec::run_2d(&st, &grid, 2)
+        );
     }
 
     #[test]
-    fn zero_active_chain_is_identity() {
-        let (nx, ny) = (6, 4);
+    #[should_panic(expected = "empty chain")]
+    fn empty_chain_panics() {
         let st = Stencil2D::<f32>::uniform(1).unwrap();
-        let mut chain = Chain2D::new(&star(&st), 3, 0, 0, nx, nx, ny);
-        let grid = Grid2D::from_fn(nx, ny, |x, y| (x * y) as f32).unwrap();
-        let mut got = Grid2D::<f32>::zeros(nx, ny).unwrap();
-        for y in 0..ny {
-            let row: Vec<f32> = (0..nx).map(|x| grid.get(x, y)).collect();
-            for (oy, orow) in chain.feed(y as i64, row) {
-                got.row_mut(oy as usize).copy_from_slice(&orow);
-            }
-        }
-        assert_eq!(got, grid);
-    }
-
-    #[test]
-    #[should_panic(expected = "more active PEs")]
-    fn too_many_active_panics() {
-        let st = Stencil2D::<f32>::uniform(1).unwrap();
-        let _ = Chain2D::new(&star(&st), 2, 3, 0, 8, 8, 8);
+        let _ = Chain2D::new(&star(&st), 0, 0, 8, 8, 8);
     }
 }

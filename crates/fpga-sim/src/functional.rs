@@ -21,13 +21,23 @@
 //! schedule — [`run_2d_serial`]/[`run_3d_serial`] keep the seed's original
 //! data path as the differential oracle and performance baseline.
 //!
-//! # Scratch-buffer ownership
+//! # Buffer ownership
 //!
-//! Each block task owns exactly one input scratch buffer, refilled in place
-//! by [`Grid2D::read_row_clamped`] / [`Grid3D::read_plane_clamped`]; the
-//! chain recycles all intermediate and output buffers through its
-//! [`crate::shift_register::RowPool`]. Steady-state feeding performs no
-//! heap allocation (see `crate::chain` module docs).
+//! The engine moves only the data it computes. The first pass reads the
+//! caller's grid in place and the last pass writes straight into `out`;
+//! passes in between alternate between `out` and `scratch` (see
+//! [`stencil_core::sweep_buffers`]), so a one-pass run never touches
+//! `scratch` and no run copies its input. The allocating entry points
+//! allocate the result, plus a scratch grid only when a second pass needs
+//! one.
+//!
+//! Inside a pass, each block streams its read region through a chain of
+//! only the PEs that compute in this pass. The block takes an input row
+//! from the chain's [`crate::shift_register::RowPool`] and fills it with
+//! [`Grid2D::read_row_clamped`] / [`Grid3D::read_plane_clamped`]; from
+//! there rows move from PE to PE by ownership until the tail's outputs are
+//! committed to the block's strip and recycled. Steady-state feeding
+//! performs no heap allocation (see `crate::chain` module docs).
 
 use crate::chain::{Chain2D, Chain3D};
 use crate::counters::SimCounters;
@@ -35,8 +45,8 @@ use rayon::prelude::*;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use stencil_core::{
-    compile_star_2d, compile_star_3d, BlockConfig, BlockSpan, CompiledKernel2D, CompiledKernel3D,
-    Dim, Grid2D, Grid3D, Real, Stencil2D, Stencil3D,
+    compile_star_2d, compile_star_3d, sweep_buffers, BlockConfig, BlockSpan, CompiledKernel2D,
+    CompiledKernel3D, Dim, Grid2D, Grid3D, Real, Stencil2D, Stencil3D,
 };
 
 /// Splits `iters` into chain passes: each pass activates at most `partime`
@@ -181,27 +191,21 @@ pub fn run_2d_cancellable<T: Real>(
     lanes: usize,
     cancel: &(dyn Fn() -> bool + Sync),
 ) -> Option<(Grid2D<T>, SimCounters)> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    let counters = run_2d_cancellable_into(
-        stencil,
-        grid,
-        config,
-        iters,
-        lanes,
-        cancel,
-        &mut out,
-        &mut scratch,
+    let mut out = Grid2D::zeros(grid.nx(), grid.ny()).expect("same shape as the input");
+    let counters = run_2d_passes(
+        stencil, grid, config, iters, lanes, 1, cancel, &mut out, None,
     )?;
     Some((out, counters))
 }
 
 /// [`run_2d_cancellable`] writing the result into the caller-provided `out`
 /// grid, with `scratch` as the ping-pong buffer — the zero-allocation entry
-/// point for pooled serving. Both buffers must have `grid`'s shape; their
-/// prior contents are irrelevant (every pass fully overwrites its
-/// destination strip set). On cancellation (`None`) the buffers hold
-/// partial data and must be treated as dirty.
+/// point for pooled serving. The first pass reads `grid` in place and the
+/// last writes `out`; `scratch` is written only when the run has two or
+/// more passes. Both buffers must have `grid`'s shape; their prior contents
+/// are irrelevant (every pass fully overwrites its destination strip set).
+/// On cancellation (`None`) the buffers hold partial data and must be
+/// treated as dirty.
 ///
 /// # Panics
 /// Panics when `config` is not a validated 2D configuration or the buffer
@@ -243,42 +247,74 @@ pub fn run_2d_replicated_cancellable_into<T: Real>(
     out: &mut Grid2D<T>,
     scratch: &mut Grid2D<T>,
 ) -> Option<SimCounters> {
+    assert_eq!(
+        (scratch.nx(), scratch.ny()),
+        (grid.nx(), grid.ny()),
+        "scratch buffer shape mismatch"
+    );
+    run_2d_passes(
+        stencil,
+        grid,
+        config,
+        iters,
+        lanes,
+        replicas,
+        cancel,
+        out,
+        Some(scratch),
+    )
+}
+
+/// The 2D pass loop behind every entry point. With `scratch` `None`, a
+/// scratch grid is allocated here when the run has a second pass.
+#[allow(clippy::too_many_arguments)]
+fn run_2d_passes<T: Real>(
+    stencil: &Stencil2D<T>,
+    grid: &Grid2D<T>,
+    config: &BlockConfig,
+    iters: usize,
+    lanes: usize,
+    replicas: usize,
+    cancel: &(dyn Fn() -> bool + Sync),
+    out: &mut Grid2D<T>,
+    scratch: Option<&mut Grid2D<T>>,
+) -> Option<SimCounters> {
     check_2d(stencil, config);
     assert_eq!(
         (out.nx(), out.ny()),
         (grid.nx(), grid.ny()),
         "out buffer shape mismatch"
     );
-    assert_eq!(
-        (scratch.nx(), scratch.ny()),
-        (grid.nx(), grid.ny()),
-        "scratch buffer shape mismatch"
-    );
 
-    let nx = grid.nx();
+    let (nx, ny) = (grid.nx(), grid.ny());
     // One kernel for the whole run, shared by every PE of every block.
     let kernel = Arc::new(compile_star_2d(stencil, lanes));
-    // `out` always holds the latest completed pass; `scratch` is the
-    // in-flight destination, exchanged (Vec pointers only) after each pass.
-    out.copy_from(grid);
+    let plan = passes(iters, config.partime);
+    if plan.is_empty() {
+        out.copy_from(grid);
+    }
+    let mut owned = None;
+    let mut scratch = match scratch {
+        None if plan.len() > 1 => Some(owned.insert(Grid2D::zeros(nx, ny).expect("grid shape"))),
+        s => s,
+    };
     let mut counters = SimCounters {
         lane_width: kernel.lanes() as u64,
         ..Default::default()
     };
     let t_run = Instant::now();
 
-    for active in passes(iters, config.partime) {
+    for (i, &active) in plan.iter().enumerate() {
         if cancel() {
             return None;
         }
         let t_pass = Instant::now();
+        let (src, dst) = sweep_buffers(i, plan.len(), grid, &mut *out, scratch.as_deref_mut());
         let spans = replica_spans(nx, config.csize_x(), config.halo(), replicas);
-        let blocks = scratch.column_blocks(&comp_bounds(&spans, nx));
+        let blocks = dst.column_blocks(&comp_bounds(&spans, nx));
         let tally = Mutex::new(SimCounters::default());
-        let src_ref: &Grid2D<T> = out;
         let tally_ref = &tally;
         let kernel = &kernel;
-        let partime = config.partime;
         spans
             .into_iter()
             .zip(blocks)
@@ -288,7 +324,7 @@ pub fn run_2d_replicated_cancellable_into<T: Real>(
                 if cancel() {
                     return;
                 }
-                let part = run_block_2d(kernel, src_ref, &span, &mut strip, partime, active);
+                let part = run_block_2d(kernel, src, &span, &mut strip, active);
                 tally_ref.lock().unwrap().merge(&part);
             });
         if cancel() {
@@ -297,34 +333,31 @@ pub fn run_2d_replicated_cancellable_into<T: Real>(
         counters.merge(&tally.into_inner().unwrap());
         counters.passes += 1;
         counters.pass_seconds.push(t_pass.elapsed().as_secs_f64());
-        out.swap(scratch);
     }
     counters.elapsed_seconds = t_run.elapsed().as_secs_f64();
     Some(counters)
 }
 
 /// One spatial block of one 2D pass: stream all rows of the block's read
-/// region through a fresh chain, committing the comp core into this block's
-/// pre-split destination strip.
+/// region through a fresh chain of the pass's `active` PEs, committing the
+/// comp core into this block's pre-split destination strip.
 fn run_block_2d<T: Real>(
     kernel: &Arc<CompiledKernel2D<T>>,
     src: &Grid2D<T>,
     span: &BlockSpan,
     strip: &mut [&mut [T]],
-    partime: usize,
     active: usize,
 ) -> SimCounters {
     let x0 = span.read_start;
     let width = span.read_len();
     let (nx, ny) = (src.nx(), src.ny());
-    let mut chain = Chain2D::new(kernel, partime, active, x0 as i64, width, nx, ny);
-    // The block's only steady-state input buffer, refilled in place per row.
-    let mut row = vec![T::ZERO; width];
+    let mut chain = Chain2D::new(kernel, active, x0 as i64, width, nx, ny);
     let off = (span.comp_start as isize - x0) as usize;
     let len = span.comp_len();
     for y in 0..ny {
+        let mut row = chain.take_row();
         src.read_row_clamped(y as isize, x0, &mut row);
-        chain.feed_row(y as i64, &row, |oy, orow| {
+        chain.feed_row(y as i64, row, |oy, orow| {
             strip[oy as usize].copy_from_slice(&orow[off..off + len]);
         });
     }
@@ -352,9 +385,8 @@ pub fn run_2d_replicated<T: Real>(
     iters: usize,
     replicas: usize,
 ) -> Grid2D<T> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    run_2d_replicated_cancellable_into(
+    let mut out = Grid2D::zeros(grid.nx(), grid.ny()).expect("same shape as the input");
+    run_2d_passes(
         stencil,
         grid,
         config,
@@ -363,7 +395,7 @@ pub fn run_2d_replicated<T: Real>(
         replicas,
         &|| false,
         &mut out,
-        &mut scratch,
+        None,
     )
     .expect("never-cancelled run cannot be cancelled");
     out
@@ -427,17 +459,9 @@ pub fn run_3d_cancellable<T: Real>(
     lanes: usize,
     cancel: &(dyn Fn() -> bool + Sync),
 ) -> Option<(Grid3D<T>, SimCounters)> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    let counters = run_3d_cancellable_into(
-        stencil,
-        grid,
-        config,
-        iters,
-        lanes,
-        cancel,
-        &mut out,
-        &mut scratch,
+    let mut out = Grid3D::zeros(grid.nx(), grid.ny(), grid.nz()).expect("same shape as the input");
+    let counters = run_3d_passes(
+        stencil, grid, config, iters, lanes, 1, cancel, &mut out, None,
     )?;
     Some((out, counters))
 }
@@ -483,35 +507,72 @@ pub fn run_3d_replicated_cancellable_into<T: Real>(
     out: &mut Grid3D<T>,
     scratch: &mut Grid3D<T>,
 ) -> Option<SimCounters> {
+    assert_eq!(
+        (scratch.nx(), scratch.ny(), scratch.nz()),
+        (grid.nx(), grid.ny(), grid.nz()),
+        "scratch buffer shape mismatch"
+    );
+    run_3d_passes(
+        stencil,
+        grid,
+        config,
+        iters,
+        lanes,
+        replicas,
+        cancel,
+        out,
+        Some(scratch),
+    )
+}
+
+/// The 3D pass loop behind every entry point (see [`run_2d_passes`]).
+#[allow(clippy::too_many_arguments)]
+fn run_3d_passes<T: Real>(
+    stencil: &Stencil3D<T>,
+    grid: &Grid3D<T>,
+    config: &BlockConfig,
+    iters: usize,
+    lanes: usize,
+    replicas: usize,
+    cancel: &(dyn Fn() -> bool + Sync),
+    out: &mut Grid3D<T>,
+    scratch: Option<&mut Grid3D<T>>,
+) -> Option<SimCounters> {
     check_3d(stencil, config);
     assert_eq!(
         (out.nx(), out.ny(), out.nz()),
         (grid.nx(), grid.ny(), grid.nz()),
         "out buffer shape mismatch"
     );
-    assert_eq!(
-        (scratch.nx(), scratch.ny(), scratch.nz()),
-        (grid.nx(), grid.ny(), grid.nz()),
-        "scratch buffer shape mismatch"
-    );
 
-    let (nx, ny) = (grid.nx(), grid.ny());
+    let (nx, ny, nz) = (grid.nx(), grid.ny(), grid.nz());
     let kernel = Arc::new(compile_star_3d(stencil, lanes));
-    out.copy_from(grid);
+    let plan = passes(iters, config.partime);
+    if plan.is_empty() {
+        out.copy_from(grid);
+    }
+    let mut owned = None;
+    let mut scratch = match scratch {
+        None if plan.len() > 1 => {
+            Some(owned.insert(Grid3D::zeros(nx, ny, nz).expect("grid shape")))
+        }
+        s => s,
+    };
     let mut counters = SimCounters {
         lane_width: kernel.lanes() as u64,
         ..Default::default()
     };
     let t_run = Instant::now();
 
-    for active in passes(iters, config.partime) {
+    for (i, &active) in plan.iter().enumerate() {
         if cancel() {
             return None;
         }
         let t_pass = Instant::now();
+        let (src, dst) = sweep_buffers(i, plan.len(), grid, &mut *out, scratch.as_deref_mut());
         let sys = config.spans_y(ny);
         let sxs = replica_spans(nx, config.csize_x(), config.halo(), replicas);
-        let blocks = scratch.tile_blocks(&comp_bounds(&sxs, nx), &comp_bounds(&sys, ny));
+        let blocks = dst.tile_blocks(&comp_bounds(&sxs, nx), &comp_bounds(&sys, ny));
         // tile_blocks returns block (bx, by) at index by * nbx + bx — the
         // same order as iterating sy outer, sx inner.
         let work: Vec<(BlockSpan, BlockSpan, Vec<&mut [T]>)> = sys
@@ -521,15 +582,13 @@ pub fn run_3d_replicated_cancellable_into<T: Real>(
             .map(|((sx, sy), strip)| (sx, sy, strip))
             .collect();
         let tally = Mutex::new(SimCounters::default());
-        let src_ref: &Grid3D<T> = out;
         let tally_ref = &tally;
         let kernel = &kernel;
-        let partime = config.partime;
         work.into_par_iter().for_each(move |(sx, sy, mut strip)| {
             if cancel() {
                 return;
             }
-            let part = run_block_3d(kernel, src_ref, &sx, &sy, &mut strip, partime, active);
+            let part = run_block_3d(kernel, src, &sx, &sy, &mut strip, active);
             tally_ref.lock().unwrap().merge(&part);
         });
         if cancel() {
@@ -538,7 +597,6 @@ pub fn run_3d_replicated_cancellable_into<T: Real>(
         counters.merge(&tally.into_inner().unwrap());
         counters.passes += 1;
         counters.pass_seconds.push(t_pass.elapsed().as_secs_f64());
-        out.swap(scratch);
     }
     counters.elapsed_seconds = t_run.elapsed().as_secs_f64();
     Some(counters)
@@ -551,22 +609,21 @@ fn run_block_3d<T: Real>(
     sx: &BlockSpan,
     sy: &BlockSpan,
     strip: &mut [&mut [T]],
-    partime: usize,
     active: usize,
 ) -> SimCounters {
     let (x0, y0) = (sx.read_start, sy.read_start);
     let (width, height) = (sx.read_len(), sy.read_len());
     let (nx, ny, nz) = (src.nx(), src.ny(), src.nz());
     let mut chain = Chain3D::new(
-        kernel, partime, active, x0 as i64, y0 as i64, width, height, nx, ny, nz,
+        kernel, active, x0 as i64, y0 as i64, width, height, nx, ny, nz,
     );
-    let mut plane = vec![T::ZERO; width * height];
     let offx = (sx.comp_start as isize - x0) as usize;
     let offy = (sy.comp_start as isize - y0) as usize;
     let (lenx, leny) = (sx.comp_len(), sy.comp_len());
     for z in 0..nz {
+        let mut plane = chain.take_plane();
         src.read_plane_clamped(z as isize, x0, y0, width, &mut plane);
-        chain.feed_plane(z as i64, &plane, |oz, oplane| {
+        chain.feed_plane(z as i64, plane, |oz, oplane| {
             for i in 0..leny {
                 let s = (offy + i) * width + offx;
                 strip[oz as usize * leny + i].copy_from_slice(&oplane[s..s + lenx]);
@@ -597,9 +654,8 @@ pub fn run_3d_replicated<T: Real>(
     iters: usize,
     replicas: usize,
 ) -> Grid3D<T> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    run_3d_replicated_cancellable_into(
+    let mut out = Grid3D::zeros(grid.nx(), grid.ny(), grid.nz()).expect("same shape as the input");
+    run_3d_passes(
         stencil,
         grid,
         config,
@@ -608,7 +664,7 @@ pub fn run_3d_replicated<T: Real>(
         replicas,
         &|| false,
         &mut out,
-        &mut scratch,
+        None,
     )
     .expect("never-cancelled run cannot be cancelled");
     out
@@ -691,6 +747,133 @@ mod tests {
             assert_eq!(got, run_3d_serial(&st, &grid, &cfg, iters), "rad {rad}");
             assert_eq!(c.lane_width, 8, "rad {rad}");
         }
+    }
+
+    fn bits(cells: &[f32]) -> Vec<u32> {
+        cells.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn into_entry_points_overwrite_nan_buffers_for_every_pass_count() {
+        // iters 0, 1, partime + 1 and 2·partime + 1 run 0, 1, 2 and 3
+        // passes: every case of which buffer the first pass reads and which
+        // the last one writes. Both buffers arrive full of NaN.
+        let partime = 4;
+        let cfg = BlockConfig::new_2d(1, 32, 4, partime).unwrap();
+        let st = Stencil2D::<f32>::random(1, 31).unwrap();
+        let grid = Grid2D::from_fn(61, 13, |x, y| ((x * 7 + y * 3) % 23) as f32).unwrap();
+        let cfg3 = BlockConfig::new_3d(1, 24, 24, 2, partime).unwrap();
+        let st3 = Stencil3D::<f32>::random(1, 32).unwrap();
+        let grid3 =
+            Grid3D::from_fn(30, 26, 5, |x, y, z| ((x + 3 * y + 5 * z) % 19) as f32).unwrap();
+        let nan_2d = || Grid2D::filled(61, 13, f32::NAN).unwrap();
+        let nan_3d = || Grid3D::filled(30, 26, 5, f32::NAN).unwrap();
+        for (iters, passes) in [(0, 0), (1, 1), (partime + 1, 2), (2 * partime + 1, 3)] {
+            let expect = run_2d_serial(&st, &grid, &cfg, iters);
+            assert_eq!(
+                bits(expect.as_slice()),
+                bits(exec::run_2d(&st, &grid, iters).as_slice())
+            );
+            let expect3 = run_3d_serial(&st3, &grid3, &cfg3, iters);
+            assert_eq!(
+                bits(expect3.as_slice()),
+                bits(exec::run_3d(&st3, &grid3, iters).as_slice())
+            );
+            for replicas in [1, 2] {
+                let what = format!("iters {iters}, replicas {replicas}");
+                let (mut out, mut scratch) = (nan_2d(), nan_2d());
+                let c = if replicas == 1 {
+                    run_2d_cancellable_into(
+                        &st,
+                        &grid,
+                        &cfg,
+                        iters,
+                        4,
+                        &|| false,
+                        &mut out,
+                        &mut scratch,
+                    )
+                } else {
+                    run_2d_replicated_cancellable_into(
+                        &st,
+                        &grid,
+                        &cfg,
+                        iters,
+                        4,
+                        replicas,
+                        &|| false,
+                        &mut out,
+                        &mut scratch,
+                    )
+                };
+                assert_eq!(c.unwrap().passes, passes, "2D {what}");
+                assert_eq!(bits(out.as_slice()), bits(expect.as_slice()), "2D {what}");
+
+                let (mut out3, mut scratch3) = (nan_3d(), nan_3d());
+                let c3 = if replicas == 1 {
+                    run_3d_cancellable_into(
+                        &st3,
+                        &grid3,
+                        &cfg3,
+                        iters,
+                        2,
+                        &|| false,
+                        &mut out3,
+                        &mut scratch3,
+                    )
+                } else {
+                    run_3d_replicated_cancellable_into(
+                        &st3,
+                        &grid3,
+                        &cfg3,
+                        iters,
+                        2,
+                        replicas,
+                        &|| false,
+                        &mut out3,
+                        &mut scratch3,
+                    )
+                };
+                assert_eq!(c3.unwrap().passes, passes, "3D {what}");
+                assert_eq!(bits(out3.as_slice()), bits(expect3.as_slice()), "3D {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn table3_config_counters_are_pinned() {
+        // Counters come from span geometry, not from how rows travel
+        // between PEs; these values were recorded when every pass still
+        // streamed through all `partime` PEs and copied each row.
+        let cfg = BlockConfig::new_2d(4, 4096, 4, 22).unwrap();
+        let st = Stencil2D::<f32>::random(4, 4).unwrap();
+        let grid = Grid2D::from_fn(5000, 6, |x, y| ((x * 3 + y) % 11) as f32).unwrap();
+        let (_, c) = run_2d_instrumented(&st, &grid, &cfg, 23);
+        assert_eq!(
+            (
+                c.cells_updated,
+                c.halo_cells,
+                c.rows_fed,
+                c.bytes_moved,
+                c.blocks
+            ),
+            (690_000, 48_576, 24, 496_896, 4)
+        );
+        let cfg = BlockConfig::new_3d(2, 256, 128, 16, 6).unwrap();
+        let st = Stencil3D::<f32>::random(2, 3).unwrap();
+        let grid =
+            Grid3D::from_fn(300, 120, 3, |x, y, z| ((x + y * 5 + z * 7) % 13) as f32).unwrap();
+        let (_, c) = run_3d_instrumented(&st, &grid, &cfg, 7);
+        assert_eq!(
+            (
+                c.cells_updated,
+                c.halo_cells,
+                c.rows_fed,
+                c.bytes_moved,
+                c.blocks
+            ),
+            (756_000, 471_744, 24, 2_267_136, 8)
+        );
     }
 
     #[test]

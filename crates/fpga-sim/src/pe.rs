@@ -15,7 +15,12 @@
 //! A PE evaluates only the in-grid cells of its region. Because taps clamp
 //! to the grid before they clamp to the region, no in-grid cell ever reads
 //! a cell where the region overhangs the grid, and no such cell is
-//! committed; those cells hold zero.
+//! committed; the PE writes zero there.
+//!
+//! Rows move through a PE by ownership: [`Pe2D::feed_into`] keeps the input
+//! row in the shift register and hands the evicted row back to the caller's
+//! [`RowPool`], and output rows are pool buffers whose every cell the PE
+//! overwrites — so a recycled buffer's stale contents never show.
 
 use crate::shift_register::{RowPool, ShiftRegister};
 use std::sync::Arc;
@@ -60,9 +65,9 @@ impl Axis {
         }
     }
 
-    /// Evaluates the in-grid cells of one output row (this axis is x): the
-    /// vectorized kernel over the inner cells, the border cells through the
-    /// tap table.
+    /// Writes one output row (this axis is x): the vectorized kernel over
+    /// the inner cells, the border cells through the tap table, and zero
+    /// where the region overhangs the grid.
     fn eval_row<T: Real, const D: usize>(
         &self,
         kernel: &CompiledKernel<T, D>,
@@ -76,6 +81,8 @@ impl Axis {
         for j in (self.grid.0..lo).chain(hi..self.grid.1) {
             out[j] = kernel.eval_cell(src, yoff, &self.taps[j..j + w]);
         }
+        out[..self.grid.0].fill(T::ZERO);
+        out[self.grid.1..].fill(T::ZERO);
     }
 }
 
@@ -111,11 +118,8 @@ pub struct Pe2D<T> {
     cols: Axis,
     sr: ShiftRegister<T>,
     next_out: i64,
-    /// When false, the PE forwards rows unchanged — the simulator's
-    /// equivalent of a chain longer than the remaining iteration count.
-    active: bool,
-    /// Pool backing the allocating [`Self::feed`] wrapper, so repeated
-    /// convenience calls recycle buffers instead of allocating per call.
+    /// Pool backing the [`Self::feed`] wrapper: evicted rows come back
+    /// here and leave again as output rows.
     pool: RowPool<T>,
 }
 
@@ -145,57 +149,45 @@ impl<T: Real> Pe2D<T> {
             cols: Axis::new(x0, width, nx, rad, 1),
             sr: ShiftRegister::new(2 * rad + 1),
             next_out: 0,
-            active: true,
-            pool: RowPool::new(),
+            pool: RowPool::new(width),
             kernel,
         }
-    }
-
-    /// Deactivates the PE: it forwards its input unchanged (pass-through).
-    pub fn set_active(&mut self, active: bool) {
-        self.active = active;
     }
 
     /// Feeds input row `y` (global index, `0..ny`) and returns every output
     /// row that became computable.
     ///
-    /// Convenience wrapper over [`Self::feed_into`] that allocates its
-    /// output rows from a per-PE pool (the consumed input row is recycled
-    /// into it); streaming callers should use `feed_into` with a shared
-    /// [`RowPool`] instead.
+    /// Convenience wrapper over [`Self::feed_into`] with a per-PE pool: the
+    /// rows the shift register evicts become the next output rows.
+    /// Streaming callers should use `feed_into` with a shared [`RowPool`].
     ///
     /// # Panics
     /// Panics when `row` has the wrong width or rows arrive out of order.
     #[inline]
     pub fn feed(&mut self, y: i64, row: Vec<T>) -> Produced<T> {
         let mut out = Produced::new();
-        let mut pool = std::mem::take(&mut self.pool);
-        self.feed_into(y, &row, &mut out, &mut pool);
-        pool.put(row);
+        let mut pool = std::mem::replace(&mut self.pool, RowPool::new(self.width));
+        self.feed_into(y, row, &mut out, &mut pool);
         self.pool = pool;
         out
     }
 
-    /// Feeds a borrowed input row and appends every output row that became
-    /// computable to `out`, drawing output buffers from `pool`.
+    /// Feeds input row `y`, keeping its buffer in the shift register, and
+    /// appends every output row that became computable to `out`.
     ///
-    /// This is the allocation-free feed path: the shift register recycles
-    /// its evicted row storage ([`ShiftRegister::push_from`]) and output
-    /// rows live in pool buffers the caller must [`RowPool::put`] back once
+    /// This is the allocation-free feed path: the row the shift register
+    /// evicts goes back to `pool`, and output rows are `pool` buffers that
+    /// the caller feeds on to the next PE or [`RowPool::put`]s back once
     /// consumed. With a warm pool, a steady-state call performs no heap
     /// allocation.
     ///
     /// # Panics
     /// Panics when `row` has the wrong width or rows arrive out of order.
-    pub fn feed_into(&mut self, y: i64, row: &[T], out: &mut Produced<T>, pool: &mut RowPool<T>) {
+    pub fn feed_into(&mut self, y: i64, row: Vec<T>, out: &mut Produced<T>, pool: &mut RowPool<T>) {
         assert_eq!(row.len(), self.width, "row width mismatch");
-        if !self.active {
-            let mut buf = pool.take();
-            buf.extend_from_slice(row);
-            out.push((y, buf));
-            return;
+        if let Some(evicted) = self.sr.push(y, row) {
+            pool.put(evicted);
         }
-        self.sr.push_from(y, row);
         let rad = self.kernel.radius() as i64;
         // Output row `o` needs input rows up to min(o + rad, ny - 1).
         while self.next_out < self.ny && (y - self.next_out >= rad || y == self.ny - 1) {
@@ -206,11 +198,9 @@ impl<T: Real> Pe2D<T> {
         }
     }
 
-    fn compute_row_into(&self, y: i64, out: &mut Vec<T>) {
+    fn compute_row_into(&self, y: i64, out: &mut [T]) {
         let rad = self.kernel.radius();
         let win = window(&self.sr, y, rad, self.ny - 1);
-        out.clear();
-        out.resize(self.width, T::ZERO);
         self.cols
             .eval_row(&self.kernel, &win[..2 * rad + 1], &[0], out);
     }
@@ -229,7 +219,6 @@ pub struct Pe3D<T> {
     rows: Axis,
     sr: ShiftRegister<T>,
     next_out: i64,
-    active: bool,
     pool: RowPool<T>,
 }
 
@@ -262,51 +251,43 @@ impl<T: Real> Pe3D<T> {
             rows: Axis::new(y0, height, ny, rad, width),
             sr: ShiftRegister::new(2 * rad + 1),
             next_out: 0,
-            active: true,
-            pool: RowPool::new(),
+            pool: RowPool::new(width * height),
             kernel,
         }
     }
 
-    /// Deactivates the PE (pass-through).
-    pub fn set_active(&mut self, active: bool) {
-        self.active = active;
-    }
-
     /// Feeds input plane `z` (row-major `width × height`) and returns every
-    /// output plane that became computable.
-    ///
-    /// Convenience wrapper over [`Self::feed_into`] that allocates from a
-    /// per-PE pool (the consumed input plane is recycled into it);
-    /// streaming callers should use `feed_into` with a shared [`RowPool`].
+    /// output plane that became computable — the per-PE-pool convenience
+    /// wrapper over [`Self::feed_into`] (see [`Pe2D::feed`]).
     ///
     /// # Panics
     /// Panics when `plane` has the wrong size or planes arrive out of order.
     #[inline]
     pub fn feed(&mut self, z: i64, plane: Vec<T>) -> Produced<T> {
         let mut out = Produced::new();
-        let mut pool = std::mem::take(&mut self.pool);
-        self.feed_into(z, &plane, &mut out, &mut pool);
-        pool.put(plane);
+        let mut pool = std::mem::replace(&mut self.pool, RowPool::new(self.width * self.height));
+        self.feed_into(z, plane, &mut out, &mut pool);
         self.pool = pool;
         out
     }
 
-    /// Feeds a borrowed input plane and appends every output plane that
-    /// became computable to `out`, drawing buffers from `pool` — the
+    /// Feeds input plane `z`, keeping its buffer in the shift register, and
+    /// appends every output plane that became computable to `out` — the
     /// allocation-free feed path (see [`Pe2D::feed_into`]).
     ///
     /// # Panics
     /// Panics when `plane` has the wrong size or planes arrive out of order.
-    pub fn feed_into(&mut self, z: i64, plane: &[T], out: &mut Produced<T>, pool: &mut RowPool<T>) {
+    pub fn feed_into(
+        &mut self,
+        z: i64,
+        plane: Vec<T>,
+        out: &mut Produced<T>,
+        pool: &mut RowPool<T>,
+    ) {
         assert_eq!(plane.len(), self.width * self.height, "plane size mismatch");
-        if !self.active {
-            let mut buf = pool.take();
-            buf.extend_from_slice(plane);
-            out.push((z, buf));
-            return;
+        if let Some(evicted) = self.sr.push(z, plane) {
+            pool.put(evicted);
         }
-        self.sr.push_from(z, plane);
         let rad = self.kernel.radius() as i64;
         while self.next_out < self.nz && (z - self.next_out >= rad || z == self.nz - 1) {
             let mut buf = pool.take();
@@ -319,14 +300,15 @@ impl<T: Real> Pe3D<T> {
     /// Every in-grid row of the plane runs the vectorized kernel over its
     /// x-interior — rows near the y border included, their row offsets
     /// taken from the y tap table — and the x-border cells through the x
-    /// tap table.
-    fn compute_plane_into(&self, z: i64, out: &mut Vec<T>) {
+    /// tap table. Rows where the region overhangs the grid are zeroed.
+    fn compute_plane_into(&self, z: i64, out: &mut [T]) {
         let rad = self.kernel.radius();
         let win = window(&self.sr, z, rad, self.nz - 1);
         let win = &win[..2 * rad + 1];
-        out.clear();
-        out.resize(self.width * self.height, T::ZERO);
-        for i in self.rows.grid.0..self.rows.grid.1 {
+        let (g0, g1) = self.rows.grid;
+        out[..g0 * self.width].fill(T::ZERO);
+        out[g1 * self.width..].fill(T::ZERO);
+        for i in g0..g1 {
             let yoff = &self.rows.taps[i..i + 2 * rad + 1];
             let row = &mut out[i * self.width..(i + 1) * self.width];
             self.cols.eval_row(&self.kernel, win, yoff, row);
@@ -395,16 +377,6 @@ mod tests {
             let got = whole_grid_3d(Arc::new(compile_star_3d(&st, 4)), &grid);
             assert_eq!(got, exec::run_3d(&st, &grid, 1), "rad {rad}");
         }
-    }
-
-    #[test]
-    fn inactive_pe_is_identity() {
-        let st = Stencil2D::<f32>::uniform(2).unwrap();
-        let mut pe = Pe2D::new(star_2d(&st, 1), 0, 8, 8, 4);
-        pe.set_active(false);
-        let row = vec![1.0f32; 8];
-        let out = pe.feed(0, row.clone());
-        assert_eq!(out, vec![(0, row)]);
     }
 
     #[test]

@@ -14,35 +14,45 @@
 //! model charges (see [`crate::area`]).
 
 use std::collections::VecDeque;
+use stencil_core::Real;
 
-/// A free list of row/plane buffers for allocation-free steady-state
-/// streaming.
+/// A free list of equally sized row/plane buffers for allocation-free
+/// steady-state streaming.
 ///
-/// Every buffer that leaves the hot path (a committed output row, a
-/// cascaded intermediate) is [`put`](Self::put) back and handed out again by
-/// [`take`](Self::take), so after the first few rows warm the pool the feed
-/// loops run without touching the allocator. Ownership rule: whoever drains
-/// a `Produced` list returns its buffers to the pool of the chain that
-/// produced them.
-#[derive(Debug, Clone, Default)]
+/// Rows move by ownership: a row taken from the pool is filled, fed to a PE
+/// whose shift register keeps it, and comes back when the register evicts
+/// it; output rows are taken here and either move on to the next PE or are
+/// [`put`](Self::put) back once committed. After the first few rows warm
+/// the pool, the feed loops run without touching the allocator. Buffers
+/// keep their length and stale contents across the round trip: whoever
+/// takes one overwrites every cell it needs.
+#[derive(Debug, Clone)]
 pub struct RowPool<T> {
+    len: usize,
     free: Vec<Vec<T>>,
 }
 
-impl<T> RowPool<T> {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self { free: Vec::new() }
+impl<T: Real> RowPool<T> {
+    /// Creates an empty pool of `len`-cell buffers.
+    pub fn new(len: usize) -> Self {
+        Self {
+            len,
+            free: Vec::new(),
+        }
     }
 
-    /// Hands out an empty buffer, recycling a returned one when available.
+    /// Hands out a `len`-cell buffer: a returned one with its stale
+    /// contents when available, otherwise a fresh zeroed one.
     pub fn take(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
+        self.free.pop().unwrap_or_else(|| vec![T::ZERO; self.len])
     }
 
-    /// Returns a buffer to the pool (cleared, capacity kept).
-    pub fn put(&mut self, mut buf: Vec<T>) {
-        buf.clear();
+    /// Returns a buffer to the pool.
+    ///
+    /// # Panics
+    /// Panics when the buffer does not have the pool's length.
+    pub fn put(&mut self, buf: Vec<T>) {
+        assert_eq!(buf.len(), self.len, "buffer length mismatch");
         self.free.push(buf);
     }
 
@@ -89,42 +99,24 @@ impl<T: Clone> ShiftRegister<T> {
         self.rows.is_empty()
     }
 
-    /// Pushes a row with its global stream index, evicting the oldest row
-    /// once full (the hardware shift).
+    /// Pushes a row with its global stream index, taking ownership of its
+    /// buffer, and returns the oldest row once full (the hardware shift) so
+    /// the caller can recycle its buffer.
     ///
     /// # Panics
     /// Panics when indices are pushed out of order (hardware streams rows
     /// strictly monotonically).
-    pub fn push(&mut self, index: i64, row: Vec<T>) {
+    pub fn push(&mut self, index: i64, row: Vec<T>) -> Option<Vec<T>> {
         if let Some(&(last, _)) = self.rows.back() {
             assert!(index > last, "rows must be pushed in increasing order");
         }
-        if self.rows.len() == self.capacity {
-            self.rows.pop_front();
-        }
-        self.rows.push_back((index, row));
-    }
-
-    /// Copies a borrowed row into the register, recycling the storage of the
-    /// evicted row — the allocation-free twin of [`Self::push`]: once the
-    /// register is warm, pushes reuse the oldest row's buffer instead of
-    /// allocating.
-    ///
-    /// # Panics
-    /// Panics when indices are pushed out of order.
-    pub fn push_from(&mut self, index: i64, row: &[T]) {
-        if let Some(&(last, _)) = self.rows.back() {
-            assert!(index > last, "rows must be pushed in increasing order");
-        }
-        let mut buf = if self.rows.len() == self.capacity {
-            let (_, mut b) = self.rows.pop_front().expect("non-empty at capacity");
-            b.clear();
-            b
+        let evicted = if self.rows.len() == self.capacity {
+            self.rows.pop_front().map(|(_, r)| r)
         } else {
-            Vec::with_capacity(row.len())
+            None
         };
-        buf.extend_from_slice(row);
-        self.rows.push_back((index, buf));
+        self.rows.push_back((index, row));
+        evicted
     }
 
     /// The row with global index `index`, if still resident.
@@ -235,30 +227,14 @@ mod tests {
     }
 
     #[test]
-    fn push_from_behaves_like_push() {
-        let mut a = ShiftRegister::new(3);
-        let mut b = ShiftRegister::new(3);
-        for i in 0..6 {
-            let row = vec![i as f32, (i * i) as f32];
-            a.push(i, row.clone());
-            b.push_from(i, &row);
-        }
-        for i in 0..6 {
-            assert_eq!(a.get(i), b.get(i), "row {i}");
-        }
-        assert_eq!(b.oldest(), Some(3));
-        assert_eq!(b.newest(), Some(5));
-    }
-
-    #[test]
-    fn push_from_recycles_evicted_capacity() {
+    fn push_hands_back_the_evicted_buffer() {
         let mut sr = ShiftRegister::new(2);
-        sr.push_from(0, &[1.0f64; 8]);
-        sr.push_from(1, &[2.0; 8]);
-        // From here on every push evicts; the evicted 8-cell buffer is
-        // reused, so capacity never grows past the row length.
+        assert_eq!(sr.push(0, vec![0.0f64; 8]), None);
+        assert_eq!(sr.push(1, vec![1.0; 8]), None);
+        // From here on every push evicts the oldest row and returns it.
         for i in 2..10 {
-            sr.push_from(i, &[i as f64; 8]);
+            let evicted = sr.push(i, vec![i as f64; 8]).expect("full register evicts");
+            assert_eq!(evicted, vec![(i - 2) as f64; 8]);
         }
         assert_eq!(sr.get(9), Some(&[9.0f64; 8][..]));
         assert_eq!(sr.len(), 2);
@@ -266,15 +242,22 @@ mod tests {
 
     #[test]
     fn row_pool_recycles_buffers() {
-        let mut pool = RowPool::<f32>::new();
+        let mut pool = RowPool::<f32>::new(3);
         let mut buf = pool.take();
-        buf.extend_from_slice(&[1.0, 2.0, 3.0]);
-        let cap = buf.capacity();
+        assert_eq!(buf, vec![0.0; 3], "fresh buffers are zeroed");
+        buf.copy_from_slice(&[1.0, 2.0, 3.0]);
+        let ptr = buf.as_ptr();
         pool.put(buf);
         assert_eq!(pool.idle(), 1);
         let again = pool.take();
-        assert!(again.is_empty());
-        assert_eq!(again.capacity(), cap, "capacity survives the round trip");
+        assert_eq!(again.as_ptr(), ptr, "the same storage comes back");
+        assert_eq!(again, vec![1.0, 2.0, 3.0], "contents are not cleared");
         assert_eq!(pool.idle(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer length mismatch")]
+    fn row_pool_rejects_foreign_lengths() {
+        RowPool::<f32>::new(3).put(vec![0.0; 4]);
     }
 }

@@ -185,23 +185,26 @@ pub fn run_2d_opts_into<T: Real>(
                             Msg::Block => {
                                 let span = &pe_spans[block];
                                 block += 1;
-                                let mut p = Pe2D::new(
-                                    Arc::clone(kernel),
-                                    span.read_start as i64,
-                                    span.read_len(),
-                                    nx,
-                                    ny,
-                                );
-                                p.set_active(t < active);
-                                pe = Some(p);
+                                pe = (t < active).then(|| {
+                                    Pe2D::new(
+                                        Arc::clone(kernel),
+                                        span.read_start as i64,
+                                        span.read_len(),
+                                        nx,
+                                        ny,
+                                    )
+                                });
                                 tx.send(Msg::Block);
                             }
-                            Msg::Row(y, row) => {
-                                let p = pe.as_mut().expect("row before block marker");
-                                for (oy, orow) in p.feed(y, row) {
-                                    tx.send(Msg::Row(oy, orow));
+                            // A PE past this pass's depth only forwards data.
+                            Msg::Row(y, row) => match pe.as_mut() {
+                                None => tx.send(Msg::Row(y, row)),
+                                Some(p) => {
+                                    for (oy, orow) in p.feed(y, row) {
+                                        tx.send(Msg::Row(oy, orow));
+                                    }
                                 }
-                            }
+                            },
                             Msg::EndBlock => tx.send(Msg::EndBlock),
                         }
                     }
@@ -353,26 +356,29 @@ pub fn run_3d_opts_into<T: Real>(
                             Msg::Block => {
                                 let (sx, sy) = &pe_blocks[block];
                                 block += 1;
-                                let mut p = Pe3D::new(
-                                    Arc::clone(kernel),
-                                    sx.read_start as i64,
-                                    sy.read_start as i64,
-                                    sx.read_len(),
-                                    sy.read_len(),
-                                    nx,
-                                    ny,
-                                    nz,
-                                );
-                                p.set_active(t < active);
-                                pe = Some(p);
+                                pe = (t < active).then(|| {
+                                    Pe3D::new(
+                                        Arc::clone(kernel),
+                                        sx.read_start as i64,
+                                        sy.read_start as i64,
+                                        sx.read_len(),
+                                        sy.read_len(),
+                                        nx,
+                                        ny,
+                                        nz,
+                                    )
+                                });
                                 tx.send(Msg::Block);
                             }
-                            Msg::Row(z, plane) => {
-                                let p = pe.as_mut().expect("plane before block marker");
-                                for (oz, oplane) in p.feed(z, plane) {
-                                    tx.send(Msg::Row(oz, oplane));
+                            // A PE past this pass's depth only forwards data.
+                            Msg::Row(z, plane) => match pe.as_mut() {
+                                None => tx.send(Msg::Row(z, plane)),
+                                Some(p) => {
+                                    for (oz, oplane) in p.feed(z, plane) {
+                                        tx.send(Msg::Row(oz, oplane));
+                                    }
                                 }
-                            }
+                            },
                             Msg::EndBlock => tx.send(Msg::EndBlock),
                         }
                     }

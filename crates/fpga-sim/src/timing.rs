@@ -200,11 +200,7 @@ pub fn simulate(
         parvec: config.parvec as u64,
         fmax_over_fmem,
         channels_per_stream,
-        compute_cycles: 0,
-        read_lsu: 0,
-        write_lsu: 0,
-        ddr_bound_rows: 0,
-        total_cycles: 0,
+        tally: Tally::default(),
     };
 
     // One pass is simulated; every pass is identical in timing (pass-through
@@ -214,9 +210,10 @@ pub fn simulate(
         GridDims::D3 { nx, ny, nz } => sim.pass_3d(config, nx, ny, nz),
     }
 
+    let pass = sim.totals();
     let passes = iters.div_ceil(config.partime).max(1);
     let control = opts.control_overhead.unwrap_or(device.control_overhead);
-    let pass_cycles = (sim.total_cycles as f64 * (1.0 + control)).round() as u64;
+    let pass_cycles = (pass.total_cycles as f64 * (1.0 + control)).round() as u64;
     let kernel_cycles = pass_cycles * passes as u64;
     let seconds =
         kernel_cycles as f64 / (opts.fmax_mhz * 1e6) + passes as f64 * opts.pass_overhead_s;
@@ -224,8 +221,8 @@ pub fn simulate(
     let cell_updates = dims.cells() * iters as u64;
     let gcell = cell_updates as f64 / seconds / 1e9;
     let flops = config.dim.flops_per_cell(config.rad) as f64;
-    let mut read_stats = *sim.read_ch.stats();
-    let mut write_stats = *sim.write_ch.stats();
+    let mut read_stats = pass.read;
+    let mut write_stats = pass.write;
     scale_stats(&mut read_stats, passes as u64);
     scale_stats(&mut write_stats, passes as u64);
 
@@ -238,13 +235,13 @@ pub fn simulate(
         gcell_per_s: gcell,
         gflop_per_s: gcell * flops,
         gbyte_per_s: gcell * 8.0,
-        compute_cycles: sim.compute_cycles * passes as u64,
-        read_lsu_cycles: sim.read_lsu * passes as u64,
-        write_lsu_cycles: sim.write_lsu * passes as u64,
-        ddr_bound_rows: sim.ddr_bound_rows * passes as u64,
+        compute_cycles: pass.compute_cycles * passes as u64,
+        read_lsu_cycles: pass.read_lsu * passes as u64,
+        write_lsu_cycles: pass.write_lsu * passes as u64,
+        ddr_bound_rows: pass.ddr_bound_rows * passes as u64,
         read_stats,
         write_stats,
-        pipeline_efficiency: sim.compute_cycles as f64 * passes as f64 / kernel_cycles as f64,
+        pipeline_efficiency: pass.compute_cycles as f64 * passes as f64 / kernel_cycles as f64,
     }
 }
 
@@ -267,6 +264,43 @@ fn scale_stats(s: &mut ChannelStats, k: u64) {
     s.busy_cycles *= k;
 }
 
+/// Every counter of a pass: the running totals of a [`PassSim`], or what
+/// one simulated plane added to them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    total_cycles: u64,
+    compute_cycles: u64,
+    read_lsu: u64,
+    write_lsu: u64,
+    ddr_bound_rows: u64,
+    read: ChannelStats,
+    write: ChannelStats,
+}
+
+impl Tally {
+    fn since(&self, earlier: &Tally) -> Tally {
+        Tally {
+            total_cycles: self.total_cycles - earlier.total_cycles,
+            compute_cycles: self.compute_cycles - earlier.compute_cycles,
+            read_lsu: self.read_lsu - earlier.read_lsu,
+            write_lsu: self.write_lsu - earlier.write_lsu,
+            ddr_bound_rows: self.ddr_bound_rows - earlier.ddr_bound_rows,
+            read: self.read.since(&earlier.read),
+            write: self.write.since(&earlier.write),
+        }
+    }
+
+    fn add(&mut self, other: &Tally) {
+        self.total_cycles += other.total_cycles;
+        self.compute_cycles += other.compute_cycles;
+        self.read_lsu += other.read_lsu;
+        self.write_lsu += other.write_lsu;
+        self.ddr_bound_rows += other.ddr_bound_rows;
+        self.read.merge(&other.read);
+        self.write.merge(&other.write);
+    }
+}
+
 /// State for simulating one pass.
 struct PassSim {
     read_ch: Channel,
@@ -275,14 +309,20 @@ struct PassSim {
     fmax_over_fmem: f64,
     /// DRAM channels each stream stripes across (≥ 1).
     channels_per_stream: f64,
-    compute_cycles: u64,
-    read_lsu: u64,
-    write_lsu: u64,
-    ddr_bound_rows: u64,
-    total_cycles: u64,
+    /// Counters so far. Its channel statistics count only the planes the 3D
+    /// replay repeats instead of simulating; the channels count the rest.
+    tally: Tally,
 }
 
 impl PassSim {
+    /// Every counter so far, the channels' statistics included.
+    fn totals(&self) -> Tally {
+        let mut t = self.tally;
+        t.read.merge(self.read_ch.stats());
+        t.write.merge(self.write_ch.stats());
+        t
+    }
+
     /// Cost of one streamed row: reads `read_cells` from `read_addr`
     /// (vector-granular, sequential), writes `write_cells` to `write_addr`.
     fn row(&mut self, read_addr: u64, read_cells: u64, write_addr: u64, write_cells: u64) {
@@ -326,12 +366,12 @@ impl PassSim {
             .max(read_ddr_k)
             .max(write_ddr_k);
         if cost == read_ddr_k.max(write_ddr_k) && cost > compute.max(read_lsu).max(write_lsu) {
-            self.ddr_bound_rows += 1;
+            self.tally.ddr_bound_rows += 1;
         }
-        self.compute_cycles += compute;
-        self.read_lsu += read_lsu;
-        self.write_lsu += write_lsu;
-        self.total_cycles += cost;
+        self.tally.compute_cycles += compute;
+        self.tally.read_lsu += read_lsu;
+        self.tally.write_lsu += write_lsu;
+        self.tally.total_cycles += cost;
     }
 
     fn pass_2d(&mut self, config: &BlockConfig, nx: usize, ny: usize) {
@@ -350,7 +390,7 @@ impl PassSim {
             }
             // Chain fill/drain: partime·rad extra rows stream through.
             let extra_rows = (config.partime * config.rad) as u64;
-            self.total_cycles += extra_rows * read_cells.div_ceil(self.parvec);
+            self.tally.total_cycles += extra_rows * read_cells.div_ceil(self.parvec);
         }
     }
 
@@ -368,13 +408,14 @@ impl PassSim {
 
                 // Plane alignment phases: the request pattern of plane z
                 // repeats with period `64 / gcd(plane·4, 64)` planes; simulate
-                // one plane per phase and scale.
+                // one plane per phase and repeat what it added to every
+                // counter for the remaining planes.
                 let plane_bytes = plane * 4;
                 let period = (64 / gcd(plane_bytes, 64)).max(1) as usize;
                 let phases = period.min(nz);
                 let mut phase_cost = Vec::with_capacity(phases);
                 for z in 0..phases as u64 {
-                    let before = self.total_cycles;
+                    let before = self.totals();
                     for i in 0..height {
                         let gy = sy.read_start as i64 + i as i64;
                         let read_addr = (in_pad as i64
@@ -394,18 +435,16 @@ impl PassSim {
                             if in_comp { write_cells } else { 0 },
                         );
                     }
-                    phase_cost.push(self.total_cycles - before);
+                    phase_cost.push(self.totals().since(&before));
                 }
-                // Remaining planes: repeat the per-phase cost.
+                // Remaining planes (only when `nz > period`, so `phases` is
+                // the full period): repeat the cost of their phase.
                 for z in phases..nz {
-                    self.total_cycles += phase_cost[z % period.min(phases)];
-                    // Approximate the stats scaling for the skipped planes:
-                    // compute-side counters advance identically.
-                    self.compute_cycles += height * read_cells.div_ceil(self.parvec);
+                    self.tally.add(&phase_cost[z % phases]);
                 }
                 // Chain fill/drain in planes.
                 let extra_planes = (config.partime * config.rad) as u64;
-                self.total_cycles += extra_planes * height * read_cells.div_ceil(self.parvec);
+                self.tally.total_cycles += extra_planes * height * read_cells.div_ceil(self.parvec);
             }
         }
     }
@@ -494,6 +533,41 @@ mod tests {
             "effective throughput {} should beat the memory roofline",
             r.gbyte_per_s
         );
+    }
+
+    #[test]
+    fn repeated_3d_planes_count_in_every_counter() {
+        // 72·72·4 B planes: the request pattern repeats every 4 planes, so
+        // 36 of the 40 planes per block are repeated rather than replayed.
+        let cfg = BlockConfig::new_3d(1, 64, 64, 16, 4).unwrap();
+        let (nx, ny, nz) = (72usize, 72usize, 40usize);
+        let r = simulate(
+            &arria(),
+            &cfg,
+            GridDims::D3 { nx, ny, nz },
+            8,
+            &TimingOptions::at_fmax(280.0),
+        );
+        assert_eq!(r.passes, 2);
+        let vectors = |cells: usize| cells.div_ceil(cfg.parvec) as u64;
+        let (mut reads, mut writes) = (0u64, 0u64);
+        for sy in cfg.spans_y(ny) {
+            for sx in cfg.spans_x(nx) {
+                reads += (sy.read_len() * nz) as u64 * vectors(sx.read_len());
+                writes += (sy.comp_len() * nz) as u64 * vectors(sx.comp_len());
+            }
+        }
+        assert_eq!(r.read_stats.requests, reads * 2);
+        assert_eq!(r.write_stats.requests, writes * 2);
+        // One vector per compute cycle: the compute cycles are the read
+        // vectors, and every read request takes at least one LSU cycle.
+        assert_eq!(r.compute_cycles, reads * 2);
+        assert!(r.read_stats.split_requests > 0);
+        assert!(
+            r.read_lsu_cycles >= r.compute_cycles + r.read_stats.split_requests,
+            "{r:?}"
+        );
+        assert!(r.write_lsu_cycles >= r.write_stats.requests);
     }
 
     #[test]

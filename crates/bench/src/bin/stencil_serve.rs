@@ -667,10 +667,9 @@ fn print_summary(r: &ServeReport) {
             t.tenant, t.weight, t.admitted, t.rejected_quota, t.completed, t.total_ms.p99_ms
         );
     }
-    let sch = &r.scheduler;
     println!(
-        "  scheduler: {} steal sweeps ({} hits, {} misses), quantum {} cells",
-        sch.steals, sch.steal_hits, sch.steal_misses, sch.dwrr_quantum_cells
+        "  scheduler: DWRR quantum {} cells",
+        r.scheduler.dwrr_quantum_cells
     );
     let d = &r.dataflow;
     if d.enabled {
@@ -857,11 +856,10 @@ fn check_report(
 fn check_trace(path: &str) {
     match validate_trace_file(Path::new(path)) {
         Ok(stats) => println!(
-            "{path}: OK ({} records, {} attempts, {} stolen, {} warm; \
+            "{path}: OK ({} records, {} attempts, {} warm; \
              outcomes {}/{}/{}/{} completed/timed-out/cancelled/failed)",
             stats.records,
             stats.attempts,
-            stats.stolen,
             stats.warm,
             stats.by_outcome[0],
             stats.by_outcome[1],
@@ -889,14 +887,13 @@ fn trace_summary(path: &str) {
     };
     println!(
         "{path}: {} records ({} completed, {} timed out, {} cancelled, {} failed), \
-         {} attempts, {} stolen, {} warm-planned",
+         {} attempts, {} warm-planned",
         stats.records,
         stats.by_outcome[0],
         stats.by_outcome[1],
         stats.by_outcome[2],
         stats.by_outcome[3],
         stats.attempts,
-        stats.stolen,
         stats.warm,
     );
     for (name, samples) in [

@@ -451,9 +451,9 @@ pub struct JobResult {
     pub id: u64,
     /// The spec's tenant name — the fairness accounting key.
     pub tenant: String,
-    /// Shard that served (or abandoned) the job. Stolen jobs still report
-    /// their shard's backend: stealing moves work between same-backend
-    /// workers, never across backends.
+    /// Shard that served (or abandoned) the job. A shard pops only jobs
+    /// for its own backend, so this is the backend the job was queued for
+    /// (the planned one for auto-planned jobs).
     pub backend: Backend,
     /// Terminal state.
     pub outcome: Outcome,

@@ -34,6 +34,7 @@
 //! assert_eq!(outcome.wedged_workers, 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
@@ -48,7 +49,6 @@ pub mod program;
 pub mod queue;
 pub mod report;
 pub mod retry;
-pub mod steal;
 pub mod stream;
 pub mod tenant;
 pub mod trace;
@@ -68,17 +68,16 @@ pub use planner::{
 };
 pub use pool::{GridLease2D, GridLease3D, GridPool, PoolConfig, PoolStats, StencilMemo};
 pub use program::{ProgramEdge, ProgramError, ProgramNode, StencilProgram};
-pub use queue::{AdmissionQueue, Popped, PushError};
+pub use queue::{AdmissionQueue, PushError};
 pub use report::{
     converged_at_fraction, validate_report_json, LatencySummary, PlannerReport, ServeReport,
     TraceReport,
 };
 pub use retry::RetryPolicy;
-pub use steal::{StealCounters, StealDomain, StealQueue};
 pub use stream::{ResultSender, ResultStream};
 pub use tenant::{Tenant, TenantConfig, TenantPolicy, TenantRegistry, TenantSnapshot};
 pub use trace::{
     validate_trace_file, AttemptSpan, TraceRecord, TraceStats, TraceWriter, TRACE_SCHEMA_VERSION,
 };
-pub use worker::{DrainOutcome, JobHandle, Runtime, RuntimeConfig, SubmitError, Ticket};
+pub use worker::{DrainOutcome, Runtime, RuntimeConfig, SubmitError, Ticket};
 pub use workload::{synthetic_workload, tenant_for, ArrivalGaps, JsonlStream, SyntheticParams};

@@ -71,17 +71,20 @@ pub const LATENCY_BUCKETS_MS: [f64; 16] = [
 ];
 
 /// Fixed-bucket histogram over milliseconds. Quantiles are resolved to the
-/// upper bound of the bucket containing the target rank (the overflow
-/// bucket resolves to the observed maximum), so estimates are conservative
-/// — never below the true quantile by more than one bucket width.
+/// upper bound of the bucket containing the target rank, clamped to the
+/// observed maximum, so estimates are conservative — never below the true
+/// quantile, never above the max, and above the true quantile by at most
+/// one bucket width.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<f64>,
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
-    /// Sum and max are tracked in integer microseconds so they stay atomic.
+    /// Sum in integer microseconds, so it stays atomic.
     sum_us: AtomicU64,
-    max_us: AtomicU64,
+    /// The exact maximum as `f64` bits: non-negative floats order like
+    /// their bit patterns, so `fetch_max` on the bits keeps the largest.
+    max_bits: AtomicU64,
 }
 
 impl Histogram {
@@ -96,19 +99,21 @@ impl Histogram {
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum_us: AtomicU64::new(0),
-            max_us: AtomicU64::new(0),
+            max_bits: AtomicU64::new(0),
         }
     }
 
     /// Records one observation, in milliseconds.
     pub fn record(&self, ms: f64) {
-        let ms = if ms.is_finite() && ms >= 0.0 { ms } else { 0.0 };
+        // `> 0.0` also maps -0.0 to +0.0, whose bits order below every
+        // positive float's.
+        let ms = if ms.is_finite() && ms > 0.0 { ms } else { 0.0 };
         let idx = self.bounds.partition_point(|b| ms > *b);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        let us = (ms * 1000.0) as u64;
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
+        self.sum_us
+            .fetch_add((ms * 1000.0) as u64, Ordering::Relaxed);
+        self.max_bits.fetch_max(ms.to_bits(), Ordering::Relaxed);
     }
 
     /// Observations recorded so far.
@@ -118,7 +123,7 @@ impl Histogram {
 
     /// Largest observation, in milliseconds.
     pub fn max_ms(&self) -> f64 {
-        self.max_us.load(Ordering::Relaxed) as f64 / 1000.0
+        f64::from_bits(self.max_bits.load(Ordering::Relaxed))
     }
 
     /// Mean observation, in milliseconds (0 when empty).
@@ -131,7 +136,8 @@ impl Histogram {
         }
     }
 
-    /// Conservative quantile estimate in milliseconds for `q ∈ [0, 1]`
+    /// Conservative quantile estimate in milliseconds for `q ∈ [0, 1]`:
+    /// the containing bucket's upper bound, clamped to the observed max
     /// (0 when empty).
     pub fn quantile_ms(&self, q: f64) -> f64 {
         let total = self.count();
@@ -140,16 +146,13 @@ impl Histogram {
         }
         let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
+        for (bound, b) in self.bounds.iter().zip(&self.buckets) {
             cum += b.load(Ordering::Relaxed);
             if cum >= target {
-                return if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    self.max_ms()
-                };
+                return bound.min(self.max_ms());
             }
         }
+        // The overflow bucket resolves to the observed maximum.
         self.max_ms()
     }
 }
@@ -308,8 +311,10 @@ mod tests {
         }
         assert_eq!(h.count(), 100);
         assert_eq!(h.quantile_ms(0.50), 0.5);
-        assert_eq!(h.quantile_ms(0.95), 128.0);
-        assert_eq!(h.quantile_ms(0.99), 128.0);
+        // The slow bucket's bound (128) lies above every observation, so
+        // the estimate clamps to the max.
+        assert_eq!(h.quantile_ms(0.95), 100.0);
+        assert_eq!(h.quantile_ms(0.99), 100.0);
         assert!(h.quantile_ms(0.50) <= h.quantile_ms(0.95));
         assert_eq!(h.max_ms(), 100.0);
         assert!((h.mean_ms() - (90.0 * 0.3 + 10.0 * 100.0) / 100.0).abs() < 0.01);
@@ -317,9 +322,10 @@ mod tests {
 
     #[test]
     fn bucket_quantiles_never_undershoot_exact_nearest_rank() {
-        // The histogram's answer is the containing bucket's upper bound,
-        // so for any sample set it must be >= the exact nearest-rank
-        // percentile (and within one bucket: <= the next bound above it).
+        // The histogram's answer is the containing bucket's upper bound
+        // clamped to the max, so for any sample set it must be >= the
+        // exact nearest-rank percentile, <= the max, and within one bucket
+        // of the exact value.
         let samples: Vec<f64> = (0..500)
             .map(|i| {
                 // A deterministic spread across several buckets, with a
@@ -342,6 +348,11 @@ mod tests {
             assert!(
                 bucketed >= exact,
                 "q={q}: bucket estimate {bucketed} undershoots exact {exact}"
+            );
+            assert!(
+                bucketed <= h.max_ms(),
+                "q={q}: bucket estimate {bucketed} exceeds the max {}",
+                h.max_ms()
             );
             // Conservative by at most one bucket: the exact value lives in
             // the same bucket the estimate names.

@@ -14,12 +14,11 @@
 //! classic DWRR O(1) fairness bound. Within a lane, order is priority then
 //! FIFO, per backend, as before.
 //!
-//! Shards drain the queue with [`AdmissionQueue::pop_batch_timeout`], which
+//! Shards drain the queue with [`AdmissionQueue::pop_batch`], which
 //! respects the DWRR schedule and opportunistically batches consecutive
 //! *small* jobs from the same lane so cheap work amortizes the scheduling
-//! overhead. The timeout exists for the work-stealing loop: a shard that
-//! finds the global queue dry must wake to sweep sibling rings instead of
-//! blocking forever (see [`crate::steal`]).
+//! overhead. A shard with nothing to do for its backend sleeps on the
+//! queue's condvar until a push or the close wakes it.
 //!
 //! Shutdown is a graceful drain: [`AdmissionQueue::close`] stops new
 //! admissions but pops keep returning queued jobs until every lane is
@@ -33,7 +32,7 @@ use crate::stream::ResultSender;
 use crate::tenant::{Tenant, TenantPolicy};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// DWRR refill per visit, in work cells, before the weight multiplier. One
 /// quantum covers a typical small job (a 64×16×1-iter probe is 1024 cells;
@@ -42,7 +41,7 @@ use std::time::{Duration, Instant};
 pub const DWRR_QUANTUM_CELLS: u64 = 64 * 1024;
 
 /// A job inside the runtime: the spec plus its admission bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct QueuedJob {
     /// The admitted spec (already rewritten by the planner for auto jobs).
     pub spec: JobSpec,
@@ -88,19 +87,6 @@ impl std::fmt::Display for PushError {
 }
 
 impl std::error::Error for PushError {}
-
-/// What a timed pop observed.
-#[derive(Debug)]
-pub enum Popped {
-    /// One or more jobs, per the DWRR schedule.
-    Batch(Vec<QueuedJob>),
-    /// The timeout elapsed with no eligible job — the queue is still open
-    /// (or still holds work for *other* backends). Callers typically go
-    /// steal and come back.
-    Empty,
-    /// Closed and fully drained for this backend: the shard can exit.
-    Closed,
-}
 
 /// One tenant's lane: its queued jobs plus per-backend DWRR credit.
 struct Lane {
@@ -212,7 +198,7 @@ impl AdmissionQueue {
         token: CancelToken,
         plan: Option<PlanAssignment>,
         reply: Option<ResultSender>,
-    ) -> Result<QueuedJob, PushError> {
+    ) -> Result<(), PushError> {
         self.push_traced(spec, token, plan, reply, Instant::now(), 0.0)
     }
 
@@ -231,7 +217,7 @@ impl AdmissionQueue {
         reply: Option<ResultSender>,
         submitted: Instant,
         plan_ms: f64,
-    ) -> Result<QueuedJob, PushError> {
+    ) -> Result<(), PushError> {
         let mut st = self.state.lock().unwrap();
         if st.closed {
             return Err(PushError::Closed);
@@ -256,37 +242,19 @@ impl AdmissionQueue {
             .entry(tenant)
             .or_insert_with(|| Lane::new(weight))
             .jobs
-            .push_back(job.clone());
+            .push_back(job);
         st.total += 1;
         st.high_water = st.high_water.max(st.total);
         drop(st);
         // Shards filter by backend, so a single targeted wakeup could go to
         // the wrong shard; wake everyone and let the losers re-sleep.
         self.not_empty.notify_all();
-        Ok(job)
+        Ok(())
     }
 
-    /// Blocks until a job for `backend` is available, then removes and
-    /// returns the DWRR-scheduled batch. Returns `None` once the queue is
-    /// closed *and* holds no work for this backend (graceful drain).
-    ///
-    /// This is the blocking convenience over
-    /// [`AdmissionQueue::pop_batch_timeout`]; work-stealing shards use the
-    /// timed form directly so they can sweep sibling rings while the global
-    /// queue is dry.
-    pub fn pop_batch(&self, backend: Backend, batch: &BatchPolicy) -> Option<Vec<QueuedJob>> {
-        loop {
-            match self.pop_batch_timeout(backend, batch, Duration::from_millis(50)) {
-                Popped::Batch(jobs) => return Some(jobs),
-                Popped::Empty => continue,
-                Popped::Closed => return None,
-            }
-        }
-    }
-
-    /// Waits up to `timeout` for a job for `backend`, then removes and
-    /// returns the next batch under the DWRR schedule: the lane rotation
-    /// resumes after the last-served tenant, each visited lane's deficit is
+    /// Blocks until a job for `backend` is queued, then removes and returns
+    /// the next batch under the DWRR schedule: the lane rotation resumes
+    /// after the last-served tenant, each visited lane's deficit is
     /// refilled by `quantum × weight`, and the first lane whose deficit
     /// covers its best job's cost dispatches it (plus, when that job is
     /// *small* under `batch`, up to `batch.max_batch - 1` further small
@@ -296,14 +264,13 @@ impl AdmissionQueue {
     /// arithmetically identical to spinning more rotations, without holding
     /// the lock for them — so a large job is always eventually served and
     /// weighted shares hold over time.
-    pub fn pop_batch_timeout(
-        &self,
-        backend: Backend,
-        batch: &BatchPolicy,
-        timeout: Duration,
-    ) -> Popped {
+    ///
+    /// With nothing queued for `backend`, the caller sleeps on the queue's
+    /// condvar; [`AdmissionQueue::push`] and [`AdmissionQueue::close`] wake
+    /// it. Returns `None` once the queue is closed *and* holds no work for
+    /// `backend` (graceful drain).
+    pub fn pop_batch(&self, backend: Backend, batch: &BatchPolicy) -> Option<Vec<QueuedJob>> {
         let bi = backend_index(backend);
-        let deadline = Instant::now() + timeout;
         let mut st = self.state.lock().unwrap();
         loop {
             // Tenants with at least one job for this backend, in rotation
@@ -314,97 +281,96 @@ impl AdmissionQueue {
                 .filter(|(_, lane)| lane.best_index(backend).is_some())
                 .map(|(t, _)| t.clone())
                 .collect();
-            if !contenders.is_empty() {
-                if let Some(last) = &st.last_served[bi] {
-                    let split = contenders.iter().position(|t| t > last).unwrap_or(0);
-                    contenders.rotate_left(split);
+            if contenders.is_empty() {
+                if st.closed {
+                    return None;
                 }
-                // One DWRR rotation: refill each visited lane, serve the
-                // first that can afford its best job.
-                let mut winner: Option<Tenant> = None;
+                st = self
+                    .not_empty
+                    .wait(st)
+                    .expect("no thread panics while holding the queue lock");
+                continue;
+            }
+            if let Some(last) = &st.last_served[bi] {
+                let split = contenders.iter().position(|t| t > last).unwrap_or(0);
+                contenders.rotate_left(split);
+            }
+            // One DWRR rotation: refill each visited lane, serve the first
+            // that can afford its best job.
+            let mut winner: Option<Tenant> = None;
+            for t in &contenders {
+                let lane = st.lanes.get_mut(t).expect("contender exists");
+                lane.deficit[bi] = lane.deficit[bi].saturating_add(quantum(lane.weight));
+                let idx = lane.best_index(backend).expect("contender has a job");
+                if lane.deficit[bi] >= cost(&lane.jobs[idx].spec) {
+                    winner = Some(t.clone());
+                    break;
+                }
+            }
+            // No lane could afford its head job: grant every contender the
+            // same k extra rounds (the minimum that unblocks one) and pick
+            // the rotation-first lane that k unblocks.
+            if winner.is_none() {
+                let k = contenders
+                    .iter()
+                    .map(|t| {
+                        let lane = &st.lanes[t];
+                        let idx = lane.best_index(backend).expect("has a job");
+                        let short = cost(&lane.jobs[idx].spec) - lane.deficit[bi];
+                        short.div_ceil(quantum(lane.weight))
+                    })
+                    .min()
+                    .expect("contenders nonempty");
                 for t in &contenders {
                     let lane = st.lanes.get_mut(t).expect("contender exists");
-                    lane.deficit[bi] = lane.deficit[bi].saturating_add(quantum(lane.weight));
-                    let idx = lane.best_index(backend).expect("contender has a job");
-                    if lane.deficit[bi] >= cost(&lane.jobs[idx].spec) {
-                        winner = Some(t.clone());
-                        break;
-                    }
-                }
-                // No lane could afford its head job: grant every contender
-                // the same k extra rounds (the minimum that unblocks one)
-                // and pick the rotation-first lane that k unblocks.
-                if winner.is_none() {
-                    let k = contenders
-                        .iter()
-                        .map(|t| {
-                            let lane = &st.lanes[t];
-                            let idx = lane.best_index(backend).expect("has a job");
-                            let short = cost(&lane.jobs[idx].spec) - lane.deficit[bi];
-                            short.div_ceil(quantum(lane.weight))
-                        })
-                        .min()
-                        .expect("contenders nonempty");
-                    for t in &contenders {
-                        let lane = st.lanes.get_mut(t).expect("contender exists");
-                        lane.deficit[bi] =
-                            lane.deficit[bi].saturating_add(k.saturating_mul(quantum(lane.weight)));
-                        if winner.is_none() {
-                            let idx = lane.best_index(backend).expect("has a job");
-                            if lane.deficit[bi] >= cost(&lane.jobs[idx].spec) {
-                                winner = Some(t.clone());
-                            }
+                    lane.deficit[bi] =
+                        lane.deficit[bi].saturating_add(k.saturating_mul(quantum(lane.weight)));
+                    if winner.is_none() {
+                        let idx = lane.best_index(backend).expect("has a job");
+                        if lane.deficit[bi] >= cost(&lane.jobs[idx].spec) {
+                            winner = Some(t.clone());
                         }
                     }
                 }
-                let tenant = winner.expect("grant unblocks a lane");
-                let lane = st.lanes.get_mut(&tenant).expect("winner exists");
-                let first_idx = lane.best_index(backend).expect("winner has a job");
-                let first = lane.jobs.remove(first_idx).expect("index in range");
-                lane.deficit[bi] = lane.deficit[bi].saturating_sub(cost(&first.spec));
-                let mut out = vec![first];
-                if batch.is_small(&out[0].spec) {
-                    while out.len() < batch.max_batch {
-                        let next = lane
-                            .best_index(backend)
-                            .filter(|&i| batch.is_small(&lane.jobs[i].spec))
-                            .filter(|&i| lane.deficit[bi] >= cost(&lane.jobs[i].spec));
-                        match next {
-                            Some(i) => {
-                                let j = lane.jobs.remove(i).expect("index in range");
-                                lane.deficit[bi] = lane.deficit[bi].saturating_sub(cost(&j.spec));
-                                out.push(j);
-                            }
-                            None => break,
+            }
+            let tenant = winner.expect("grant unblocks a lane");
+            let lane = st.lanes.get_mut(&tenant).expect("winner exists");
+            let first_idx = lane.best_index(backend).expect("winner has a job");
+            let first = lane.jobs.remove(first_idx).expect("index in range");
+            lane.deficit[bi] = lane.deficit[bi].saturating_sub(cost(&first.spec));
+            let mut out = vec![first];
+            if batch.is_small(&out[0].spec) {
+                while out.len() < batch.max_batch {
+                    let next = lane
+                        .best_index(backend)
+                        .filter(|&i| batch.is_small(&lane.jobs[i].spec))
+                        .filter(|&i| lane.deficit[bi] >= cost(&lane.jobs[i].spec));
+                    match next {
+                        Some(i) => {
+                            let j = lane.jobs.remove(i).expect("index in range");
+                            lane.deficit[bi] = lane.deficit[bi].saturating_sub(cost(&j.spec));
+                            out.push(j);
                         }
+                        None => break,
                     }
                 }
-                // Classic DWRR: an emptied lane forfeits its credit, so an
-                // idle tenant cannot hoard service for a later burst.
-                if lane.best_index(backend).is_none() {
-                    lane.deficit[bi] = 0;
-                }
-                if lane.jobs.is_empty() {
-                    lane.deficit = [0; Backend::ALL.len()];
-                }
-                st.last_served[bi] = Some(tenant);
-                st.total -= out.len();
-                return Popped::Batch(out);
             }
-            if st.closed {
-                return Popped::Closed;
+            // Classic DWRR: an emptied lane forfeits its credit, so an idle
+            // tenant cannot hoard service for a later burst.
+            if lane.best_index(backend).is_none() {
+                lane.deficit[bi] = 0;
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Popped::Empty;
+            if lane.jobs.is_empty() {
+                lane.deficit = [0; Backend::ALL.len()];
             }
-            let (guard, _) = self.not_empty.wait_timeout(st, left).unwrap();
-            st = guard;
+            st.last_served[bi] = Some(tenant);
+            st.total -= out.len();
+            return Some(out);
         }
     }
 
     /// Closes the queue: subsequent pushes fail, blocked pops drain what is
-    /// left and then report [`Popped::Closed`].
+    /// left and then return `None`.
     pub fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.not_empty.notify_all();
@@ -420,6 +386,9 @@ mod tests {
     use super::*;
     use crate::job::Priority;
     use crate::tenant::TenantConfig;
+    use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn spec(id: u64, backend: Backend, priority: Priority) -> JobSpec {
         let mut s = JobSpec::new_2d(id, 1, 64, 16, 1);
@@ -434,7 +403,7 @@ mod tests {
         s
     }
 
-    fn push(q: &AdmissionQueue, s: JobSpec) -> Result<QueuedJob, PushError> {
+    fn push(q: &AdmissionQueue, s: JobSpec) -> Result<(), PushError> {
         q.push(s, CancelToken::new(), None, None)
     }
 
@@ -534,19 +503,57 @@ mod tests {
         assert!(q.pop_batch(Backend::Functional, &ONE).is_none());
     }
 
+    /// How long a woken pop may take to report back before a test calls
+    /// it lost; generous so a loaded machine cannot fail the tests.
+    const WAKE: Duration = Duration::from_secs(10);
+
+    /// How long a pop must stay blocked to count as blocked.
+    const STILL: Duration = Duration::from_millis(50);
+
+    /// Runs one `pop_batch` for `backend` on its own thread; the receiver
+    /// yields the popped ids, or `None` for a closed, drained queue.
+    fn pop_on_thread(q: &Arc<AdmissionQueue>, backend: Backend) -> Receiver<Option<Vec<u64>>> {
+        let (tx, rx) = mpsc::channel();
+        let q = Arc::clone(q);
+        std::thread::spawn(move || {
+            let popped = q.pop_batch(backend, &ONE);
+            let _ = tx.send(popped.map(|b| b.iter().map(|j| j.spec.id).collect()));
+        });
+        rx
+    }
+
+    fn still_blocked(rx: &Receiver<Option<Vec<u64>>>) -> bool {
+        matches!(rx.recv_timeout(STILL), Err(RecvTimeoutError::Timeout))
+    }
+
     #[test]
-    fn timed_pop_reports_empty_then_closed() {
-        let q = AdmissionQueue::new(4);
-        let t = Duration::from_millis(5);
-        assert!(matches!(
-            q.pop_batch_timeout(Backend::SerialRef, &ONE, t),
-            Popped::Empty
-        ));
+    fn blocked_pop_returns_none_after_close() {
+        let q = Arc::new(AdmissionQueue::new(4));
+        let rx = pop_on_thread(&q, Backend::SerialRef);
+        assert!(
+            still_blocked(&rx),
+            "an open, empty queue keeps the pop asleep"
+        );
         q.close();
-        assert!(matches!(
-            q.pop_batch_timeout(Backend::SerialRef, &ONE, t),
-            Popped::Closed
-        ));
+        assert_eq!(rx.recv_timeout(WAKE).expect("close wakes the pop"), None);
+    }
+
+    #[test]
+    fn blocked_pop_sleeps_through_other_backends_pushes() {
+        let q = Arc::new(AdmissionQueue::new(4));
+        let rx = pop_on_thread(&q, Backend::SerialRef);
+        assert!(still_blocked(&rx));
+        push(&q, spec(1, Backend::Functional, Priority::Normal)).unwrap();
+        assert!(
+            still_blocked(&rx),
+            "a functional job must not release a serial_ref pop"
+        );
+        push(&q, spec(2, Backend::SerialRef, Priority::Normal)).unwrap();
+        assert_eq!(
+            rx.recv_timeout(WAKE).expect("its own job wakes the pop"),
+            Some(vec![2])
+        );
+        assert_eq!(q.depth(), 1, "the functional job is still queued");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use crate::job::{Backend, JobResult, Outcome};
 use crate::metrics::MetricsRegistry;
 use crate::planner::{DeviceProfile, PlanEvent, ShapeSnapshot};
-use crate::steal::StealTotals;
 use crate::tenant::TenantSnapshot;
 use serde::{Deserialize, Serialize};
 use stencil_core::BlockConfig;
@@ -338,17 +337,34 @@ pub struct TenantReport {
     pub total_ms: LatencySummary,
 }
 
-/// The `scheduler` section: DWRR parameters and the work-stealing protocol
-/// counters, cross-validated (`steals == steal_hits + steal_misses`).
+/// The `scheduler` section: the DWRR quantum and three steal counters.
+/// Shards run the batches they pop and never steal, so the runtime writes
+/// the counters as 0. They stay in schema v8 so the committed reports
+/// remain valid, and the validator still checks
+/// `steals == steal_hits + steal_misses`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SchedulerReport {
     /// DWRR refill per lane visit before the weight multiplier, in cells.
     pub dwrr_quantum_cells: u64,
-    /// Steal sweeps attempted by idle workers, summed over shards.
+    /// Steal sweeps (0 since the runtime stopped stealing).
     pub steals: u64,
-    /// Sweeps that claimed a job from a sibling's ring.
+    /// Sweeps that claimed a job (0).
     pub steal_hits: u64,
-    /// Sweeps that found every sibling ring empty.
+    /// Sweeps that found nothing (0).
+    pub steal_misses: u64,
+}
+
+/// The steal counters [`ServeReport::build`] copies into the `scheduler`
+/// section. The runtime no longer steals, so every field reads 0; the
+/// type keeps `build`'s signature and the report schema stable until a
+/// benchmark change drops the steal metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StealTotals {
+    /// Steal sweeps.
+    pub steals: u64,
+    /// Sweeps that claimed a job.
+    pub steal_hits: u64,
+    /// Sweeps that found nothing.
     pub steal_misses: u64,
 }
 
@@ -623,7 +639,7 @@ pub struct ServeReport {
     pub memory: MemoryReport,
     /// Per-tenant fairness accounting (one entry per tenant seen).
     pub tenants: Vec<TenantReport>,
-    /// DWRR and work-stealing counters.
+    /// The DWRR quantum and the (zero) steal counters.
     pub scheduler: SchedulerReport,
     /// Multi-device stencil-program accounting (cluster simulator).
     pub dataflow: DataflowReport,
@@ -634,8 +650,8 @@ pub struct ServeReport {
 impl ServeReport {
     /// Assembles the report from terminal results, the live registry, the
     /// planner's drain-time cache snapshot (empty slice when nothing was
-    /// auto-planned), the tenant registry's drain snapshot, and the
-    /// work-stealing totals.
+    /// auto-planned), the tenant registry's drain snapshot, and the steal
+    /// totals (all zero from the runtime; see [`StealTotals`]).
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         workload: &str,
@@ -1074,8 +1090,10 @@ fn validate_tenants(report: &ServeReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Cross-validates the `scheduler` section's work-stealing counters: every
-/// sweep is a hit or a miss, never both, never neither.
+/// Cross-validates the `scheduler` section: the quantum matches the
+/// runtime's, and every steal sweep is a hit or a miss. Reports written
+/// before the runtime stopped stealing carry nonzero counters that must
+/// still balance.
 fn validate_scheduler(s: &SchedulerReport) -> Result<(), String> {
     if s.dwrr_quantum_cells != crate::queue::DWRR_QUANTUM_CELLS {
         return Err(format!(
@@ -1094,16 +1112,17 @@ fn validate_scheduler(s: &SchedulerReport) -> Result<(), String> {
 }
 
 /// Cross-validates the `trace` section against the job counters, the wall
-/// clock, and the `planner` section: the lossless trace writer must have
-/// emitted exactly one record per terminal job, no traced span may outlast
-/// the run, warm hits are a subset of cache hits and require a warm start,
-/// and the convergence headline must be derived from exactly the plans the
-/// planner logged.
+/// clock, and the `planner` section: the trace schema is one this runtime
+/// has written (v1 reports predate the drop of the `stolen` flag), the
+/// lossless trace writer must have emitted exactly one record per terminal
+/// job, no traced span may outlast the run, warm hits are a subset of
+/// cache hits and require a warm start, and the convergence headline must
+/// be derived from exactly the plans the planner logged.
 fn validate_trace(report: &ServeReport) -> Result<(), String> {
     let t = &report.trace;
-    if t.schema_version != crate::trace::TRACE_SCHEMA_VERSION {
+    if !(1..=crate::trace::TRACE_SCHEMA_VERSION).contains(&t.schema_version) {
         return Err(format!(
-            "trace.schema_version {} != expected {}",
+            "trace.schema_version {} is not 1..={}",
             t.schema_version,
             crate::trace::TRACE_SCHEMA_VERSION
         ));
@@ -2025,6 +2044,15 @@ mod tests {
         assert_eq!(report.trace.plans_logged, 4);
         assert!(report.trace.converged_at_fraction > 0.0);
         validate_report_json(&serde_json::to_string(&report).unwrap()).unwrap();
+
+        // Reports written with v1 traces stay valid; unknown versions fail.
+        let mut old = planned_report();
+        old.trace.schema_version = 1;
+        validate_report_json(&serde_json::to_string(&old).unwrap()).unwrap();
+        let mut bad = planned_report();
+        bad.trace.schema_version = crate::trace::TRACE_SCHEMA_VERSION + 1;
+        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("trace.schema_version"), "{err}");
 
         // A dropped (or duplicated) trace record breaks the lossless-writer
         // contract.

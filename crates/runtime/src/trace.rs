@@ -38,8 +38,9 @@ use std::thread::JoinHandle;
 
 /// Version stamped on every trace record and the footer. Bump when the
 /// record schema changes shape; [`validate_trace_file`] rejects files
-/// written by any other version.
-pub const TRACE_SCHEMA_VERSION: u64 = 1;
+/// written by any other version. Version 2 dropped the `stolen` flag
+/// when the runtime stopped stealing.
+pub const TRACE_SCHEMA_VERSION: u64 = 2;
 
 /// Buffered records the writer holds before emitters block. Small on
 /// purpose: the writer thread drains a record in microseconds, and a
@@ -84,8 +85,6 @@ pub struct TraceRecord {
     pub replicas: u64,
     /// Placed program nodes (0 for single-kernel jobs).
     pub program_nodes: u64,
-    /// Whether a sibling worker stole this job from its owner's ring.
-    pub stolen: bool,
     /// When the job arrived at submission, ms since the runtime epoch.
     pub enqueue_ms: f64,
     /// Planning span within admission, ms (0 for explicit jobs).
@@ -299,8 +298,6 @@ pub struct TraceStats {
     pub attempts: u64,
     /// Records with `warm` provenance.
     pub warm: u64,
-    /// Records with `stolen: true`.
-    pub stolen: u64,
     /// Queue-wait span per record, ms.
     pub queue_wait_ms: Vec<f64>,
     /// Summed per-attempt execution span per record, ms.
@@ -454,9 +451,6 @@ pub fn validate_trace_reader<R: BufRead>(reader: R) -> Result<TraceStats, String
         if rec.provenance == "warm" {
             stats.warm += 1;
         }
-        if rec.stolen {
-            stats.stolen += 1;
-        }
         stats.queue_wait_ms.push(rec.queue_wait_ms);
         stats.exec_ms.push(rec.exec_span_ms());
         stats.total_ms.push(rec.total_span_ms());
@@ -494,7 +488,6 @@ mod tests {
             provenance: "cached".into(),
             replicas: 1,
             program_nodes: 0,
-            stolen: false,
             enqueue_ms: 1.0,
             plan_ms: 0.25,
             queue_wait_ms: 0.5,

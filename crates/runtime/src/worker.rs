@@ -1,4 +1,4 @@
-//! The sharded work-stealing worker pool and the runtime façade.
+//! The sharded worker pool and the runtime façade.
 //!
 //! [`Runtime::start`] spawns `workers_per_shard` std threads per configured
 //! backend; each shard drains the shared [`AdmissionQueue`] for its own
@@ -7,14 +7,13 @@
 //! point, one capacity) but service is sharded, mirroring how the paper's
 //! host dispatches work onto whatever compute is attached.
 //!
-//! Within a shard, workers *steal*: each worker owns a lock-free local ring
-//! ([`crate::steal::StealQueue`]); batched jobs popped from the global
-//! queue spill into the owner's ring, and a worker whose ring and the
-//! global queue are both dry sweeps its siblings' rings before sleeping.
-//! One worker stuck on a pathological shape mix can therefore never strand
-//! queued work behind it — a sibling lifts the backlog. Submission is
-//! non-blocking ([`Runtime::submit`] returns a [`Ticket`] immediately) and
-//! results can stream back per client over a bounded
+//! Every worker in a shard runs the same loop: pop the next DWRR batch for
+//! its backend, run each job in it, and sleep on the queue when there is
+//! nothing for its backend. The queue is the only scheduler. A worker
+//! holds only the batch it is running (under the serving default, at most
+//! four small jobs), so little work can wait behind a busy sibling.
+//! Submission is non-blocking ([`Runtime::submit`] returns a [`Ticket`]
+//! immediately) and results can stream back per client over a bounded
 //! [`crate::stream::ResultStream`] instead of waiting for drain.
 //!
 //! Per job, a shard:
@@ -51,9 +50,9 @@ use crate::persist::{load_planner_memory, save_planner_memory};
 use crate::planner::{place_program, DeviceProfile, PlanError, PlanMode, Planner, PlannerConfig};
 use crate::pool::{GridLease2D, GridLease3D, GridPool, PoolConfig, StencilMemo};
 use crate::program::{self, StencilProgram};
-use crate::queue::{AdmissionQueue, Popped, PushError, QueuedJob};
+use crate::queue::{AdmissionQueue, PushError, QueuedJob};
+use crate::report::StealTotals;
 use crate::retry::RetryPolicy;
-use crate::steal::{StealDomain, StealTotals};
 use crate::stream::ResultSender;
 use crate::tenant::{Tenant, TenantPolicy, TenantRegistry, TenantSnapshot};
 use crate::trace::{outcome_label, AttemptSpan, TraceRecord, TraceWriter, TRACE_SCHEMA_VERSION};
@@ -92,16 +91,12 @@ pub struct RuntimeConfig {
     /// jobs can land on spatially replicated functional chains.
     pub device: DeviceProfile,
     /// Simulator options handed to the Threaded backend (channel depth,
-    /// lane override) — previously hard-coded to the defaults.
+    /// lane override).
     pub sim: SimOptions,
     /// Grid buffer pool tunables (free-list bound per shape class).
     pub pool: PoolConfig,
     /// Per-tenant DWRR weights and in-flight quotas.
     pub tenants: TenantPolicy,
-    /// Capacity of each worker's local steal ring (rounded up to a power
-    /// of two). Batched jobs beyond the first spill here, where siblings
-    /// can steal them.
-    pub steal_ring: usize,
     /// Planner-memory sidecar path. When set, boot loads it (if present)
     /// to warm-start the plan cache — any corrupt or drifted sidecar is
     /// rejected to a cold start with `planner_warm_rejected` incremented,
@@ -128,7 +123,6 @@ impl Default for RuntimeConfig {
             sim: SimOptions::default(),
             pool: PoolConfig::default(),
             tenants: TenantPolicy::default(),
-            steal_ring: 8,
             planner_memory: None,
             trace_out: None,
         }
@@ -196,9 +190,6 @@ impl Ticket {
     }
 }
 
-/// Pre-streaming name for [`Ticket`], kept for source compatibility.
-pub type JobHandle = Ticket;
-
 /// What [`Runtime::drain`] hands back.
 #[derive(Debug)]
 pub struct DrainOutcome {
@@ -211,7 +202,8 @@ pub struct DrainOutcome {
     pub wall_seconds: f64,
     /// Final per-tenant admission accounting, sorted by tenant name.
     pub tenants: Vec<TenantSnapshot>,
-    /// Steal-protocol counters summed over every backend shard.
+    /// Steal counters for the serve report's `scheduler` section. Always
+    /// zero: shards run the batches they pop and never steal.
     pub steals: StealTotals,
     /// Trace records the writer drained (one per terminal job; the
     /// lossless-writer invariant makes this equal `results.len()`).
@@ -258,10 +250,7 @@ impl ResultSink {
 /// Shared state one shard worker needs.
 struct ShardCtx {
     backend: Backend,
-    /// This worker's index within its shard (its steal-domain ring).
-    worker: usize,
     queue: Arc<AdmissionQueue>,
-    domain: Arc<StealDomain>,
     tenants: Arc<TenantRegistry>,
     metrics: Arc<MetricsRegistry>,
     sink: Arc<ResultSink>,
@@ -312,7 +301,6 @@ pub struct Runtime {
     sink: Arc<ResultSink>,
     planner: Arc<Planner>,
     tenants: Arc<TenantRegistry>,
-    domains: Vec<Arc<StealDomain>>,
     workers: Vec<JoinHandle<()>>,
     tracer: Arc<TraceWriter>,
     config: RuntimeConfig,
@@ -367,19 +355,11 @@ impl Runtime {
         let tenants = Arc::new(TenantRegistry::new(config.tenants.clone()));
         let env = ExecEnv::new(&metrics, config.sim, config.pool, config.device);
         let mut workers = Vec::new();
-        let mut domains = Vec::new();
         for &backend in &config.backends {
-            let domain = Arc::new(StealDomain::new(
-                config.workers_per_shard,
-                config.steal_ring,
-            ));
-            domains.push(Arc::clone(&domain));
             for w in 0..config.workers_per_shard {
                 let ctx = ShardCtx {
                     backend,
-                    worker: w,
                     queue: Arc::clone(&queue),
-                    domain: Arc::clone(&domain),
                     tenants: Arc::clone(&tenants),
                     metrics: Arc::clone(&metrics),
                     sink: Arc::clone(&sink),
@@ -405,7 +385,6 @@ impl Runtime {
             sink,
             planner,
             tenants,
-            domains,
             workers,
             tracer,
             config,
@@ -559,13 +538,6 @@ impl Runtime {
         &self.tenants
     }
 
-    /// Steal-protocol counters summed over every backend shard, right now.
-    pub fn steal_totals(&self) -> StealTotals {
-        self.domains.iter().fold(StealTotals::default(), |acc, d| {
-            acc.merge(d.counters.totals())
-        })
-    }
-
     /// Jobs currently waiting in the admission queue.
     pub fn queue_depth(&self) -> usize {
         self.queue.depth()
@@ -592,7 +564,6 @@ impl Runtime {
         let Runtime {
             sink,
             tenants,
-            domains,
             workers,
             tracer,
             planner,
@@ -607,10 +578,6 @@ impl Runtime {
                 wedged += 1;
             }
         }
-        // Counters are final only after every worker has joined.
-        let steals = domains.iter().fold(StealTotals::default(), |acc, d| {
-            acc.merge(d.counters.totals())
-        });
         if let Some(path) = &config.planner_memory {
             match save_planner_memory(path, &planner.export_memory()) {
                 Ok(()) => metrics.counter("planner_memory_saved").inc(),
@@ -631,109 +598,36 @@ impl Runtime {
             wedged_workers: wedged,
             wall_seconds: started.elapsed().as_secs_f64(),
             tenants: tenants.snapshot(),
-            steals,
+            steals: StealTotals::default(),
             trace_records_written,
         }
     }
 }
 
-/// How long a worker blocks on the dry global queue before waking to sweep
-/// sibling rings. Short enough that a stuck sibling's backlog is lifted
-/// promptly; long enough that an idle runtime barely spins.
-const STEAL_POLL: Duration = Duration::from_millis(5);
-
-/// One shard worker: local ring first, then the global DWRR queue, then a
-/// steal sweep over sibling rings; exit only when the queue is closed and
-/// drained for this backend AND the worker's own ring is empty AND a final
-/// sweep finds nothing. Every job a worker ever parked in its own ring is
-/// drained by that worker (or stolen first), so close-then-drain loses
-/// nothing.
+/// One shard worker: pop the next DWRR batch for this backend, run every
+/// job in it, repeat. The pop sleeps while the queue holds nothing for
+/// this backend and returns `None` once the queue is closed and drained
+/// for it, so close-then-drain loses nothing.
 fn shard_loop(ctx: &ShardCtx) {
     let depth_gauge = ctx.metrics.gauge("queue_depth");
     let batches = ctx.metrics.counter("batches");
     let batched_jobs = ctx.metrics.counter("batched_jobs");
-    let local = ctx.domain.local(ctx.worker);
-    loop {
-        // 1) Own ring: jobs this worker parked from an earlier batch (a
-        // sibling may have stolen some meanwhile — pop is MPMC-safe).
-        if let Some(job) = local.pop() {
-            process_job(ctx, job, false);
-            continue;
+    while let Some(batch) = ctx.queue.pop_batch(ctx.backend, &ctx.batch) {
+        depth_gauge.set(ctx.queue.depth() as i64);
+        if batch.len() > 1 {
+            batches.inc();
+            batched_jobs.add(batch.len() as u64);
         }
-        // 2) Global queue, with a timeout so a dry spell wakes us to steal
-        // rather than blocking while a sibling drowns.
-        match ctx
-            .queue
-            .pop_batch_timeout(ctx.backend, &ctx.batch, STEAL_POLL)
-        {
-            Popped::Batch(batch) => {
-                depth_gauge.set(ctx.queue.depth() as i64);
-                if batch.len() > 1 {
-                    batches.inc();
-                    batched_jobs.add(batch.len() as u64);
-                }
-                // First job runs now; the rest park in the local ring
-                // where siblings can steal them. A full ring (can only
-                // happen with tiny ring configs) degrades to inline
-                // processing — never a lost job.
-                let mut it = batch.into_iter();
-                let first = it.next().expect("batch is never empty");
-                let mut overflow = Vec::new();
-                for job in it {
-                    if let Err(back) = local.push(job) {
-                        overflow.push(back);
-                    }
-                }
-                process_job(ctx, first, false);
-                for job in overflow {
-                    process_job(ctx, job, false);
-                }
-            }
-            Popped::Empty => {
-                // 3) Steal sweep (counted in the shard's steal counters
-                // and mirrored to metrics; single-worker shards have no
-                // siblings and skip the sweep entirely).
-                if ctx.domain.workers() > 1 {
-                    match ctx.domain.steal(ctx.worker) {
-                        Some(job) => {
-                            ctx.metrics.counter("steals").inc();
-                            ctx.metrics.counter("steal_hits").inc();
-                            process_job(ctx, job, true);
-                        }
-                        None => {
-                            ctx.metrics.counter("steals").inc();
-                            ctx.metrics.counter("steal_misses").inc();
-                        }
-                    }
-                }
-            }
-            Popped::Closed => {
-                // Drain own ring, then one last sweep for stragglers a
-                // sibling parked; exit only on a clean miss.
-                while let Some(job) = local.pop() {
-                    process_job(ctx, job, false);
-                }
-                if ctx.domain.workers() > 1 {
-                    if let Some(job) = ctx.domain.steal(ctx.worker) {
-                        ctx.metrics.counter("steals").inc();
-                        ctx.metrics.counter("steal_hits").inc();
-                        process_job(ctx, job, true);
-                        continue;
-                    }
-                    ctx.metrics.counter("steals").inc();
-                    ctx.metrics.counter("steal_misses").inc();
-                }
-                debug_assert!(local.is_empty(), "own ring drained before exit");
-                break;
-            }
+        for job in batch {
+            process_job(ctx, job);
         }
     }
 }
 
 /// Drives one admitted job to a terminal state and records it — counters
 /// and histograms as aggregates, one [`TraceRecord`] as the per-job
-/// ledger line. `stolen` marks jobs lifted from a sibling's ring.
-fn process_job(ctx: &ShardCtx, job: QueuedJob, stolen: bool) {
+/// ledger line.
+fn process_job(ctx: &ShardCtx, job: QueuedJob) {
     let QueuedJob {
         spec,
         token,
@@ -893,7 +787,6 @@ fn process_job(ctx: &ShardCtx, job: QueuedJob, stolen: bool) {
             .to_string(),
         replicas: spec.replicas.get() as u64,
         program_nodes: spec.program.as_ref().map_or(0, |p| p.nodes.len() as u64),
-        stolen,
         enqueue_ms: since_epoch(submitted),
         plan_ms,
         queue_wait_ms,

@@ -1,7 +1,8 @@
-//! Integration tests for the streaming admission front-end: work-stealing
-//! exactly-once accounting, DWRR starvation resistance between tenants,
-//! quota backpressure, and streamed-result completeness — the contracts
-//! the serve report's `tenants` and `scheduler` sections certify.
+//! Integration tests for the streaming admission front-end: exactly-once
+//! close-then-drain across a multi-worker shard, DWRR starvation
+//! resistance between tenants, quota backpressure, and streamed-result
+//! completeness — the contracts the serve report's `tenants` section
+//! certifies.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -10,8 +11,8 @@ use stencil_runtime::{
     Tenant, TenantConfig, TenantPolicy,
 };
 
-/// A runtime with one multi-worker shard so stealing can actually happen.
-fn stealing_runtime(workers: usize, queue_capacity: usize) -> Runtime {
+/// A runtime with one multi-worker shard whose small jobs batch.
+fn batching_runtime(workers: usize, queue_capacity: usize) -> Runtime {
     Runtime::start(RuntimeConfig {
         queue_capacity,
         workers_per_shard: workers,
@@ -37,13 +38,13 @@ fn tenant_job(id: u64, tenant: &str) -> JobSpec {
     s
 }
 
-/// Close-then-drain with active stealers loses nothing: many batched small
-/// jobs across a 4-worker shard, every id terminal exactly once, and the
-/// steal counters satisfy their accounting identity.
+/// Close-then-drain across a batching multi-worker shard loses nothing:
+/// many small jobs over 4 workers, every id terminal exactly once, and
+/// the jobs really did run in multi-job batches.
 #[test]
-fn close_then_drain_with_stealers_loses_nothing() {
+fn close_then_drain_with_batching_workers_loses_nothing() {
     let jobs = 400u64;
-    let rt = stealing_runtime(4, jobs as usize);
+    let rt = batching_runtime(4, jobs as usize);
     for id in 0..jobs {
         rt.submit(small(id)).unwrap();
     }
@@ -51,18 +52,12 @@ fn close_then_drain_with_stealers_loses_nothing() {
         rt.wait_for_results(jobs as usize, Duration::from_secs(120)),
         "jobs stuck"
     );
-    let totals = rt.steal_totals();
-    assert_eq!(
-        totals.steals,
-        totals.steal_hits + totals.steal_misses,
-        "every sweep is a hit or a miss"
-    );
+    let batches = rt.metrics().counter("batches").get();
     let outcome = rt.drain();
     assert_eq!(outcome.wedged_workers, 0);
     assert_eq!(outcome.results.len(), jobs as usize, "no job lost");
 
-    // Terminal exactly once: every id present, no duplicates — the batch
-    // spill-to-ring and steal paths must never double-process a job.
+    // Terminal exactly once: every id present, no duplicates.
     let mut by_id = BTreeMap::new();
     for r in &outcome.results {
         *by_id.entry(r.id).or_insert(0u32) += 1;
@@ -70,20 +65,7 @@ fn close_then_drain_with_stealers_loses_nothing() {
     }
     assert_eq!(by_id.len(), jobs as usize, "every id terminal");
     assert!(by_id.values().all(|&n| n == 1), "no id terminal twice");
-
-    // Metrics mirror the domain counters exactly.
-    let m = rt_metrics_totals(&outcome);
-    assert_eq!(outcome.steals, m, "report path sees the same counters");
-}
-
-/// Extracts the steal totals the metrics registry recorded (mirrored by
-/// the shard loop) for comparison against the domain's own counters.
-fn rt_metrics_totals(
-    outcome: &stencil_runtime::DrainOutcome,
-) -> stencil_runtime::steal::StealTotals {
-    // DrainOutcome carries the folded domain counters; this helper exists
-    // so the assertion site reads as metrics-vs-domain.
-    outcome.steals
+    assert!(batches > 0, "small jobs formed multi-job batches");
 }
 
 /// A heavy tenant flooding the queue must not starve a light tenant: with
@@ -225,7 +207,7 @@ fn rt_count(outcome: &stencil_runtime::DrainOutcome, tenant: &str) -> usize {
 #[test]
 fn streamed_results_arrive_exactly_once() {
     let jobs = 64u64;
-    let rt = stealing_runtime(2, jobs as usize);
+    let rt = batching_runtime(2, jobs as usize);
     let (tx, rx) = ResultStream::bounded(8); // deliberately tight: backpressure
     let consumer = std::thread::spawn(move || {
         let mut ids = Vec::new();

@@ -13,10 +13,9 @@
 //! 3. **Cross-consistency** — per id, the trace's attempt count and
 //!    outcome label equal the `JobResult`'s.
 //!
-//! Deterministic companions prove the two paths that bypass a normal
-//! worker run — jobs that expire while queued (TimedOut, zero attempts)
-//! and jobs a sibling steals from the owner's ring — still hit the single
-//! record-emission site exactly once.
+//! Deterministic companions prove that jobs expiring while queued
+//! (TimedOut, zero attempts) and jobs run inside one multi-job batch
+//! still hit the single record-emission site exactly once.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -260,92 +259,63 @@ fn queued_deadline_expiry_is_traced_once_with_no_attempts() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Jobs a sibling lifts from a busy owner's ring are flagged `stolen` in
-/// the trace and — like every other job — traced exactly once, with the
-/// stolen-record count equal to the shard's `steal_hits`.
+/// A burst that lands as one multi-job batch while both workers are busy
+/// is traced exactly once per job, like every other job.
 #[test]
-fn stolen_jobs_are_traced_exactly_once() {
-    // Force the steal path: occupy both workers with blockers, then queue
-    // one batch of meaty jobs. The first worker to free up pops the whole
-    // batch and parks the tail in its ring; the second finds the queue dry
-    // and sweeps the busy owner's ring. Timing still has slack (a fast
-    // owner could drain its own ring), so retry the burst a few times;
-    // every burst must be lossless either way.
-    let mut saw_steal = false;
-    for round in 0..3u64 {
-        let jobs = 10u64; // 2 blockers + one 8-job batch
-        let path = temp_trace("steal", round);
-        let _ = std::fs::remove_file(&path);
-        let rt = Runtime::start(RuntimeConfig {
-            queue_capacity: jobs as usize,
-            workers_per_shard: 2,
-            backends: vec![Backend::CpuEngine],
-            shadow_percent: 0,
-            batch: BatchPolicy {
-                max_batch: 8,
-                small_cells: u64::MAX, // everything batches...
+fn batched_burst_is_traced_exactly_once() {
+    let jobs = 10u64; // 2 blockers + one 8-job batch
+    let path = temp_trace("batch", 0);
+    let _ = std::fs::remove_file(&path);
+    let rt = Runtime::start(RuntimeConfig {
+        queue_capacity: jobs as usize,
+        workers_per_shard: 2,
+        backends: vec![Backend::CpuEngine],
+        shadow_percent: 0,
+        batch: BatchPolicy {
+            max_batch: 8,
+            small_cells: u64::MAX, // everything batches...
+        },
+        tenants: TenantPolicy {
+            // ...and one DWRR quantum affords the whole burst, so the
+            // first worker to free up pops it as one batch.
+            default: TenantConfig {
+                weight: 4096,
+                max_in_flight: 0,
             },
-            tenants: TenantPolicy {
-                // ...and one DWRR quantum affords the whole batch, so the
-                // tail really parks in the popping worker's ring.
-                default: TenantConfig {
-                    weight: 4096,
-                    max_in_flight: 0,
-                },
-                overrides: Default::default(),
-            },
-            trace_out: Some(path.clone()),
-            ..RuntimeConfig::default()
-        });
-        for id in 0..2 {
-            let mut s = JobSpec::new_2d(id, 1, 1024, 512, 120);
-            s.backend = Backend::CpuEngine;
-            rt.submit(s).expect("admission");
-        }
-        // Let both workers pick up (or steal) the blockers before the
-        // payload burst lands as one contiguous batch.
-        std::thread::sleep(Duration::from_millis(30));
-        for id in 2..jobs {
-            let mut s = JobSpec::new_2d(id, 1, 1024, 512, 30);
-            s.backend = Backend::CpuEngine;
-            rt.submit(s).expect("admission");
-        }
-        assert!(
-            rt.wait_for_results(jobs as usize, Duration::from_secs(120)),
-            "jobs stuck"
-        );
-        let outcome = rt.drain();
-        assert_eq!(outcome.trace_records_written, jobs);
-
-        let stats = validate_trace_file(&path).expect("trace validates");
-        assert_eq!(stats.records, jobs, "lossless under a steal-heavy burst");
-
-        let records = read_records(&path);
-        assert_trace_matches_results(&records, &outcome.results);
-        assert!(
-            records.iter().all(|r| r.outcome == "Completed"),
-            "burst jobs all complete"
-        );
-        let stolen = records.iter().filter(|r| r.stolen).count() as u64;
-        assert_eq!(stats.stolen, stolen, "stats agree with the records");
-        assert_eq!(
-            stolen, outcome.steals.steal_hits,
-            "one stolen-flagged record per steal hit"
-        );
-        let _ = std::fs::remove_file(&path);
-        eprintln!(
-            "round {round}: wall {:.3}s, steals {:?}",
-            outcome.wall_seconds, outcome.steals
-        );
-        if stolen > 0 {
-            saw_steal = true;
-            break;
-        }
+            overrides: Default::default(),
+        },
+        trace_out: Some(path.clone()),
+        ..RuntimeConfig::default()
+    });
+    for id in 0..2 {
+        let mut s = JobSpec::new_2d(id, 1, 1024, 512, 120);
+        s.backend = Backend::CpuEngine;
+        rt.submit(s).expect("admission");
+    }
+    // Let both workers pick up the blockers before the burst lands.
+    std::thread::sleep(Duration::from_millis(30));
+    for id in 2..jobs {
+        let mut s = JobSpec::new_2d(id, 1, 1024, 512, 30);
+        s.backend = Backend::CpuEngine;
+        rt.submit(s).expect("admission");
     }
     assert!(
-        saw_steal,
-        "no burst produced a steal hit in three rounds (spill/steal path untested)"
+        rt.wait_for_results(jobs as usize, Duration::from_secs(120)),
+        "jobs stuck"
     );
+    let outcome = rt.drain();
+    assert_eq!(outcome.trace_records_written, jobs);
+
+    let stats = validate_trace_file(&path).expect("trace validates");
+    assert_eq!(stats.records, jobs, "lossless under a batched burst");
+
+    let records = read_records(&path);
+    assert_trace_matches_results(&records, &outcome.results);
+    assert!(
+        records.iter().all(|r| r.outcome == "Completed"),
+        "burst jobs all complete"
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 /// `Completed` results always carry at least one attempt in the trace,

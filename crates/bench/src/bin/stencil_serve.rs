@@ -75,9 +75,11 @@
 //! stream delivery, plus tenant, backend, plan provenance, and placement —
 //! closed by a footer carrying the record count. `--check-trace FILE`
 //! re-validates such a file (span arithmetic, uniqueness, footer count;
-//! exit 2 on any violation) and `--trace-summary FILE` prints exact
-//! nearest-rank span percentiles from it — the raw-sample cross-view of the
-//! report's bucket-conservative histograms. `--planner-memory FILE`
+//! exit 2 on any violation) and `--trace-summary FILE` prints nearest-rank
+//! span percentiles from it. They are the report's own numbers: the
+//! report's `queue_wait_ms`, `run_ms` and `total_ms` fold the same spans
+//! with the same function, so `queue_wait`, `exec` and `total` match them.
+//! `--planner-memory FILE`
 //! persists the planner's measured-rate table to a checksummed sidecar at
 //! drain and warm-starts the plan cache from it at boot (corrupt or
 //! mismatched sidecars are rejected and counted, never fatal);
@@ -98,11 +100,10 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use stencil_runtime::metrics::exact_quantile_ms;
 use stencil_runtime::workload::{to_jsonl, ArrivalGaps, JsonlStream};
 use stencil_runtime::{
-    validate_report_json, validate_trace_file, DeviceProfile, PlanMode, ResultStream, Runtime,
-    RuntimeConfig, ServeReport, SubmitError, SyntheticParams, TenantPolicy,
+    validate_report_json, validate_trace_file, DeviceProfile, LatencySummary, PlanMode,
+    ResultStream, Runtime, RuntimeConfig, ServeReport, SubmitError, SyntheticParams, TenantPolicy,
 };
 
 #[derive(Debug)]
@@ -873,10 +874,11 @@ fn check_trace(path: &str) {
     }
 }
 
-/// The `--trace-summary` view: validates the trace, then prints exact
-/// nearest-rank percentiles over the raw per-record spans — unlike the
-/// serve report's fixed-bucket histograms, these are not rounded up to a
-/// bucket boundary. Exit 2 on an invalid trace.
+/// The `--trace-summary` view: validates the trace, then prints
+/// nearest-rank percentiles over the per-record spans through
+/// [`LatencySummary::from_samples`], the fold the serve report uses, so
+/// `queue_wait`, `exec` and `total` equal the report's `queue_wait_ms`,
+/// `run_ms` and `total_ms` for the same run. Exit 2 on an invalid trace.
 fn trace_summary(path: &str) {
     let stats = match validate_trace_file(Path::new(path)) {
         Ok(stats) => stats,
@@ -901,12 +903,10 @@ fn trace_summary(path: &str) {
         ("exec", &stats.exec_ms),
         ("total", &stats.total_ms),
     ] {
+        let l = LatencySummary::from_samples(samples);
         println!(
             "  {name:>10} ms (exact): p50 {:.3}, p95 {:.3}, p99 {:.3}, max {:.3}",
-            exact_quantile_ms(samples, 0.50),
-            exact_quantile_ms(samples, 0.95),
-            exact_quantile_ms(samples, 0.99),
-            exact_quantile_ms(samples, 1.0),
+            l.p50_ms, l.p95_ms, l.p99_ms, l.max_ms,
         );
     }
 }

@@ -459,11 +459,15 @@ pub struct JobResult {
     pub outcome: Outcome,
     /// Execution attempts made (0 when the job never started).
     pub attempts: u32,
-    /// Time spent queued before the shard first picked the job up.
+    /// Time spent queued, admission to the shard's pickup, ms: the trace
+    /// record's `queue_wait_ms`.
     pub queue_wait_ms: f64,
-    /// Wall time of the final execution attempt (0 when never run).
+    /// Wall time of every execution attempt, summed, ms (0 when never
+    /// run): the trace record's `exec_span_ms()`. Retry backoff is not
+    /// included.
     pub run_ms: f64,
-    /// Admission-to-terminal-state wall time.
+    /// Submission-to-terminal-state wall time, ms, planning included: the
+    /// trace record's `total_span_ms()`.
     pub total_ms: f64,
     /// Useful cell updates committed (0 unless completed).
     pub cells_updated: u64,

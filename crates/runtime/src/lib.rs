@@ -11,9 +11,9 @@
 //! completed jobs is *shadow verified*: re-executed on the frozen
 //! `serial_ref` oracle and bit-compared, which the repo-wide bit-exactness
 //! contract makes an exact-equality check. A [`metrics::MetricsRegistry`]
-//! aggregates counters, gauges, and fixed-bucket latency histograms, and
-//! [`report::ServeReport`] serializes the whole load test as
-//! `BENCH_serve.json`.
+//! aggregates counters and gauges, and [`report::ServeReport`] folds them
+//! and the per-job results (every latency summary is nearest-rank over
+//! those results) into `BENCH_serve.json`.
 //!
 //! Jobs submitted in [`planner::PlanMode::Auto`] skip hand-picking a block
 //! configuration: the [`planner::Planner`] ranks candidate plans with the

@@ -4,9 +4,14 @@
 //! metrics into one serializable document; [`validate_report_json`] is the
 //! machine check CI runs against an emitted file (`stencil_serve
 //! --check-report`), mirroring `stencil_bench --check-matrix`.
+//!
+//! Every latency summary (top level, per backend, per tenant) is a
+//! [`LatencySummary::from_samples`] fold over the results. A result's
+//! latency fields equal its trace record's spans, so the summaries are
+//! what nearest-rank over the trace file gives.
 
 use crate::job::{Backend, JobResult, Outcome};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{exact_quantile_ms, MetricsRegistry};
 use crate::planner::{DeviceProfile, PlanEvent, ShapeSnapshot};
 use crate::tenant::TenantSnapshot;
 use serde::{Deserialize, Serialize};
@@ -35,64 +40,63 @@ use stencil_core::BlockConfig;
 /// the `planner` section); 8 = adds the compiled-kernel cache counters to
 /// the `memory` section (`kernel_memo_hits` / `kernel_memo_misses` /
 /// `kernel_memo_evictions` / `kernel_memo_hit_rate` from the runtime
-/// kernel specializer, cross-validated by [`validate_report_json`]).
-pub const SCHEMA_VERSION: u64 = 8;
+/// kernel specializer, cross-validated by [`validate_report_json`]); 9 =
+/// every latency summary is exact nearest-rank over the terminal-job
+/// results (no fixed-bucket histograms), `total_ms` runs from submission
+/// and `run_ms` sums every attempt, matching the trace's spans; drops
+/// `trace.max_span_ms` (it equals `total_ms.max_ms`) and the summed
+/// `dataflow.est_*_cells_per_sec` model rates, and renames
+/// `dataflow.measured_*_cells_per_tick` to `sim_*_cells_per_tick`.
+pub const SCHEMA_VERSION: u64 = 9;
 
-/// Latency distribution summary (milliseconds).
+/// Latency distribution summary (milliseconds): nearest-rank over one
+/// sample per terminal job, so every quantile is an observed value and
+/// `p50 <= p95 <= p99 <= max`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencySummary {
-    /// Observations.
+    /// Samples: the terminal jobs in the slice.
     pub count: u64,
-    /// Mean.
+    /// Arithmetic mean.
     pub mean_ms: f64,
-    /// Median (conservative fixed-bucket estimate).
+    /// Median ([`exact_quantile_ms`] at 0.50).
     pub p50_ms: f64,
-    /// 95th percentile.
+    /// 95th percentile ([`exact_quantile_ms`] at 0.95).
     pub p95_ms: f64,
-    /// 99th percentile.
+    /// 99th percentile ([`exact_quantile_ms`] at 0.99).
     pub p99_ms: f64,
-    /// Maximum observed.
+    /// Largest sample.
     pub max_ms: f64,
 }
 
 impl LatencySummary {
-    /// Exact nearest-rank percentiles over raw samples (used for the
-    /// per-tenant slices, which have no dedicated histogram).
-    fn from_samples(samples: &mut [f64]) -> LatencySummary {
-        if samples.is_empty() {
-            return LatencySummary {
-                count: 0,
-                mean_ms: 0.0,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: 0.0,
-            };
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let n = samples.len();
-        let rank = |q: f64| samples[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+    /// Summarizes raw samples with [`exact_quantile_ms`]; all zero when
+    /// empty.
+    pub fn from_samples(samples: &[f64]) -> LatencySummary {
+        let max_ms = exact_quantile_ms(samples, 1.0);
+        let mean_ms = if samples.is_empty() {
+            0.0
+        } else {
+            // The clamp only absorbs summation rounding (n equal samples
+            // can sum to a hair over n times one of them).
+            (samples.iter().sum::<f64>() / samples.len() as f64).min(max_ms)
+        };
         LatencySummary {
-            count: n as u64,
-            mean_ms: samples.iter().sum::<f64>() / n as f64,
-            p50_ms: rank(0.50),
-            p95_ms: rank(0.95),
-            p99_ms: rank(0.99),
-            max_ms: samples[n - 1],
+            count: samples.len() as u64,
+            mean_ms,
+            p50_ms: exact_quantile_ms(samples, 0.50),
+            p95_ms: exact_quantile_ms(samples, 0.95),
+            p99_ms: exact_quantile_ms(samples, 0.99),
+            max_ms,
         }
     }
 
-    /// Summarizes the named histogram in `metrics`.
-    fn from_histogram(metrics: &MetricsRegistry, name: &str) -> LatencySummary {
-        let h = metrics.histogram(name);
-        LatencySummary {
-            count: h.count(),
-            mean_ms: h.mean_ms(),
-            p50_ms: h.quantile_ms(0.50),
-            p95_ms: h.quantile_ms(0.95),
-            p99_ms: h.quantile_ms(0.99),
-            max_ms: h.max_ms(),
-        }
+    /// Summarizes one latency field over `results`.
+    fn fold<'a>(
+        results: impl IntoIterator<Item = &'a JobResult>,
+        field: fn(&JobResult) -> f64,
+    ) -> LatencySummary {
+        let samples: Vec<f64> = results.into_iter().map(field).collect();
+        LatencySummary::from_samples(&samples)
     }
 }
 
@@ -119,7 +123,7 @@ pub struct BackendReport {
     pub shadow_mismatches: u64,
     /// Useful cell updates committed by completed jobs.
     pub cells_updated: u64,
-    /// Run-phase latency distribution for this shard.
+    /// Execution time (all attempts) distribution for this shard.
     pub run_ms: LatencySummary,
 }
 
@@ -388,9 +392,9 @@ pub struct StageReport {
 /// workload contained no program jobs. The validator enforces the section's
 /// internal identities: channel high waters bounded by capacities, stage
 /// cells summing to the total, stage busy ticks summing to the sequential
-/// makespan (a serialized schedule never idles), the pipelined makespan
-/// never exceeding the sequential one, and the perf-model estimates
-/// ordered the same way.
+/// makespan (a serialized schedule never idles), and the pipelined
+/// makespan never exceeding the sequential one. Every rate here is in
+/// simulated ticks, not wall-clock time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DataflowReport {
     /// Whether any program job entered the runtime.
@@ -419,16 +423,10 @@ pub struct DataflowReport {
     pub pipelined_ticks: u64,
     /// Virtual makespan of the same programs serialized on one device.
     pub sequential_ticks: u64,
-    /// `cells_updated / pipelined_ticks` — the measured pipelined rate.
-    pub measured_pipelined_cells_per_tick: f64,
-    /// `cells_updated / sequential_ticks` — the measured 1-device rate.
-    pub measured_sequential_cells_per_tick: f64,
-    /// Perf-model estimate for the pipelined placements, cells/s (floored
-    /// per job; per job the pipelined estimate dominates the sequential
-    /// one, so the floored sums stay ordered).
-    pub est_pipelined_cells_per_sec: u64,
-    /// Perf-model estimate for the 1-device sequential baselines, cells/s.
-    pub est_sequential_cells_per_sec: u64,
+    /// `cells_updated / pipelined_ticks`: the simulated pipelined rate.
+    pub sim_pipelined_cells_per_tick: f64,
+    /// `cells_updated / sequential_ticks`: the simulated 1-device rate.
+    pub sim_sequential_cells_per_tick: f64,
     /// Per-stage aggregates, dense from stage 0.
     pub stages: Vec<StageReport>,
 }
@@ -471,18 +469,16 @@ impl DataflowReport {
             cells_updated: cells,
             pipelined_ticks,
             sequential_ticks,
-            measured_pipelined_cells_per_tick: if pipelined_ticks > 0 {
+            sim_pipelined_cells_per_tick: if pipelined_ticks > 0 {
                 cells as f64 / pipelined_ticks as f64
             } else {
                 0.0
             },
-            measured_sequential_cells_per_tick: if sequential_ticks > 0 {
+            sim_sequential_cells_per_tick: if sequential_ticks > 0 {
                 cells as f64 / sequential_ticks as f64
             } else {
                 0.0
             },
-            est_pipelined_cells_per_sec: count("program_est_pipelined_cps"),
-            est_sequential_cells_per_sec: count("program_est_sequential_cps"),
             stages,
         }
     }
@@ -490,9 +486,9 @@ impl DataflowReport {
 
 /// The `trace` section: accounting for the per-job JSONL trace stream and
 /// the planner's persistent-memory warm start. The validator requires the
-/// lossless-writer contract to hold (exactly one record per terminal job),
-/// bounds every traced span by the run's wall clock, and reconciles the
-/// warm-start counters against the `planner` section.
+/// lossless-writer contract to hold (exactly one record per terminal job)
+/// and reconciles the warm-start counters against the `planner` section.
+/// The longest traced span is `total_ms.max_ms`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceReport {
     /// Trace record schema version the runtime emitted
@@ -501,9 +497,6 @@ pub struct TraceReport {
     /// Trace records emitted — **must equal** the terminal job count; the
     /// bounded writer blocks producers rather than dropping records.
     pub records: u64,
-    /// Largest admission-to-terminal span among the results, in ms —
-    /// necessarily bounded by the run's wall clock.
-    pub max_span_ms: f64,
     /// Shape classes seeded from a planner-memory sidecar at boot.
     pub warm_shapes_loaded: u64,
     /// Sidecar loads rejected as corrupt, stale, or mismatched — each one
@@ -525,16 +518,11 @@ pub struct TraceReport {
 impl TraceReport {
     /// Folds the trace/warm-start counters and the planner's plan history
     /// into the report section.
-    fn build(
-        metrics: &MetricsRegistry,
-        history: &[PlanEvent],
-        results: &[JobResult],
-    ) -> TraceReport {
+    fn build(metrics: &MetricsRegistry, history: &[PlanEvent]) -> TraceReport {
         let count = |name: &str| metrics.counter(name).get();
         TraceReport {
             schema_version: crate::trace::TRACE_SCHEMA_VERSION,
             records: count("trace_records"),
-            max_span_ms: results.iter().map(|r| r.total_ms).fold(0.0, f64::max),
             warm_shapes_loaded: count("planner_warm_shapes"),
             warm_rejected: count("planner_warm_rejected"),
             warm_hits: count("plan_cache_warm_hits"),
@@ -625,11 +613,11 @@ pub struct ServeReport {
     pub cells_updated: u64,
     /// `cells_updated / wall_seconds`.
     pub cells_per_second: f64,
-    /// Queue-wait latency distribution.
+    /// Queue-wait (admission to pickup) distribution.
     pub queue_wait_ms: LatencySummary,
-    /// Run-phase latency distribution.
+    /// Execution time (all attempts summed) distribution.
     pub run_ms: LatencySummary,
-    /// Admission-to-terminal latency distribution.
+    /// Submission-to-terminal latency distribution.
     pub total_ms: LatencySummary,
     /// Per-backend slices (one entry per backend that saw jobs).
     pub backends: Vec<BackendReport>,
@@ -695,10 +683,7 @@ impl ServeReport {
                         .filter(|r| r.shadow_match == Some(false))
                         .count() as u64,
                     cells_updated: slice.iter().map(|r| r.cells_updated).sum(),
-                    run_ms: LatencySummary::from_histogram(
-                        metrics,
-                        &format!("run_ms_{}", b.name()),
-                    ),
+                    run_ms: LatencySummary::fold(slice.iter().copied(), |r| r.run_ms),
                 })
             })
             .collect();
@@ -713,7 +698,6 @@ impl ServeReport {
                 let slice: Vec<&JobResult> = results.iter().filter(|r| &r.tenant == name).collect();
                 let snap = tenant_snapshots.iter().find(|t| &t.tenant == name);
                 let of = |o: Outcome| slice.iter().filter(|r| r.outcome == o).count() as u64;
-                let mut total: Vec<f64> = slice.iter().map(|r| r.total_ms).collect();
                 TenantReport {
                     tenant: name.clone(),
                     weight: snap.map_or(1, |t| t.weight),
@@ -729,7 +713,7 @@ impl ServeReport {
                     timed_out: of(Outcome::TimedOut),
                     cancelled: of(Outcome::Cancelled),
                     cells_updated: slice.iter().map(|r| r.cells_updated).sum(),
-                    total_ms: LatencySummary::from_samples(&mut total),
+                    total_ms: LatencySummary::fold(slice.iter().copied(), |r| r.total_ms),
                 }
             })
             .collect();
@@ -768,9 +752,9 @@ impl ServeReport {
             } else {
                 0.0
             },
-            queue_wait_ms: LatencySummary::from_histogram(metrics, "queue_wait_ms"),
-            run_ms: LatencySummary::from_histogram(metrics, "run_ms"),
-            total_ms: LatencySummary::from_histogram(metrics, "total_ms"),
+            queue_wait_ms: LatencySummary::fold(results, |r| r.queue_wait_ms),
+            run_ms: LatencySummary::fold(results, |r| r.run_ms),
+            total_ms: LatencySummary::fold(results, |r| r.total_ms),
             backends,
             planner: PlannerReport::build(metrics, planner_shapes),
             memory: MemoryReport::build(metrics),
@@ -782,7 +766,7 @@ impl ServeReport {
                 steal_misses: steals.steal_misses,
             },
             dataflow: DataflowReport::build(metrics),
-            trace: TraceReport::build(metrics, plan_history, results),
+            trace: TraceReport::build(metrics, plan_history),
         }
     }
 
@@ -855,7 +839,15 @@ pub fn validate_report_json(text: &str) -> Result<usize, String> {
         ("run_ms", &report.run_ms),
         ("total_ms", &report.total_ms),
     ] {
-        validate_latency(name, l)?;
+        validate_latency(name, l, report.terminal_jobs())?;
+    }
+    // No job's span, submission to terminal state, can outlast the run.
+    if report.total_ms.max_ms > report.wall_seconds * 1000.0 + 0.5 {
+        return Err(format!(
+            "total_ms.max_ms {} exceeds the wall clock ({} ms)",
+            report.total_ms.max_ms,
+            report.wall_seconds * 1000.0
+        ));
     }
     let mut seen = std::collections::BTreeSet::new();
     for b in &report.backends {
@@ -874,7 +866,11 @@ pub fn validate_report_json(text: &str) -> Result<usize, String> {
         if b.shadow_mismatches > b.shadow_runs {
             return Err(format!("backend `{}`: mismatches > shadow runs", b.backend));
         }
-        validate_latency(&format!("backend `{}` run_ms", b.backend), &b.run_ms)?;
+        validate_latency(
+            &format!("backend `{}` run_ms", b.backend),
+            &b.run_ms,
+            b.jobs,
+        )?;
     }
     let by_backend: u64 = report.backends.iter().map(|b| b.jobs).sum();
     if by_backend != report.terminal_jobs() {
@@ -920,8 +916,7 @@ pub fn validate_report_json(text: &str) -> Result<usize, String> {
 /// structural facts about the cluster simulator, not tunables: a bounded
 /// channel can never hold more than its capacity, stage cells partition the
 /// total, a 1-device serialization never idles (so stage busy ticks sum to
-/// the sequential makespan), pipelining never loses to serialization, and
-/// the perf-model estimates are ordered the same way.
+/// the sequential makespan), and pipelining never loses to serialization.
 fn validate_dataflow(d: &DataflowReport) -> Result<(), String> {
     if d.enabled != (d.programs_requested > 0) {
         return Err("dataflow.enabled disagrees with programs_requested".into());
@@ -967,23 +962,17 @@ fn validate_dataflow(d: &DataflowReport) -> Result<(), String> {
         if d.nodes_placed < d.programs_completed {
             return Err("dataflow: fewer nodes placed than programs completed".into());
         }
-        if d.est_pipelined_cells_per_sec < d.est_sequential_cells_per_sec {
-            return Err(format!(
-                "dataflow: pipelined estimate {} below sequential estimate {}",
-                d.est_pipelined_cells_per_sec, d.est_sequential_cells_per_sec
-            ));
-        }
     }
     for (name, got, cells, ticks) in [
         (
-            "measured_pipelined_cells_per_tick",
-            d.measured_pipelined_cells_per_tick,
+            "sim_pipelined_cells_per_tick",
+            d.sim_pipelined_cells_per_tick,
             d.cells_updated,
             d.pipelined_ticks,
         ),
         (
-            "measured_sequential_cells_per_tick",
-            d.measured_sequential_cells_per_tick,
+            "sim_sequential_cells_per_tick",
+            d.sim_sequential_cells_per_tick,
             d.cells_updated,
             d.sequential_ticks,
         ),
@@ -1057,7 +1046,11 @@ fn validate_tenants(report: &ServeReport) -> Result<(), String> {
                 t.tenant, t.in_flight_high_water, t.max_in_flight
             ));
         }
-        validate_latency(&format!("tenant `{}` total_ms", t.tenant), &t.total_ms)?;
+        validate_latency(
+            &format!("tenant `{}` total_ms", t.tenant),
+            &t.total_ms,
+            t.jobs,
+        )?;
     }
     for (name, per_tenant, top) in [
         (
@@ -1111,18 +1104,17 @@ fn validate_scheduler(s: &SchedulerReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Cross-validates the `trace` section against the job counters, the wall
-/// clock, and the `planner` section: the trace schema is one this runtime
-/// has written (v1 reports predate the drop of the `stolen` flag), the
+/// Cross-validates the `trace` section against the job counters and the
+/// `planner` section: the trace schema is the one this runtime writes, the
 /// lossless trace writer must have emitted exactly one record per terminal
-/// job, no traced span may outlast the run, warm hits are a subset of
-/// cache hits and require a warm start, and the convergence headline must
-/// be derived from exactly the plans the planner logged.
+/// job, warm hits are a subset of cache hits and require a warm start, and
+/// the convergence headline must be derived from exactly the plans the
+/// planner logged.
 fn validate_trace(report: &ServeReport) -> Result<(), String> {
     let t = &report.trace;
-    if !(1..=crate::trace::TRACE_SCHEMA_VERSION).contains(&t.schema_version) {
+    if t.schema_version != crate::trace::TRACE_SCHEMA_VERSION {
         return Err(format!(
-            "trace.schema_version {} is not 1..={}",
+            "trace.schema_version {} != expected {}",
             t.schema_version,
             crate::trace::TRACE_SCHEMA_VERSION
         ));
@@ -1133,16 +1125,6 @@ fn validate_trace(report: &ServeReport) -> Result<(), String> {
              writer dropped or duplicated records",
             t.records,
             report.terminal_jobs()
-        ));
-    }
-    if !t.max_span_ms.is_finite() || t.max_span_ms < 0.0 {
-        return Err("trace.max_span_ms must be finite and >= 0".into());
-    }
-    if t.max_span_ms > report.wall_seconds * 1000.0 + 0.5 {
-        return Err(format!(
-            "trace.max_span_ms {} exceeds the wall clock ({} ms)",
-            t.max_span_ms,
-            report.wall_seconds * 1000.0
         ));
     }
     if t.warm_hits > report.planner.cache_hits {
@@ -1310,7 +1292,16 @@ fn validate_planner(p: &PlannerReport, device: DeviceProfile) -> Result<(), Stri
     Ok(())
 }
 
-fn validate_latency(name: &str, l: &LatencySummary) -> Result<(), String> {
+/// Checks one summary against what a nearest-rank fold over `jobs`
+/// samples guarantees: one sample per job, finite non-negative values,
+/// and no quantile or mean above the max.
+fn validate_latency(name: &str, l: &LatencySummary, jobs: u64) -> Result<(), String> {
+    if l.count != jobs {
+        return Err(format!(
+            "{name}.count {} != {jobs} terminal jobs in its slice",
+            l.count
+        ));
+    }
     for (field, v) in [
         ("mean_ms", l.mean_ms),
         ("p50_ms", l.p50_ms),
@@ -1322,8 +1313,14 @@ fn validate_latency(name: &str, l: &LatencySummary) -> Result<(), String> {
             return Err(format!("{name}.{field} must be finite and >= 0"));
         }
     }
-    if l.p50_ms > l.p95_ms || l.p95_ms > l.p99_ms {
-        return Err(format!("{name}: percentiles not monotone"));
+    if l.p50_ms > l.p95_ms || l.p95_ms > l.p99_ms || l.p99_ms > l.max_ms {
+        return Err(format!("{name}: percentiles not monotone up to the max"));
+    }
+    if l.mean_ms > l.max_ms {
+        return Err(format!(
+            "{name}.mean_ms {} exceeds max_ms {}",
+            l.mean_ms, l.max_ms
+        ));
     }
     Ok(())
 }
@@ -1331,6 +1328,7 @@ fn validate_latency(name: &str, l: &LatencySummary) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::{PlanMode, Planner, PlannerConfig};
 
     fn result(id: u64, backend: Backend, outcome: Outcome) -> JobResult {
         JobResult {
@@ -1353,22 +1351,47 @@ mod tests {
         }
     }
 
+    /// Builds a report over `results` the way the runtime would: each
+    /// result is counted as submitted, admitted, terminal and traced on
+    /// top of what `metrics` already holds, over 0.5 s of wall clock.
+    fn report_of(
+        device: DeviceProfile,
+        results: &[JobResult],
+        metrics: &MetricsRegistry,
+        planner: Option<&Planner>,
+        tenants: &[TenantSnapshot],
+    ) -> ServeReport {
+        for r in results {
+            for name in ["jobs_submitted", "jobs_admitted", "trace_records"] {
+                metrics.counter(name).inc();
+            }
+            let terminal = match r.outcome {
+                Outcome::Completed => "jobs_completed",
+                Outcome::TimedOut => "jobs_timed_out",
+                Outcome::Cancelled => "jobs_cancelled",
+                Outcome::Failed => "jobs_failed",
+            };
+            metrics.counter(terminal).inc();
+        }
+        ServeReport::build(
+            "synthetic",
+            42,
+            true,
+            device,
+            results.len(),
+            results,
+            metrics,
+            &planner.map_or_else(Vec::new, Planner::snapshot),
+            &planner.map_or_else(Vec::new, Planner::plan_history),
+            tenants,
+            StealTotals::default(),
+            0,
+            0.5,
+        )
+    }
+
     fn sample_report() -> ServeReport {
         let metrics = MetricsRegistry::new();
-        let results = vec![
-            result(1, Backend::Functional, Outcome::Completed),
-            result(2, Backend::SerialRef, Outcome::TimedOut),
-        ];
-        for name in ["jobs_submitted", "jobs_admitted"] {
-            metrics.counter(name).add(2);
-        }
-        metrics.counter("jobs_completed").inc();
-        metrics.counter("jobs_timed_out").inc();
-        for name in ["queue_wait_ms", "run_ms", "total_ms"] {
-            metrics.histogram(name).record(1.0);
-        }
-        metrics.histogram("run_ms_functional").record(1.0);
-        metrics.histogram("run_ms_serial_ref").record(0.0);
         // Pool activity consistent with two jobs sharing one shape class.
         metrics.counter("pool_misses").add(3);
         metrics.counter("pool_hits").add(3);
@@ -1380,61 +1403,24 @@ mod tests {
         metrics.counter("kernel_memo_misses").add(2);
         metrics.counter("kernel_memo_hits").add(2);
         metrics.counter("kernel_memo_evictions").add(1);
-        metrics.counter("trace_records").add(2);
-        ServeReport::build(
-            "synthetic",
-            42,
-            true,
-            DeviceProfile::Ddr,
-            2,
-            &results,
-            &metrics,
-            &[],
-            &[],
-            &[],
-            StealTotals::default(),
-            0,
-            0.5,
-        )
+        let results = [
+            result(1, Backend::Functional, Outcome::Completed),
+            result(2, Backend::SerialRef, Outcome::TimedOut),
+        ];
+        report_of(DeviceProfile::Ddr, &results, &metrics, None, &[])
     }
 
     /// A report whose planner section reflects real planning activity.
     fn planned_report() -> ServeReport {
-        use crate::planner::{PlanMode, Planner, PlannerConfig};
         let planner = Planner::new(PlannerConfig::default());
         let metrics = MetricsRegistry::new();
-        let served = Backend::ALL.to_vec();
         for id in 1..=4u64 {
             let mut s = crate::job::JobSpec::new_2d(id, 2, 96, 32, 2);
             s.plan = PlanMode::Auto;
-            planner.plan(&s, &served, &metrics).unwrap();
+            planner.plan(&s, &Backend::ALL, &metrics).unwrap();
         }
-        for name in ["jobs_submitted", "jobs_admitted"] {
-            metrics.counter(name).add(1);
-        }
-        metrics.counter("jobs_completed").inc();
-        for name in ["queue_wait_ms", "run_ms", "total_ms", "run_ms_functional"] {
-            metrics.histogram(name).record(1.0);
-        }
-        metrics.counter("trace_records").inc();
-        let results = vec![result(1, Backend::Functional, Outcome::Completed)];
-        let shapes = planner.snapshot();
-        let history = planner.plan_history();
-        ServeReport::build(
-            "synthetic",
-            7,
-            true,
-            DeviceProfile::Ddr,
-            1,
-            &results,
-            &metrics,
-            &shapes,
-            &history,
-            &[],
-            StealTotals::default(),
-            0,
-            0.5,
-        )
+        let results = [result(1, Backend::Functional, Outcome::Completed)];
+        report_of(DeviceProfile::Ddr, &results, &metrics, Some(&planner), &[])
     }
 
     #[test]
@@ -1464,6 +1450,72 @@ mod tests {
         assert!(validate_report_json(&json)
             .unwrap_err()
             .contains("not monotone"));
+    }
+
+    #[test]
+    fn validation_rejects_quantiles_or_mean_above_the_max() {
+        let mut bad = sample_report();
+        bad.run_ms.p99_ms = bad.run_ms.max_ms + 1.0;
+        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("run_ms: percentiles not monotone"), "{err}");
+
+        let mut bad = sample_report();
+        bad.backends[0].run_ms.mean_ms = bad.backends[0].run_ms.max_ms + 1.0;
+        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("run_ms.mean_ms"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_summaries_that_miss_jobs() {
+        // Every summary folds one sample per terminal job in its slice.
+        let mut bad = sample_report();
+        bad.queue_wait_ms.count += 1;
+        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("queue_wait_ms.count"), "{err}");
+
+        let mut bad = sample_report();
+        bad.backends[1].run_ms.count = 0;
+        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("backend `serial_ref` run_ms.count"), "{err}");
+
+        let mut bad = sample_report();
+        bad.tenants[0].total_ms.count -= 1;
+        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("tenant `default` total_ms.count"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_a_job_longer_than_the_run() {
+        let mut bad = sample_report();
+        bad.total_ms.max_ms = bad.wall_seconds * 1000.0 + 10.0;
+        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("total_ms.max_ms"), "{err}");
+        assert!(err.contains("wall clock"), "{err}");
+    }
+
+    #[test]
+    fn summaries_are_nearest_rank_over_the_results() {
+        let results: Vec<JobResult> = [5.0, 1.0, 3.0, 2.0, 4.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &ms)| JobResult {
+                total_ms: ms,
+                ..result(i as u64, Backend::Functional, Outcome::Completed)
+            })
+            .collect();
+        let metrics = MetricsRegistry::new();
+        let report = report_of(DeviceProfile::Ddr, &results, &metrics, None, &[]);
+        for l in [&report.total_ms, &report.tenants[0].total_ms] {
+            assert_eq!(l.count, 5);
+            assert_eq!(
+                (l.p50_ms, l.p95_ms, l.p99_ms, l.max_ms),
+                (3.0, 5.0, 5.0, 5.0)
+            );
+            assert_eq!(l.mean_ms, 3.0);
+        }
+        assert_eq!(report.backends[0].run_ms.count, 5);
+        let empty = LatencySummary::from_samples(&[]);
+        assert_eq!((empty.count, empty.mean_ms, empty.max_ms), (0, 0.0, 0.0));
     }
 
     #[test]
@@ -1583,30 +1635,9 @@ mod tests {
     fn empty_pool_counters_still_validate() {
         // A replayed workload that never leased anything must still emit a
         // structurally valid (all-zero) memory section.
+        let results = [result(1, Backend::Functional, Outcome::Completed)];
         let metrics = MetricsRegistry::new();
-        let results = vec![result(1, Backend::Functional, Outcome::Completed)];
-        metrics.counter("jobs_submitted").inc();
-        metrics.counter("jobs_admitted").inc();
-        metrics.counter("jobs_completed").inc();
-        for name in ["queue_wait_ms", "run_ms", "total_ms", "run_ms_functional"] {
-            metrics.histogram(name).record(1.0);
-        }
-        metrics.counter("trace_records").inc();
-        let report = ServeReport::build(
-            "jsonl",
-            0,
-            false,
-            DeviceProfile::Ddr,
-            1,
-            &results,
-            &metrics,
-            &[],
-            &[],
-            &[],
-            StealTotals::default(),
-            0,
-            0.5,
-        );
+        let report = report_of(DeviceProfile::Ddr, &results, &metrics, None, &[]);
         assert_eq!(report.memory.pool_hit_rate, 0.0);
         validate_report_json(&serde_json::to_string(&report).unwrap()).unwrap();
     }
@@ -1633,39 +1664,13 @@ mod tests {
     /// A report produced against the HBM profile, where the planner is
     /// expected to publish a replicated-chain winner.
     fn hbm_report() -> ServeReport {
-        use crate::planner::{PlanMode, Planner, PlannerConfig};
         let planner = Planner::with_device(PlannerConfig::default(), DeviceProfile::Hbm);
         let metrics = MetricsRegistry::new();
-        let served = Backend::ALL.to_vec();
         let mut s = crate::job::JobSpec::new_3d(1, 1, 512, 256, 16, 2);
         s.plan = PlanMode::Auto;
-        planner.plan(&s, &served, &metrics).unwrap();
-        for name in ["jobs_submitted", "jobs_admitted"] {
-            metrics.counter(name).add(1);
-        }
-        metrics.counter("jobs_completed").inc();
-        for name in ["queue_wait_ms", "run_ms", "total_ms", "run_ms_functional"] {
-            metrics.histogram(name).record(1.0);
-        }
-        metrics.counter("trace_records").inc();
-        let results = vec![result(1, Backend::Functional, Outcome::Completed)];
-        let shapes = planner.snapshot();
-        let history = planner.plan_history();
-        ServeReport::build(
-            "synthetic",
-            9,
-            true,
-            DeviceProfile::Hbm,
-            1,
-            &results,
-            &metrics,
-            &shapes,
-            &history,
-            &[],
-            StealTotals::default(),
-            0,
-            0.5,
-        )
+        planner.plan(&s, &Backend::ALL, &metrics).unwrap();
+        let results = [result(1, Backend::Functional, Outcome::Completed)];
+        report_of(DeviceProfile::Hbm, &results, &metrics, Some(&planner), &[])
     }
 
     #[test]
@@ -1817,16 +1822,11 @@ mod tests {
 
     #[test]
     fn quota_rejections_balance_the_submission_identity() {
+        // Three submitted: one admitted, two refused at the quota.
         let metrics = MetricsRegistry::new();
-        let results = vec![result(1, Backend::Functional, Outcome::Completed)];
-        metrics.counter("jobs_submitted").add(3);
-        metrics.counter("jobs_admitted").inc();
+        metrics.counter("jobs_submitted").add(2);
         metrics.counter("jobs_quota_rejected").add(2);
-        metrics.counter("jobs_completed").inc();
-        for name in ["queue_wait_ms", "run_ms", "total_ms", "run_ms_functional"] {
-            metrics.histogram(name).record(1.0);
-        }
-        let snaps = vec![TenantSnapshot {
+        let snaps = [TenantSnapshot {
             tenant: "default".to_string(),
             weight: 1,
             max_in_flight: 1,
@@ -1834,22 +1834,8 @@ mod tests {
             rejected_quota: 2,
             in_flight_high_water: 1,
         }];
-        metrics.counter("trace_records").inc();
-        let report = ServeReport::build(
-            "synthetic",
-            3,
-            true,
-            DeviceProfile::Ddr,
-            3,
-            &results,
-            &metrics,
-            &[],
-            &[],
-            &snaps,
-            StealTotals::default(),
-            0,
-            0.5,
-        );
+        let results = [result(1, Backend::Functional, Outcome::Completed)];
+        let report = report_of(DeviceProfile::Ddr, &results, &metrics, None, &snaps);
         assert_eq!(report.jobs_quota_rejected, 2);
         assert_eq!(report.tenants[0].rejected_quota, 2);
         validate_report_json(&serde_json::to_string(&report).unwrap()).unwrap();
@@ -1912,14 +1898,6 @@ mod tests {
     /// `aggregate_dataflow` records for a real run.
     fn program_report() -> ServeReport {
         let metrics = MetricsRegistry::new();
-        let results = vec![result(1, Backend::Functional, Outcome::Completed)];
-        for name in ["jobs_submitted", "jobs_admitted"] {
-            metrics.counter(name).inc();
-        }
-        metrics.counter("jobs_completed").inc();
-        for name in ["queue_wait_ms", "run_ms", "total_ms", "run_ms_functional"] {
-            metrics.histogram(name).record(1.0);
-        }
         metrics.counter("programs_requested").inc();
         metrics.counter("programs_completed").inc();
         metrics.counter("program_nodes_placed").add(2);
@@ -1928,8 +1906,6 @@ mod tests {
         metrics.counter("program_cells").add(100);
         metrics.counter("program_pipelined_ticks").add(7);
         metrics.counter("program_sequential_ticks").add(10);
-        metrics.counter("program_est_pipelined_cps").add(2000);
-        metrics.counter("program_est_sequential_cps").add(1500);
         metrics.counter("program_stage0_cells").add(60);
         metrics.counter("program_stage0_ticks").add(6);
         metrics.counter("program_stage1_cells").add(40);
@@ -1937,22 +1913,8 @@ mod tests {
         metrics.gauge("program_devices").set(2);
         metrics.gauge("program_channel_depth").set(2);
         metrics.gauge("program_channel_high_water").set(1);
-        metrics.counter("trace_records").inc();
-        ServeReport::build(
-            "synthetic",
-            11,
-            true,
-            DeviceProfile::Ddr,
-            1,
-            &results,
-            &metrics,
-            &[],
-            &[],
-            &[],
-            StealTotals::default(),
-            0,
-            0.5,
-        )
+        let results = [result(1, Backend::Functional, Outcome::Completed)];
+        report_of(DeviceProfile::Ddr, &results, &metrics, None, &[])
     }
 
     #[test]
@@ -1963,8 +1925,8 @@ mod tests {
         assert_eq!(report.dataflow.stages.len(), 2);
         assert_eq!(report.dataflow.devices_used_max, 2);
         assert!(
-            report.dataflow.measured_pipelined_cells_per_tick
-                > report.dataflow.measured_sequential_cells_per_tick
+            report.dataflow.sim_pipelined_cells_per_tick
+                > report.dataflow.sim_sequential_cells_per_tick
         );
         validate_report_json(&serde_json::to_string(&report).unwrap()).unwrap();
 
@@ -2006,16 +1968,10 @@ mod tests {
         // A pipelined makespan above the sequential one is impossible.
         let mut bad = program_report();
         bad.dataflow.pipelined_ticks = bad.dataflow.sequential_ticks + 1;
-        bad.dataflow.measured_pipelined_cells_per_tick =
+        bad.dataflow.sim_pipelined_cells_per_tick =
             bad.dataflow.cells_updated as f64 / bad.dataflow.pipelined_ticks as f64;
         let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
         assert!(err.contains("exceeds sequential"), "{err}");
-
-        // So is a pipelined estimate below the sequential one.
-        let mut bad = program_report();
-        bad.dataflow.est_pipelined_cells_per_sec = bad.dataflow.est_sequential_cells_per_sec - 1;
-        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
-        assert!(err.contains("below sequential estimate"), "{err}");
     }
 
     #[test]
@@ -2045,14 +2001,13 @@ mod tests {
         assert!(report.trace.converged_at_fraction > 0.0);
         validate_report_json(&serde_json::to_string(&report).unwrap()).unwrap();
 
-        // Reports written with v1 traces stay valid; unknown versions fail.
-        let mut old = planned_report();
-        old.trace.schema_version = 1;
-        validate_report_json(&serde_json::to_string(&old).unwrap()).unwrap();
-        let mut bad = planned_report();
-        bad.trace.schema_version = crate::trace::TRACE_SCHEMA_VERSION + 1;
-        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
-        assert!(err.contains("trace.schema_version"), "{err}");
+        // Only the trace schema this runtime writes is accepted.
+        for version in [1, crate::trace::TRACE_SCHEMA_VERSION + 1] {
+            let mut bad = planned_report();
+            bad.trace.schema_version = version;
+            let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
+            assert!(err.contains("trace.schema_version"), "{err}");
+        }
 
         // A dropped (or duplicated) trace record breaks the lossless-writer
         // contract.
@@ -2060,12 +2015,6 @@ mod tests {
         bad.trace.records += 1;
         let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
         assert!(err.contains("lossless trace"), "{err}");
-
-        // A traced span cannot outlast the run.
-        let mut bad = planned_report();
-        bad.trace.max_span_ms = bad.wall_seconds * 1000.0 + 10.0;
-        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
-        assert!(err.contains("wall clock"), "{err}");
 
         // Warm hits are a subset of cache hits.
         let mut bad = planned_report();

@@ -109,7 +109,8 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// The record's total span, admission to terminal state, ms.
+    /// The record's total span, submission to terminal state, ms
+    /// (`plan_ms` included).
     pub fn total_span_ms(&self) -> f64 {
         self.done_ms - self.enqueue_ms
     }
@@ -302,7 +303,7 @@ pub struct TraceStats {
     pub queue_wait_ms: Vec<f64>,
     /// Summed per-attempt execution span per record, ms.
     pub exec_ms: Vec<f64>,
-    /// Total admission-to-terminal span per record, ms.
+    /// Total submission-to-terminal span per record, ms.
     pub total_ms: Vec<f64>,
 }
 

@@ -28,7 +28,8 @@
 //!    row band through their cancellation hooks);
 //! 4. optionally re-executes the job on the frozen `serial_ref` oracle and
 //!    bit-compares the outputs (shadow verification);
-//! 5. records latency histograms, counters, and the [`JobResult`].
+//! 5. records counters, and builds the [`JobResult`] and the job's
+//!    [`TraceRecord`] from the same instants.
 //!
 //! The execution data path is zero-allocation in steady state: input,
 //! output, and ping-pong scratch grids are leased from a shared
@@ -624,9 +625,12 @@ fn shard_loop(ctx: &ShardCtx) {
     }
 }
 
-/// Drives one admitted job to a terminal state and records it — counters
-/// and histograms as aggregates, one [`TraceRecord`] as the per-job
-/// ledger line.
+/// Drives one admitted job to a terminal state and records it: counters
+/// as aggregates, plus one [`JobResult`] and one [`TraceRecord`] built
+/// here from the same instants. The result's `queue_wait_ms`, `run_ms`
+/// and `total_ms` are the record's queue wait, `exec_span_ms()` and
+/// `total_span_ms()`, so the serve report, which folds the results, is a
+/// fold over the trace whether or not a trace file is written.
 fn process_job(ctx: &ShardCtx, job: QueuedJob) {
     let QueuedJob {
         spec,
@@ -641,11 +645,11 @@ fn process_job(ctx: &ShardCtx, job: QueuedJob) {
     let since_epoch = |t: Instant| t.saturating_duration_since(ctx.epoch).as_secs_f64() * 1000.0;
     let picked_up = Instant::now();
     let queue_wait_ms = picked_up.duration_since(admitted).as_secs_f64() * 1000.0;
-    ctx.metrics.histogram("queue_wait_ms").record(queue_wait_ms);
 
     let mut attempts = 0u32;
     let mut attempt_spans: Vec<AttemptSpan> = Vec::new();
-    let mut run_ms = 0.0f64;
+    // The final attempt's time: the planner's throughput feedback.
+    let mut last_exec_ms = 0.0f64;
     let mut checksum = None;
     let mut cells_updated = 0u64;
     let mut shadow_match = None;
@@ -662,10 +666,10 @@ fn process_job(ctx: &ShardCtx, job: QueuedJob) {
             let attempt_result = panic::catch_unwind(AssertUnwindSafe(|| {
                 execute(&spec, attempts, &token, &ctx.env)
             }));
-            run_ms = t.elapsed().as_secs_f64() * 1000.0;
+            last_exec_ms = t.elapsed().as_secs_f64() * 1000.0;
             attempt_spans.push(AttemptSpan {
                 start_ms: since_epoch(t),
-                exec_ms: run_ms,
+                exec_ms: last_exec_ms,
                 backoff_ms: 0.0,
                 panicked: attempt_result.is_err(),
             });
@@ -730,20 +734,17 @@ fn process_job(ctx: &ShardCtx, job: QueuedJob) {
         Outcome::Failed => "jobs_failed",
     };
     ctx.metrics.counter(counter).inc();
-    let backend_hist = format!("run_ms_{}", ctx.backend.name());
-    ctx.metrics.histogram(&backend_hist).record(run_ms);
-    ctx.metrics.histogram("run_ms").record(run_ms);
     let done = Instant::now();
-    let total_ms = done.duration_since(admitted).as_secs_f64() * 1000.0;
-    ctx.metrics.histogram("total_ms").record(total_ms);
+    let enqueue_ms = since_epoch(submitted);
+    let done_ms = since_epoch(done);
 
     // Close the planner's feedback loop: a completed auto-planned job
     // reports its achieved cells/s back to the exact candidate it ran,
     // and every terminal outcome releases the backend's in-flight slot
     // so the load-aware exploit rule tracks the true backlog.
     if let Some(assignment) = &plan {
-        if outcome == Outcome::Completed && run_ms > 0.0 {
-            let cells_per_sec = cells_updated as f64 / (run_ms / 1000.0);
+        if outcome == Outcome::Completed && last_exec_ms > 0.0 {
+            let cells_per_sec = cells_updated as f64 / (last_exec_ms / 1000.0);
             ctx.planner
                 .record_throughput(assignment, cells_per_sec, &ctx.metrics);
         }
@@ -757,8 +758,8 @@ fn process_job(ctx: &ShardCtx, job: QueuedJob) {
         outcome,
         attempts,
         queue_wait_ms,
-        run_ms,
-        total_ms,
+        run_ms: attempt_spans.iter().map(|a| a.exec_ms).sum(),
+        total_ms: done_ms - enqueue_ms,
         cells_updated,
         checksum,
         shadow_match,
@@ -787,11 +788,11 @@ fn process_job(ctx: &ShardCtx, job: QueuedJob) {
             .to_string(),
         replicas: spec.replicas.get() as u64,
         program_nodes: spec.program.as_ref().map_or(0, |p| p.nodes.len() as u64),
-        enqueue_ms: since_epoch(submitted),
+        enqueue_ms,
         plan_ms,
         queue_wait_ms,
         exec_start_ms: since_epoch(picked_up),
-        done_ms: since_epoch(done),
+        done_ms,
         attempts: attempt_spans,
         shadow_ms,
         stream_ms,
@@ -858,10 +859,6 @@ struct ProgramRunStats {
     stage_cells: Vec<u64>,
     /// Device-busy ticks per topological stage.
     stage_ticks: Vec<u64>,
-    /// Perf-model estimate for the pipelined placement, cells/s.
-    est_pipelined: f64,
-    /// Perf-model estimate for the 1-device sequential baseline, cells/s.
-    est_sequential: f64,
 }
 
 /// Runs the spec on its backend through the pooled, zero-allocation data
@@ -1423,8 +1420,6 @@ fn execute_program(
             .map(|(slot, &n)| n as u64 * cells * prog.nodes[shape.node_of[slot]].iters as u64)
             .collect(),
         stage_ticks: rep.busy_ticks.clone(),
-        est_pipelined: shape.placement.est_pipelined_cells_per_sec,
-        est_sequential: shape.placement.est_sequential_cells_per_sec,
     };
     Ok(ExecOut {
         checksum,
@@ -1526,12 +1521,10 @@ fn aggregate_counters(metrics: &MetricsRegistry, c: &SimCounters) {
 
 /// Folds one completed program run's [`ProgramRunStats`] into the
 /// `program_*` metrics the serve report's `dataflow` section aggregates.
-/// Estimated cells/s sums are floored to u64 — per job the pipelined
-/// estimate dominates the sequential one, so the floored sums preserve the
-/// ordering the report validator enforces. Channel depth/high-water gauges
-/// rely on [`crate::metrics::Gauge::set`] tracking the high water mark:
-/// per channel `high_water <= capacity`, so the gauge maxima keep
-/// `program_channel_high_water <= program_channel_depth`.
+/// Channel depth/high-water gauges rely on [`crate::metrics::Gauge::set`]
+/// tracking the high water mark: per channel `high_water <= capacity`, so
+/// the gauge maxima keep `program_channel_high_water <=
+/// program_channel_depth`.
 fn aggregate_dataflow(metrics: &MetricsRegistry, s: &ProgramRunStats) {
     metrics.counter("programs_completed").inc();
     metrics.counter("program_nodes_placed").add(s.nodes);
@@ -1548,12 +1541,6 @@ fn aggregate_dataflow(metrics: &MetricsRegistry, s: &ProgramRunStats) {
     metrics
         .counter("program_cells")
         .add(s.stage_cells.iter().sum());
-    metrics
-        .counter("program_est_pipelined_cps")
-        .add(s.est_pipelined as u64);
-    metrics
-        .counter("program_est_sequential_cps")
-        .add(s.est_sequential as u64);
     metrics.gauge("program_devices").set(s.devices as i64);
     for &(capacity, high_water) in &s.channels {
         metrics.gauge("program_channel_depth").set(capacity as i64);
@@ -1918,7 +1905,6 @@ mod tests {
         // The pipelined schedule strictly beats the 1-device serialization
         // once more than one frame streams through more than one stage.
         assert!(stats.pipelined_ticks < stats.sequential_ticks);
-        assert!(stats.est_pipelined >= stats.est_sequential);
         for &(capacity, high_water) in &stats.channels {
             assert!(high_water <= capacity);
         }

@@ -11,7 +11,12 @@
 //!    every record, with the sum of per-attempt execution spans bounded by
 //!    the execution window.
 //! 3. **Cross-consistency** — per id, the trace's attempt count and
-//!    outcome label equal the `JobResult`'s.
+//!    outcome label equal the `JobResult`'s, and so do its latencies:
+//!    `total_ms`, `run_ms` and `queue_wait_ms` are the record's total
+//!    span, summed attempt spans and queue wait.
+//! 4. **The report is a fold over the trace** — every latency summary in
+//!    the [`ServeReport`] (top level, per backend, per tenant) equals
+//!    nearest-rank over the trace file's records.
 //!
 //! Deterministic companions prove that jobs expiring while queued
 //! (TimedOut, zero attempts) and jobs run inside one multi-job batch
@@ -22,15 +27,21 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use stencil_runtime::metrics::exact_quantile_ms;
 use stencil_runtime::trace::outcome_label;
 use stencil_runtime::{
-    synthetic_workload, validate_trace_file, Backend, BatchPolicy, JobResult, JobSpec, Runtime,
-    RuntimeConfig, SyntheticParams, TenantConfig, TenantPolicy, TraceRecord,
+    synthetic_workload, validate_trace_file, Backend, BatchPolicy, DeviceProfile, JobResult,
+    JobSpec, Runtime, RuntimeConfig, ServeReport, SyntheticParams, TenantConfig, TenantPolicy,
+    TraceRecord,
 };
 
 /// Slack when comparing sums of measured sub-spans against an enclosing
 /// span (mirrors the validator's own tolerance).
 const EPS_MS: f64 = 0.5;
+
+/// Slack when comparing a result's latency with its trace record's: both
+/// are computed from the same `Instant`s, so only float rounding differs.
+const SAME_MS: f64 = 1e-6;
 
 /// xorshift64* expansion of one proptest-drawn seed into a draw stream —
 /// the vendored shim only offers scalar range strategies, so workload
@@ -105,6 +116,17 @@ fn assert_trace_matches_results(records: &[TraceRecord], results: &[JobResult]) 
             result.id
         );
         assert_eq!(rec.tenant, result.tenant, "job {}: tenant", result.id);
+        for (name, got, traced) in [
+            ("total_ms", result.total_ms, rec.total_span_ms()),
+            ("run_ms", result.run_ms, rec.exec_span_ms()),
+            ("queue_wait_ms", result.queue_wait_ms, rec.queue_wait_ms),
+        ] {
+            assert!(
+                (got - traced).abs() <= SAME_MS,
+                "job {}: result {name} {got} != traced {traced}",
+                result.id
+            );
+        }
 
         // enqueue <= plan-end <= exec_start <= done.
         assert!(
@@ -139,8 +161,57 @@ fn assert_trace_matches_results(records: &[TraceRecord], results: &[JobResult]) 
     }
 }
 
-/// Runs one random synthetic workload with a trace file attached and
-/// checks losslessness plus every per-record property.
+/// Checks every latency summary of `report` (top level, per backend, per
+/// tenant) against nearest-rank over the trace records.
+fn assert_report_folds_trace(report: &ServeReport, records: &[TraceRecord]) {
+    type Span = fn(&TraceRecord) -> f64;
+    let spans = |keep: &dyn Fn(&TraceRecord) -> bool, span: Span| -> Vec<f64> {
+        records.iter().filter(|r| keep(r)).map(span).collect()
+    };
+    let (total, exec): (Span, Span) = (TraceRecord::total_span_ms, TraceRecord::exec_span_ms);
+    let mut checks = vec![
+        (
+            "total_ms".to_string(),
+            &report.total_ms,
+            spans(&|_| true, total),
+        ),
+        ("run_ms".into(), &report.run_ms, spans(&|_| true, exec)),
+        (
+            "queue_wait_ms".into(),
+            &report.queue_wait_ms,
+            spans(&|_| true, |r| r.queue_wait_ms),
+        ),
+    ];
+    for b in &report.backends {
+        let samples = spans(&|r| r.backend == b.backend, exec);
+        checks.push((format!("backend {}", b.backend), &b.run_ms, samples));
+    }
+    for t in &report.tenants {
+        let samples = spans(&|r| r.tenant == t.tenant, total);
+        checks.push((format!("tenant {}", t.tenant), &t.total_ms, samples));
+    }
+    for (what, summary, samples) in checks {
+        assert_eq!(summary.count, samples.len() as u64, "{what}: count");
+        let mean = samples.iter().sum::<f64>() / samples.len().max(1) as f64;
+        for (stat, got, traced) in [
+            ("p50", summary.p50_ms, exact_quantile_ms(&samples, 0.50)),
+            ("p95", summary.p95_ms, exact_quantile_ms(&samples, 0.95)),
+            ("p99", summary.p99_ms, exact_quantile_ms(&samples, 0.99)),
+            ("max", summary.max_ms, exact_quantile_ms(&samples, 1.0)),
+            ("mean", summary.mean_ms, mean),
+        ] {
+            assert!(
+                (got - traced).abs() <= SAME_MS,
+                "{what}: {stat} reports {got}, the trace gives {traced}"
+            );
+        }
+    }
+}
+
+/// Runs one random synthetic workload (programs, kernels and injected
+/// retries always mixed in) with a trace file attached, checks
+/// losslessness plus every per-record property, then builds the serve
+/// report and checks it folds the trace.
 fn run_random_workload(seed: u64) {
     let mut d = Draws::new(seed);
     let params = SyntheticParams {
@@ -149,10 +220,14 @@ fn run_random_workload(seed: u64) {
         quick: true,
         mean_arrival_us: d.range(20, 200) as u64,
         tenants: d.range(1, 3),
-        programs: d.next() % 2 == 0,
-        kernels: d.next() % 2 == 0,
+        programs: true,
+        kernels: true,
     };
-    let specs = synthetic_workload(&params);
+    let mut specs = synthetic_workload(&params);
+    // Every third job panics at least once and is retried.
+    for spec in specs.iter_mut().step_by(3) {
+        spec.fail_times = spec.fail_times.max(1);
+    }
     let path = temp_trace("rand", seed);
     let _ = std::fs::remove_file(&path);
 
@@ -169,12 +244,18 @@ fn run_random_workload(seed: u64) {
         rt.wait_for_results(params.jobs, Duration::from_secs(120)),
         "workload stuck"
     );
+    let metrics = std::sync::Arc::clone(rt.metrics());
+    let planner = std::sync::Arc::clone(rt.planner());
     let outcome = rt.drain();
     assert_eq!(outcome.wedged_workers, 0);
     assert_eq!(
         outcome.trace_records_written,
         outcome.results.len() as u64,
         "writer drained one record per terminal job"
+    );
+    assert!(
+        outcome.results.iter().any(|r| r.attempts > 1),
+        "an injected failure was retried"
     );
 
     let stats = validate_trace_file(&path).expect("trace file validates");
@@ -191,14 +272,32 @@ fn run_random_workload(seed: u64) {
 
     let records = read_records(&path);
     assert_trace_matches_results(&records, &outcome.results);
+
+    let report = ServeReport::build(
+        "synthetic",
+        seed,
+        true,
+        DeviceProfile::Ddr,
+        params.jobs,
+        &outcome.results,
+        &metrics,
+        &planner.snapshot(),
+        &planner.plan_history(),
+        &outcome.tenants,
+        outcome.steals,
+        outcome.wedged_workers,
+        outcome.wall_seconds,
+    );
+    assert_report_folds_trace(&report, &records);
     let _ = std::fs::remove_file(&path);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random workloads (size, arrival rate, tenancy, program mix, shadow
-    /// sampling) always produce a lossless, span-consistent trace.
+    /// Random workloads (size, arrival rate, tenancy, shadow sampling)
+    /// always produce a lossless, span-consistent trace, and the serve
+    /// report folds it.
     #[test]
     fn random_workloads_trace_every_terminal_job_exactly_once(seed in 0u64..u64::MAX / 2) {
         run_random_workload(seed);

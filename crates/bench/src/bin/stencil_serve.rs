@@ -18,7 +18,7 @@
 //! ```
 //!
 //! `--synthetic` generates a seeded, deterministic open-loop workload
-//! (exponential inter-arrival gaps) covering all four backends, both
+//! (exponential inter-arrival gaps) covering every backend, both
 //! dimensionalities, a spread of radii/priorities, forced shadow
 //! verification, injected transient failures, and near-impossible
 //! deadlines; `--workload` replays a JSONL file instead (one

@@ -10,6 +10,7 @@
 //! cargo run --release -p stencil-bench --bin tables -- table3 --json
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -28,6 +28,7 @@
 //! assert_eq!(stencil.flops_per_cell(), 25);       // Table I, 2D rad 3
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -34,6 +34,7 @@
 //! assert_eq!(mem.total_stats().split_requests, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

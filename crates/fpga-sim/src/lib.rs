@@ -11,7 +11,7 @@
 //!
 //! | paper flow stage | here |
 //! |---|---|
-//! | kernel execution | [`functional`] (lockstep) and [`threaded`] (one thread per kernel) — both **bit-exact** vs the `stencil-core` oracle |
+//! | kernel execution | [`functional`] (lockstep) — **bit-exact** vs the `stencil-core` oracle |
 //! | kernel timing    | [`timing`] — cycle-level replay of the block schedule against the [`ddr_model`] DDR4 substrate |
 //! | Quartus fitter   | [`area`] — exact DSP arithmetic + calibrated BRAM model |
 //! | timing closure   | [`fmax`] — dim/radius model with deterministic seed sweep |
@@ -34,6 +34,7 @@
 //! assert!(report.gflop_per_s > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
@@ -51,8 +52,6 @@ pub mod power;
 pub mod schedule;
 pub mod serial_ref;
 pub mod shift_register;
-pub mod spsc;
-pub mod threaded;
 pub mod timing;
 pub mod transfer;
 pub mod unblocked;
@@ -71,7 +70,5 @@ pub use functional::{
 pub use schedule::{CollapsedSchedule, LoopPoint};
 pub use serial_ref::{run_2d_serial, run_3d_serial};
 pub use shift_register::ShiftRegister;
-pub use spsc::SpscRing;
-pub use threaded::SimOptions;
 pub use timing::{GridDims, TimingOptions, TimingReport};
 pub use transfer::HostLink;

@@ -25,6 +25,7 @@
 //! assert!(k.aoc_command("r3").contains("-DRAD=3"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -20,6 +20,7 @@
 //! assert!(devices::ARRIA10.flop_byte_ratio() > 40.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

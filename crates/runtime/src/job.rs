@@ -20,8 +20,6 @@ pub enum Backend {
     /// The only backend with sub-job cancellation granularity: the cancel
     /// token is polled at every block boundary.
     Functional,
-    /// One-thread-per-kernel dataflow simulator (`fpga_sim::threaded`).
-    Threaded,
     /// YASK-style parallel CPU baseline (`cpu_engine::engines`).
     CpuEngine,
     /// The frozen seed data path (`fpga_sim::serial_ref`) — also the shadow
@@ -31,18 +29,12 @@ pub enum Backend {
 
 impl Backend {
     /// Every backend, in shard order.
-    pub const ALL: [Backend; 4] = [
-        Backend::Functional,
-        Backend::Threaded,
-        Backend::CpuEngine,
-        Backend::SerialRef,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::Functional, Backend::CpuEngine, Backend::SerialRef];
 
     /// Stable lowercase name (used in CLI flags, metrics keys, reports).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Functional => "functional",
-            Backend::Threaded => "threaded",
             Backend::CpuEngine => "cpu-engine",
             Backend::SerialRef => "serial_ref",
         }
@@ -283,8 +275,7 @@ pub struct JobSpec {
     /// default, and in all pre-kernel JSONL workloads) the job is the
     /// classic star/clamp stencil; present, the job runs the requested tap
     /// family and boundary condition through the runtime kernel specializer.
-    /// Mutually exclusive with `program`; the threaded backend cannot serve
-    /// kernel jobs (its dataflow streams fixed star taps).
+    /// Mutually exclusive with `program`.
     pub kernel: Option<KernelSpec>,
 }
 
@@ -386,11 +377,6 @@ impl JobSpec {
         if let Some(spec) = &self.kernel {
             if self.program.is_some() {
                 return Err(PlanError::KernelWithProgram);
-            }
-            if self.plan == PlanMode::Explicit && self.backend == Backend::Threaded {
-                return Err(PlanError::KernelBackend {
-                    backend: self.backend,
-                });
             }
             spec.desc(self.dim, self.rad, self.seed)
                 .map_err(PlanError::Config)?;
@@ -644,23 +630,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_jobs_validate_backend_and_program_exclusion() {
+    fn kernel_jobs_validate_program_exclusion() {
         let mut s = JobSpec::new_2d(1, 2, 96, 32, 4);
         s.kernel = Some(KernelSpec {
             taps: KernelClass::Asymmetric,
             boundary: BoundaryCond::Reflective,
         });
-        s.validate().unwrap();
-        // The threaded dataflow simulator cannot serve desc kernels.
-        s.backend = Backend::Threaded;
-        assert_eq!(
-            s.validate().unwrap_err(),
-            PlanError::KernelBackend {
-                backend: Backend::Threaded
-            }
-        );
-        // ...unless the planner picks the backend anyway.
-        s.plan = PlanMode::Auto;
         s.validate().unwrap();
         // Kernel and program are mutually exclusive.
         s.program = Some(crate::program::StencilProgram::heat_gradient_2d(2));

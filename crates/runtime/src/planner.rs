@@ -78,12 +78,6 @@ pub enum PlanError {
     /// The job carries an invalid stencil program — the underlying
     /// [`crate::program::ProgramError`] names the graph rule it violates.
     Program(crate::program::ProgramError),
-    /// The job pairs a desc kernel with a backend that cannot execute it
-    /// (the threaded dataflow simulator streams with fixed star taps).
-    KernelBackend {
-        /// The backend the spec asked for.
-        backend: Backend,
-    },
     /// The job sets both `kernel` and `program` — a desc kernel describes
     /// one operator, a program is a DAG of fixed-star operators.
     KernelWithProgram,
@@ -100,9 +94,6 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::ZeroReplicas => write!(f, "replicas must be >= 1"),
             PlanError::Program(e) => write!(f, "{e}"),
-            PlanError::KernelBackend { backend } => {
-                write!(f, "backend {backend} cannot execute desc kernels")
-            }
             PlanError::KernelWithProgram => {
                 write!(f, "a job cannot carry both a kernel and a program")
             }
@@ -240,9 +231,10 @@ pub struct ShapeKey {
     pub nz_class: usize,
     /// Kernel class for desc-kernel jobs (`None` for legacy star jobs,
     /// keeping their shape keys and labels byte-identical). Desc kernels
-    /// get their own candidate tables even for the star family: their
-    /// tables must never carry the Threaded backend, which cannot execute
-    /// them.
+    /// get their own candidate tables even for the star family: on
+    /// Functional a desc job runs the grid-resident executor, not the
+    /// simulated block schedule, so its measured rates must not mix with
+    /// a star job's.
     pub kernel_class: Option<KernelClass>,
 }
 
@@ -954,9 +946,8 @@ impl Planner {
     /// Builds the validated candidate table for one shape class: the
     /// model's top-k block configurations on the vectorized functional
     /// backend, plus CPU-engine and serial-reference alternatives on the
-    /// best configuration and a deliberately narrow threaded-dataflow
-    /// entry — so the epsilon-greedy loop has genuinely different
-    /// backends to measure, not just different block shapes.
+    /// best configuration — so the epsilon-greedy loop has genuinely
+    /// different backends to measure, not just different block shapes.
     fn build_candidates(&self, key: &ShapeKey, served: &[Backend]) -> Vec<PlanCandidate> {
         let dim = if key.dim == 2 { Dim::D2 } else { Dim::D3 };
         let ranked = tuner::shape_candidates(
@@ -1001,31 +992,6 @@ impl Planner {
                     replicas: 1,
                     score: best.score * 0.25,
                 });
-            }
-            // The threaded simulator spawns one thread set per chained PE,
-            // so its candidate uses the minimum legal temporal depth. It
-            // streams fixed star taps with clamped edges, so desc-kernel
-            // shape classes never list it.
-            if key.kernel_class.is_none() && served.contains(&Backend::Threaded) {
-                let step = 4 / gcd(key.rad, 4);
-                let shallow = match dim {
-                    Dim::D2 => BlockConfig::new_2d(key.rad, best.config.bsize_x, 2, step),
-                    Dim::D3 => BlockConfig::new_3d(
-                        key.rad,
-                        best.config.bsize_x,
-                        best.config.bsize_y,
-                        2,
-                        step,
-                    ),
-                };
-                if let Ok(cfg) = shallow {
-                    out.push(PlanCandidate {
-                        backend: Backend::Threaded,
-                        config: cfg,
-                        replicas: 1,
-                        score: best.score * 0.05,
-                    });
-                }
             }
         }
         debug_assert!(
@@ -1079,14 +1045,9 @@ fn prior_cells_per_sec(backend: Backend) -> f64 {
         Backend::Functional => 5e7,
         Backend::CpuEngine => 5e7,
         Backend::SerialRef => 5e6,
-        Backend::Threaded => 5e5,
     }
 }
 
-/// Whether a candidate with estimated throughput `est_cells_per_sec` is
-/// predicted to finish `spec` inside its deadline (jobs without deadlines
-/// always fit). Half the deadline is budgeted for the run; the rest
-/// covers queueing.
 /// One program node placed on a simulated device: the block configuration
 /// the tuner chose for it, the resources it occupies, and the perf-model
 /// stage-rate estimate the cluster scheduler prices its firings with.
@@ -1111,24 +1072,13 @@ pub struct StagePlacement {
     pub exec_ticks: u64,
 }
 
-/// A whole program mapped onto a cluster of simulated devices, plus the
-/// perf-model throughput estimates for the pipelined placement and the
-/// 1-device sequential baseline. `est_pipelined_cells_per_sec >=
-/// est_sequential_cells_per_sec` always holds (the pipeline's bottleneck
-/// stage rate dominates the harmonic mean) — the serve-report validator
-/// enforces it.
+/// A whole program mapped onto a cluster of simulated devices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramPlacement {
     /// Stages in topological order.
     pub stages: Vec<StagePlacement>,
     /// Devices the placement uses.
     pub devices: usize,
-    /// Steady-state pipeline estimate: bottleneck frame rate x cells per
-    /// frame across all stages.
-    pub est_pipelined_cells_per_sec: f64,
-    /// Sequential baseline estimate: cells per frame over the summed
-    /// per-stage frame latencies.
-    pub est_sequential_cells_per_sec: f64,
 }
 
 /// Places `program`'s nodes onto simulated devices of `profile` under the
@@ -1181,8 +1131,6 @@ pub fn place_program(
         .fold(f64::INFINITY, f64::min);
 
     let mut stages = Vec::with_capacity(tables.len());
-    let mut est_seq_latency = 0.0;
-    let mut total_frame_cells = 0u64;
     for (slot, (i, cands)) in tables.iter().enumerate() {
         let node = &program.nodes[*i];
         // Cheapest candidate still meeting the bottleneck rate; the top
@@ -1200,8 +1148,6 @@ pub fn place_program(
         debug_assert!(dsps <= device.dsps && bram_bits <= device.m20k_bits);
         let est = pick.score * 1e9;
         let stage_cells = cells as f64 * node.iters as f64;
-        est_seq_latency += stage_cells / est;
-        total_frame_cells += cells * node.iters as u64;
         // One virtual tick is 1 µs of simulated device time.
         let exec_ticks = (stage_cells / est * 1e6).ceil().max(1.0) as u64;
         stages.push(StagePlacement {
@@ -1216,15 +1162,8 @@ pub fn place_program(
         });
     }
 
-    let bottleneck_chosen = stages
-        .iter()
-        .zip(&tables)
-        .map(|(s, (i, _))| s.est_cells_per_sec / (cells as f64 * program.nodes[*i].iters as f64))
-        .fold(f64::INFINITY, f64::min);
     Ok(ProgramPlacement {
         devices: stages.len(),
-        est_pipelined_cells_per_sec: bottleneck_chosen * total_frame_cells as f64,
-        est_sequential_cells_per_sec: total_frame_cells as f64 / est_seq_latency,
         stages,
     })
 }
@@ -1243,20 +1182,16 @@ impl Planner {
     }
 }
 
+/// Whether a candidate with estimated throughput `est_cells_per_sec` is
+/// predicted to finish `spec` inside its deadline (jobs without deadlines
+/// always fit). Half the deadline is budgeted for the run; the rest
+/// covers queueing.
 fn deadline_fits(est_cells_per_sec: f64, spec: &JobSpec) -> bool {
     if spec.deadline_ms == 0 {
         return true;
     }
     let predicted_ms = spec.work_cells() as f64 / est_cells_per_sec * 1000.0;
     predicted_ms <= spec.deadline_ms as f64 * 0.5
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
 }
 
 /// FNV-1a fingerprint of a candidate table: backend names, block
@@ -1319,7 +1254,7 @@ mod tests {
     }
 
     #[test]
-    fn program_placement_is_pipelined_budgeted_and_rate_ordered() {
+    fn program_placement_is_pipelined_and_budgeted() {
         for profile in [DeviceProfile::Ddr, DeviceProfile::Hbm] {
             let device = profile.fpga_device();
             let spec = JobSpec::new_2d(1, 1, 192, 128, 1);
@@ -1334,10 +1269,6 @@ mod tests {
                 assert!(s.exec_ticks >= 1);
                 assert!(s.est_cells_per_sec > 0.0);
             }
-            assert!(
-                p.est_pipelined_cells_per_sec >= p.est_sequential_cells_per_sec,
-                "bottleneck rate dominates the harmonic mean"
-            );
         }
     }
 
@@ -1501,13 +1432,14 @@ mod tests {
         for id in 2..40 {
             let mut s = auto_spec(id, 1, 256, 128);
             s.iters = 8;
-            // 256*128*8 cells at the threaded prior (5e5/s) needs ~500 ms.
+            // 256*128*8 cells at the serial prior (5e6/s) need 52 ms,
+            // over the 50 ms half of the deadline budgeted for the run.
             s.deadline_ms = 100;
             let asg = planner.plan(&s, &served, &metrics).unwrap();
             assert_ne!(
                 asg.choice.backend,
-                Backend::Threaded,
-                "a 100 ms deadline must exclude the threaded prior"
+                Backend::SerialRef,
+                "a 100 ms deadline must exclude the serial prior"
             );
         }
     }
@@ -1753,7 +1685,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_jobs_get_their_own_shape_class_without_threaded() {
+    fn kernel_jobs_get_their_own_shape_class() {
         use crate::job::KernelSpec;
         use stencil_core::BoundaryCond;
         let legacy = auto_spec(1, 2, 96, 32);
@@ -1767,32 +1699,13 @@ mod tests {
         assert_ne!(lk, kk, "kernel jobs never share legacy candidate tables");
         assert_eq!(lk.label(), "d2r2x128y32z1", "legacy labels unchanged");
         assert_eq!(kk.label(), "d2r2x128y32z1kbox");
-        // Even the star family gets its own class: its table must omit
-        // Threaded, which legacy star tables include.
+        // Even the star family gets its own class.
         let mut star = auto_spec(3, 2, 96, 32);
         star.kernel = Some(KernelSpec {
             taps: KernelClass::Star,
             boundary: BoundaryCond::Clamp,
         });
         assert_eq!(ShapeKey::of(&star).label(), "d2r2x128y32z1kstar");
-
-        let planner = Planner::new(PlannerConfig::default());
-        let served = Backend::ALL.to_vec();
-        for key in [kk, ShapeKey::of(&star)] {
-            let cands = planner.candidates(key, &served);
-            assert!(!cands.is_empty());
-            assert!(
-                cands.iter().all(|c| c.backend != Backend::Threaded),
-                "desc-kernel tables must omit the streaming Threaded backend"
-            );
-        }
-        assert!(
-            planner
-                .candidates(lk, &served)
-                .iter()
-                .any(|c| c.backend == Backend::Threaded),
-            "legacy star table keeps its Threaded candidate"
-        );
     }
 
     #[test]

@@ -439,7 +439,7 @@ mod tests {
     #[test]
     fn pop_respects_priority_then_fifo_per_backend() {
         let q = AdmissionQueue::new(8);
-        push(&q, spec(1, Backend::Threaded, Priority::Normal)).unwrap();
+        push(&q, spec(1, Backend::CpuEngine, Priority::Normal)).unwrap();
         push(&q, spec(2, Backend::Functional, Priority::Low)).unwrap();
         push(&q, spec(3, Backend::Functional, Priority::High)).unwrap();
         push(&q, spec(4, Backend::Functional, Priority::High)).unwrap();
@@ -448,8 +448,8 @@ mod tests {
             .map(|_| q.pop_batch(Backend::Functional, &ONE).unwrap()[0].spec.id)
             .collect();
         assert_eq!(ids, vec![3, 4, 2], "High FIFO, then Low");
-        // The threaded job is untouched by the functional shard.
-        assert_eq!(q.pop_batch(Backend::Threaded, &ONE).unwrap()[0].spec.id, 1);
+        // The CPU-engine job is untouched by the functional shard.
+        assert_eq!(q.pop_batch(Backend::CpuEngine, &ONE).unwrap()[0].spec.id, 1);
     }
 
     #[test]

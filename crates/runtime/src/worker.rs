@@ -59,7 +59,7 @@ use crate::tenant::{Tenant, TenantPolicy, TenantRegistry, TenantSnapshot};
 use crate::trace::{outcome_label, AttemptSpan, TraceRecord, TraceWriter, TRACE_SCHEMA_VERSION};
 use cpu_engine::engines;
 use fpga_sim::cluster::{self, ClusterKernel, ClusterNode, ClusterSpec};
-use fpga_sim::{functional, serial_ref, threaded, SimCounters, SimOptions};
+use fpga_sim::{functional, serial_ref, SimCounters};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, Once};
@@ -91,9 +91,6 @@ pub struct RuntimeConfig {
     /// profile opens the hybrid `replicas x partime` axis, so auto-planned
     /// jobs can land on spatially replicated functional chains.
     pub device: DeviceProfile,
-    /// Simulator options handed to the Threaded backend (channel depth,
-    /// lane override).
-    pub sim: SimOptions,
     /// Grid buffer pool tunables (free-list bound per shape class).
     pub pool: PoolConfig,
     /// Per-tenant DWRR weights and in-flight quotas.
@@ -121,7 +118,6 @@ impl Default for RuntimeConfig {
             batch: BatchPolicy::serving_default(),
             planner: PlannerConfig::default(),
             device: DeviceProfile::default(),
-            sim: SimOptions::default(),
             pool: PoolConfig::default(),
             tenants: TenantPolicy::default(),
             planner_memory: None,
@@ -266,29 +262,22 @@ struct ShardCtx {
     env: ExecEnv,
 }
 
-/// Pooled execution resources shared by every shard: the grid buffer pool,
-/// the stencil memo, and the simulator options for the Threaded backend.
+/// Pooled execution resources shared by every shard: the grid buffer pool
+/// and the stencil memo.
 #[derive(Clone)]
 struct ExecEnv {
     pool: Arc<GridPool>,
     stencils: Arc<StencilMemo>,
-    sim: SimOptions,
     /// Device profile program placement ranks candidates against — the
     /// same profile the planner plans single-kernel jobs for.
     profile: DeviceProfile,
 }
 
 impl ExecEnv {
-    fn new(
-        metrics: &MetricsRegistry,
-        sim: SimOptions,
-        pool: PoolConfig,
-        profile: DeviceProfile,
-    ) -> ExecEnv {
+    fn new(metrics: &MetricsRegistry, pool: PoolConfig, profile: DeviceProfile) -> ExecEnv {
         ExecEnv {
             pool: Arc::new(GridPool::new(metrics, pool)),
             stencils: Arc::new(StencilMemo::new(metrics, StencilMemo::DEFAULT_CAPACITY)),
-            sim,
             profile,
         }
     }
@@ -354,7 +343,7 @@ impl Runtime {
         }
         let tracer = Arc::new(TraceWriter::spawn(config.trace_out.clone()).expect("trace output"));
         let tenants = Arc::new(TenantRegistry::new(config.tenants.clone()));
-        let env = ExecEnv::new(&metrics, config.sim, config.pool, config.device);
+        let env = ExecEnv::new(&metrics, config.pool, config.device);
         let mut workers = Vec::new();
         for &backend in &config.backends {
             for w in 0..config.workers_per_shard {
@@ -954,7 +943,7 @@ fn grid_resident_counters(spec: &JobSpec, lanes: usize) -> SimCounters {
 
 /// Runs a single-kernel 2D job into the leased buffers; `None` when the run
 /// was cancelled. The worker's only routing decision: a star job on
-/// Functional or Threaded runs the simulated block schedule, a desc job (a
+/// Functional runs the simulated block schedule, a desc job (a
 /// [`crate::job::KernelSpec`]) or any CpuEngine job runs the grid-resident
 /// rayon executor, cancellable between row bands, and SerialRef runs the
 /// frozen oracle of the job's kind.
@@ -983,13 +972,6 @@ fn run_2d(
                 out,
                 scratch,
             )
-        }
-        (Backend::Threaded, false) => {
-            threaded::run_2d_opts_into(&star(), input, &cfg(), spec.iters, &env.sim, out, scratch);
-            Some(plain_counters(spec))
-        }
-        (Backend::Threaded, true) => {
-            unreachable!("kernel jobs are rejected for the Threaded backend at admission")
         }
         (Backend::Functional | Backend::CpuEngine, _) => {
             let kernel = match spec.kernel {
@@ -1040,13 +1022,6 @@ fn run_3d(
                 out,
                 scratch,
             )
-        }
-        (Backend::Threaded, false) => {
-            threaded::run_3d_opts_into(&star(), input, &cfg(), spec.iters, &env.sim, out, scratch);
-            Some(plain_counters(spec))
-        }
-        (Backend::Threaded, true) => {
-            unreachable!("kernel jobs are rejected for the Threaded backend at admission")
         }
         (Backend::Functional | Backend::CpuEngine, _) => {
             let kernel = match spec.kernel {
@@ -1650,12 +1625,7 @@ mod tests {
     /// so pool counters can be asserted in isolation.
     fn test_env() -> (ExecEnv, Arc<MetricsRegistry>) {
         let metrics = Arc::new(MetricsRegistry::new());
-        let env = ExecEnv::new(
-            &metrics,
-            SimOptions::default(),
-            PoolConfig::default(),
-            DeviceProfile::Ddr,
-        );
+        let env = ExecEnv::new(&metrics, PoolConfig::default(), DeviceProfile::Ddr);
         (env, metrics)
     }
 

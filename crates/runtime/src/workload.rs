@@ -5,8 +5,8 @@
 //! process driven by a seeded deterministic RNG, so every load test is
 //! reproducible bit-for-bit from `(jobs, seed, quick)`.
 //!
-//! The synthetic mix is deliberately adversarial for the runtime: all four
-//! backends round-robin-ish, 2D and 3D geometries, a spread of radii and
+//! The synthetic mix is deliberately adversarial for the runtime: every
+//! backend round-robin-ish, 2D and 3D geometries, a spread of radii and
 //! priorities, ~12% forced shadow verification, a few percent injected
 //! transient failures (testing retry), and a small slice of
 //! near-impossible deadlines (testing timeout handling).
@@ -92,8 +92,7 @@ pub struct SyntheticParams {
     /// Mixes declarative *kernel-desc* jobs into the stream: jobs whose
     /// `id % 4` is 3 gain a [`KernelSpec`] cycling through the tap
     /// families (star/box/asymmetric) and boundary conditions
-    /// (clamp/periodic/reflective), routed only to backends that execute
-    /// desc kernels (never `Threaded`). Disjoint from the `programs`
+    /// (clamp/periodic/reflective). Disjoint from the `programs`
     /// slice, so both mixes can run together. `false` leaves the
     /// historical stream untouched, draw for draw.
     pub kernels: bool,
@@ -184,7 +183,7 @@ pub fn arrival_gaps_us(params: &SyntheticParams) -> Vec<u64> {
 }
 
 fn synthesize_job(id: u64, rng: &mut XorShift64, quick: bool) -> JobSpec {
-    let backend = Backend::ALL[(rng.next_u64() % 4) as usize];
+    let backend = Backend::ALL[(rng.next_u64() % Backend::ALL.len() as u64) as usize];
     let dim3 = rng.gen_f64() < 0.3;
     let rad = rng.gen_range(1, 5) as usize;
     let mut spec = if dim3 {
@@ -288,9 +287,7 @@ fn synthesize_program_job(id: u64, rng: &mut XorShift64, quick: bool) -> JobSpec
 }
 
 /// Synthesizes one declarative *kernel-desc* job: the geometry draw of a
-/// plain 2D/3D job plus a [`KernelSpec`], on a backend that executes desc
-/// kernels (`Threaded` cannot, so it is excluded from the draw — admission
-/// would reject it anyway).
+/// plain 2D/3D job plus a [`KernelSpec`].
 ///
 /// The desc itself (taps + boundary + radius + coefficient seed) is drawn
 /// from a *small fixed table* of recurring kernel types rather than fully
@@ -301,8 +298,6 @@ fn synthesize_program_job(id: u64, rng: &mut XorShift64, quick: bool) -> JobSpec
 /// so box neighborhoods stay affordable at serve scale; the bench matrix
 /// covers the deep-radius shapes.
 fn synthesize_kernel_job(id: u64, rng: &mut XorShift64, quick: bool) -> JobSpec {
-    const KERNEL_BACKENDS: [Backend; 3] =
-        [Backend::SerialRef, Backend::CpuEngine, Backend::Functional];
     /// The recurring kernel types: (taps, boundary, rad, 3D?). The 2D
     /// slice spans every tap family and boundary condition; the 3D slice
     /// keeps the deep shapes that stress plane-major lowering.
@@ -314,7 +309,7 @@ fn synthesize_kernel_job(id: u64, rng: &mut XorShift64, quick: bool) -> JobSpec 
         (KernelClass::Star, BoundaryCond::Periodic, 2, true),
         (KernelClass::Box, BoundaryCond::Clamp, 1, true),
     ];
-    let backend = KERNEL_BACKENDS[(rng.next_u64() % 3) as usize];
+    let backend = Backend::ALL[(rng.next_u64() % Backend::ALL.len() as u64) as usize];
     let kind = (rng.next_u64() % TYPES.len() as u64) as usize;
     let (taps, boundary, rad, dim3) = TYPES[kind];
     let mut spec = if dim3 {
@@ -566,9 +561,8 @@ mod tests {
         assert!(specs.iter().all(|s| s.kernel.is_some() == (s.id % 4 == 3)));
         let kernel_jobs: Vec<_> = specs.iter().filter(|s| s.kernel.is_some()).collect();
         assert_eq!(kernel_jobs.len(), 30);
-        // The mix covers every tap family and boundary condition, both
-        // dimensionalities, and never routes to Threaded (which cannot
-        // execute desc kernels).
+        // The mix covers every tap family and boundary condition and both
+        // dimensionalities.
         for taps in [KernelClass::Star, KernelClass::Box, KernelClass::Asymmetric] {
             assert!(
                 kernel_jobs
@@ -591,9 +585,7 @@ mod tests {
         }
         assert!(kernel_jobs.iter().any(|s| s.dim == 2));
         assert!(kernel_jobs.iter().any(|s| s.dim == 3));
-        assert!(kernel_jobs
-            .iter()
-            .all(|s| s.backend != Backend::Threaded && s.validate().is_ok()));
+        assert!(kernel_jobs.iter().all(|s| s.validate().is_ok()));
         // Kernel jobs survive the JSONL replay format bit-for-bit.
         let back = parse_jsonl(&to_jsonl(&specs)).unwrap();
         assert_eq!(back, specs);

@@ -6,7 +6,7 @@
 //! so recycled contents are garbage by construction — proving that no
 //! pass reads its destination before writing it.
 
-use fpga_sim::{functional, serial_ref, threaded, SimOptions};
+use fpga_sim::{functional, serial_ref};
 use proptest::prelude::*;
 use std::sync::Arc;
 use stencil_core::{BlockConfig, Grid2D, Grid3D, Stencil2D, Stencil3D};
@@ -243,67 +243,6 @@ proptest! {
             &st, &grid, &cfg, iters, cfg.parvec, replicas, &|| false, &mut out, &mut scratch,
         );
         prop_assert!(counters.is_some());
-        prop_assert_eq!(&*out, &oracle);
-    }
-
-    #[test]
-    fn threaded_into_2d_matches_oracle_at_shallow_depths(
-        rad in 1usize..=3,
-        extra in 0usize..=3,
-        depth in 1usize..=4,
-        nx in 1usize..=48,
-        ny in 1usize..=12,
-        iters in 0usize..=4,
-        seed in 0u64..500,
-    ) {
-        // The threaded simulator moves rows over SPSC channels; shallow
-        // depths maximize full/empty wraparound pressure on the rings.
-        let cfg = cfg_2d(rad, 1, 0, extra);
-        let st = Stencil2D::<f32>::random(rad, seed).unwrap();
-        let grid =
-            Grid2D::from_fn(nx, ny, |x, y| ((x * 7 + y * 13 + seed as usize) % 31) as f32)
-                .unwrap();
-        let pool = test_pool();
-        let opts = SimOptions {
-            channel_depth: depth,
-            ..SimOptions::default()
-        };
-
-        let oracle = serial_ref::run_2d_serial(&st, &grid, &cfg, iters);
-        prop_assert_eq!(&threaded::run_2d_opts(&st, &grid, &cfg, iters, &opts), &oracle);
-
-        let mut out = dirty_lease_2d(&pool, nx, ny);
-        let mut scratch = dirty_lease_2d(&pool, nx, ny);
-        threaded::run_2d_opts_into(&st, &grid, &cfg, iters, &opts, &mut out, &mut scratch);
-        prop_assert_eq!(&*out, &oracle);
-    }
-
-    #[test]
-    fn threaded_into_3d_matches_oracle_at_shallow_depths(
-        rad in 1usize..=2,
-        depth in 1usize..=3,
-        nx in 1usize..=20,
-        ny in 1usize..=10,
-        nz in 1usize..=6,
-        iters in 0usize..=3,
-        seed in 0u64..500,
-    ) {
-        let cfg = cfg_3d(rad, 0, 0);
-        let st = Stencil3D::<f32>::random(rad, seed).unwrap();
-        let grid = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
-            ((x * 3 + y * 5 + z * 11 + seed as usize) % 29) as f32
-        })
-        .unwrap();
-        let pool = test_pool();
-        let opts = SimOptions {
-            channel_depth: depth,
-            ..SimOptions::default()
-        };
-
-        let oracle = serial_ref::run_3d_serial(&st, &grid, &cfg, iters);
-        let mut out = dirty_lease_3d(&pool, nx, ny, nz);
-        let mut scratch = dirty_lease_3d(&pool, nx, ny, nz);
-        threaded::run_3d_opts_into(&st, &grid, &cfg, iters, &opts, &mut out, &mut scratch);
         prop_assert_eq!(&*out, &oracle);
     }
 }

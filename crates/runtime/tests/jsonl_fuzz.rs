@@ -1,0 +1,80 @@
+//! Fuzz target for the JSONL workload boundary: a mutated `JobSpec` line
+//! must parse to specs or to a `(line, message)` error — never a panic, a
+//! stack overflow or a hang — and every spec that parses must validate
+//! without panicking.
+//!
+//! Inputs are lines of the committed replay fixture with 1–8 random ASCII
+//! byte edits (`parse_jsonl` takes `&str`, so the edits keep the text
+//! valid UTF-8). A quarter of the cases are also wrapped in up to 200,000
+//! leading `[`, deep enough to overflow the stack of a parser without a
+//! nesting limit. Cases run on the test thread's default 2 MiB stack.
+
+use proptest::prelude::*;
+use stencil_runtime::workload::parse_jsonl;
+
+const FIXTURE: &str = include_str!("fixtures/replay_small.jsonl");
+
+/// One byte edit: (kind, position seed, byte seed), applied at
+/// `position % (len + 1)`. Kinds 0–2 overwrite, 3–4 insert, 5–6 delete and
+/// 7 truncates; truncation always breaks the line, so it is the rarest.
+/// Byte seeds below 128 are that ASCII byte; the rest are digits, so an
+/// edit inside a number often leaves a parseable spec for `validate()`.
+type Edit = (u8, usize, u8);
+
+fn mutate(line: &str, edits: &[Edit]) -> String {
+    let mut bytes = line.as_bytes().to_vec();
+    for &(kind, pos, seed) in edits {
+        let at = pos % (bytes.len() + 1);
+        let byte = if seed < 128 { seed } else { b'0' + seed % 10 };
+        match kind {
+            0..=2 if at < bytes.len() => bytes[at] = byte,
+            0..=4 => bytes.insert(at, byte),
+            5 | 6 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            5 | 6 => {}
+            _ => bytes.truncate(at),
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII edits of an ASCII line stay UTF-8")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn mutated_jobspec_lines_parse_or_fail_typed(
+        pick in any::<usize>(),
+        edits in prop::collection::vec((0u8..8, any::<usize>(), any::<u8>()), 1..9),
+        nest in (0usize..4, 0usize..=200_000),
+    ) {
+        let lines: Vec<&str> = FIXTURE.lines().collect();
+        let line = lines[pick % lines.len()];
+        prop_assert!(line.is_ascii());
+        let depth = if nest.0 == 0 { nest.1 } else { 0 };
+        let text = "[".repeat(depth) + &mutate(line, &edits);
+        match parse_jsonl(&text) {
+            Ok(specs) => {
+                for spec in &specs {
+                    let _ = spec.validate();
+                }
+            }
+            Err((at, msg)) => {
+                let last = text.split('\n').count();
+                prop_assert!((1..=last).contains(&at), "line {at} of {last}: {msg}");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_retired_threaded_backend_is_a_typed_error_on_its_line() {
+    let line = FIXTURE.lines().next().unwrap();
+    let key = "\"backend\":\"";
+    let start = line.find(key).unwrap() + key.len();
+    let end = start + line[start..].find('"').unwrap();
+    let threaded = format!("{}Threaded{}", &line[..start], &line[end..]);
+    let (at, msg) = parse_jsonl(&threaded).unwrap_err();
+    assert_eq!(at, 1);
+    assert!(msg.contains("Threaded"), "{msg}");
+}

@@ -127,7 +127,7 @@ fn drain_finishes_every_admitted_job() {
     });
     let mut admitted = 0;
     for id in 0..24u64 {
-        let backend = Backend::ALL[(id % 4) as usize];
+        let backend = Backend::ALL[id as usize % Backend::ALL.len()];
         let mut s = small(id, backend);
         s.priority = if id % 5 == 0 {
             Priority::High
@@ -151,8 +151,8 @@ fn drain_finishes_every_admitted_job() {
 #[test]
 fn unserved_backend_is_refused_at_submission() {
     let rt = single_lane(Backend::SerialRef, 4);
-    let err = rt.submit(small(1, Backend::Threaded)).unwrap_err();
-    assert_eq!(err, SubmitError::UnservedBackend(Backend::Threaded));
+    let err = rt.submit(small(1, Backend::CpuEngine)).unwrap_err();
+    assert_eq!(err, SubmitError::UnservedBackend(Backend::CpuEngine));
     let mut bad = JobSpec::new_2d(2, 9, 0, 0, 1);
     bad.backend = Backend::SerialRef; // served shard, but invalid geometry
     let err = rt.submit(bad).unwrap_err();

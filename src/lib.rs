@@ -38,6 +38,7 @@
 //! assert!(report.gflop_per_s > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -43,16 +43,6 @@ fn tuned_configs_synthesize_and_validate_3d() {
 }
 
 #[test]
-fn threaded_and_functional_agree_via_public_api() {
-    let cfg = BlockConfig::new_2d(2, 64, 4, 2).unwrap();
-    let stencil = Stencil2D::<f32>::random(2, 77).unwrap();
-    let grid = Grid2D::from_fn(100, 30, |x, y| ((x * y) % 13) as f32).unwrap();
-    let f = fpga_sim::functional::run_2d(&stencil, &grid, &cfg, 6);
-    let t = fpga_sim::threaded::run_2d(&stencil, &grid, &cfg, 6);
-    assert_eq!(f, t);
-}
-
-#[test]
 fn codegen_covers_every_tuned_winner() {
     let device = FpgaDevice::arria10_gx1150();
     for dim in [Dim::D2, Dim::D3] {

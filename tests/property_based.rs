@@ -152,22 +152,6 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The threaded executor equals the functional one under arbitrary
-    /// scheduling (thread interleavings cannot change bits).
-    #[test]
-    fn threaded_equals_functional_2d(
-        cfg in config_2d(),
-        iters in 1usize..6,
-        seed in 0u64..500,
-    ) {
-        let st = Stencil2D::<f32>::random(cfg.rad, seed).unwrap();
-        let nx = cfg.csize_x() * 2 + 3;
-        let grid = Grid2D::from_fn(nx, 20, |x, y| ((x * 3 + y * 5) % 41) as f32).unwrap();
-        let t = fpga_sim::threaded::run_2d(&st, &grid, &cfg, iters);
-        let f = fpga_sim::functional::run_2d(&st, &grid, &cfg, iters);
-        prop_assert_eq!(t, f);
-    }
-
     /// The vector-folded CPU engine equals the oracle for arbitrary grid
     /// shapes (partial tiles included).
     #[test]

@@ -52,12 +52,14 @@
 //! `--programs` mixes multi-node stencil *programs* into the synthetic
 //! stream (a heat→gradient 2D pipeline and a 3-stage seismic 3D pipeline
 //! on half the job ids, spread across both tenant parities): each program
-//! is placed across simulated devices by the
-//! planner, streamed through bounded inter-device channels under the
-//! deterministic discrete-event cluster scheduler, bit-verified against
-//! the serial program interpreter, and accounted in the report's
-//! `dataflow` section (pipelined vs 1-device sequential makespans). Also
-//! honored by `--emit-workload`, so program jobs replay over `--workload`.
+//! is placed across simulated devices by the planner, computed frame by
+//! frame through the functional engine, bit-verified against the serial
+//! program interpreter, and scheduled once by the deterministic
+//! discrete-event cluster model (frames streaming through bounded
+//! inter-device channels). The report's `dataflow` section compares the
+//! pipelined makespan with the 1-device sequential one, the sum of the
+//! stages' busy ticks. Also honored by `--emit-workload`, so program jobs
+//! replay over `--workload`.
 //!
 //! `--kernels` mixes declarative *kernel-desc* jobs into the synthetic
 //! stream (a quarter of the ids, disjoint from the `--programs` slice):

@@ -1,12 +1,13 @@
-//! Multi-device cluster simulation — a deterministic discrete-event engine
-//! for stencil *programs* (DAGs of operators) placed across N simulated
-//! devices.
+//! Multi-device cluster schedule model — a deterministic discrete-event
+//! model of stencil *programs* (DAGs of operators) placed across N
+//! simulated devices.
 //!
 //! The single-device simulators in this crate execute one kernel on one
 //! accelerator. StencilFlow-style workloads are instead small dataflow
 //! graphs: each operator is placed on its own spatial device, and frames
 //! flow between devices over **bounded channels** (back-pressure included).
-//! This module simulates that cluster with a discrete-event scheduler:
+//! This module models that cluster's schedule with a discrete-event
+//! scheduler:
 //!
 //! * a min-heap of wake-ups keyed by `(time, seq)` — `seq` is a monotonic
 //!   tie-breaker, so event order is a total order and two runs with the
@@ -19,21 +20,21 @@
 //!   producer exactly like FIFO back-pressure in the event-driven pipeline
 //!   model ([`crate::event`]).
 //!
-//! The engine is generic over the frame payload: the serving runtime runs
-//! it with pooled grids (real compute, bit-exact against the topological
-//! serial interpreter), and re-runs the *schedule only* with `()` payloads
-//! to price the single-device sequential baseline without recomputing.
+//! The model carries no payloads: channels count frames instead of holding
+//! them, because the schedule never depends on the data. The serving
+//! runtime computes a program's frames separately and runs this model once
+//! per completed program for the placed makespan and channel high-waters.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
+use stencil_core::util::splitmix64;
 
 /// One operator node of a placed program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterNode {
     /// Device the node is placed on (dense ids from 0).
     pub device: usize,
-    /// Predecessor node indices, in the fixed order the kernel receives
-    /// its inputs. One bounded channel exists per entry.
+    /// Predecessor node indices, one bounded channel per entry.
     pub preds: Vec<usize>,
     /// Capacity (in frames) of each predecessor channel; same length as
     /// `preds`, every entry >= 1.
@@ -53,28 +54,6 @@ pub struct ClusterSpec {
     /// Seed for the dispatch scan permutation. Two runs with equal spec
     /// (including seed) produce byte-identical event logs.
     pub seed: u64,
-}
-
-/// The caller-supplied behavior of the cluster: how a node transforms a
-/// frame, how a frame is duplicated for fan-out, and an optional early
-/// stop (cancellation/deadline polling).
-pub trait ClusterKernel {
-    /// The frame payload carried on channels.
-    type Payload;
-
-    /// Executes node `node` on `frame` (0-based). `inputs` are one frame
-    /// from each predecessor channel in `preds` order; sources receive an
-    /// empty slice and generate the frame from `frame`.
-    fn fire(&mut self, node: usize, frame: usize, inputs: &[Self::Payload]) -> Self::Payload;
-
-    /// Duplicates a payload when a node fans out to several consumers.
-    fn dup(&mut self, payload: &Self::Payload) -> Self::Payload;
-
-    /// Polled once per dispatch; returning `true` aborts the run (the
-    /// report's `aborted` flag is set and no further node fires).
-    fn stop(&mut self) -> bool {
-        false
-    }
 }
 
 /// Occupancy accounting for one bounded channel.
@@ -108,35 +87,32 @@ pub struct ClusterReport {
     /// same-seed runs produce identical logs (the replay-stability
     /// contract; proptest-enforced).
     pub events: Vec<(u64, u64, usize)>,
-    /// True when [`ClusterKernel::stop`] aborted the run early.
-    pub aborted: bool,
 }
 
-struct Channel<P> {
+struct Channel {
     from: usize,
     capacity: usize,
     high_water: usize,
-    queue: VecDeque<P>,
+    /// Frames delivered and not yet consumed.
+    queued: usize,
 }
 
-/// Runs a placed program to completion (or abort) and returns the
-/// schedule/occupancy report. Sink outputs are dropped after `fire` — a
-/// kernel that needs them (checksums, shadow compare) captures them itself.
+/// Runs a placed program's schedule to completion and returns the
+/// schedule/occupancy report.
 ///
 /// # Panics
 /// Panics when the spec is malformed: `preds`/`depths` length mismatch, a
 /// zero channel depth, a predecessor index that is not an earlier node, or
 /// zero frames. The serving layer validates programs before placement;
-/// this engine asserts rather than re-validating.
-pub fn run<K: ClusterKernel>(spec: &ClusterSpec, kernel: &mut K) -> ClusterReport {
+/// this model asserts rather than re-validating.
+pub fn run(spec: &ClusterSpec) -> ClusterReport {
     assert!(spec.frames > 0, "cluster run needs at least one frame");
     let n = spec.nodes.len();
     assert!(n > 0, "cluster run needs at least one node");
 
     // Per-node input channels, keyed (node, pred slot).
-    let mut channels: Vec<Vec<Channel<K::Payload>>> = Vec::with_capacity(n);
-    // Consumers of each node: (consumer, slot) pairs, in consumer order —
-    // the deterministic fan-out order.
+    let mut channels: Vec<Vec<Channel>> = Vec::with_capacity(n);
+    // Consumers of each node: (consumer, slot) pairs, in consumer order.
     let mut consumers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     let mut devices = 0usize;
     for (i, node) in spec.nodes.iter().enumerate() {
@@ -151,7 +127,7 @@ pub fn run<K: ClusterKernel>(spec: &ClusterSpec, kernel: &mut K) -> ClusterRepor
                 from: p,
                 capacity: d,
                 high_water: 0,
-                queue: VecDeque::with_capacity(d),
+                queued: 0,
             });
         }
         channels.push(ins);
@@ -170,8 +146,8 @@ pub fn run<K: ClusterKernel>(spec: &ClusterSpec, kernel: &mut K) -> ClusterRepor
     let mut device_free: Vec<u64> = vec![0; devices];
     let mut fired: Vec<usize> = vec![0; n];
     let mut busy: Vec<u64> = vec![0; n];
-    // In-flight completion per node: (completion time, payload).
-    let mut pending: Vec<Option<(u64, K::Payload)>> = (0..n).map(|_| None).collect();
+    // In-flight completion time per node.
+    let mut pending: Vec<Option<u64>> = vec![None; n];
 
     // Min-heap of wake-ups keyed (time, seq) — Reverse for min ordering.
     let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
@@ -179,49 +155,26 @@ pub fn run<K: ClusterKernel>(spec: &ClusterSpec, kernel: &mut K) -> ClusterRepor
     heap.push(Reverse((0, seq)));
     let mut events: Vec<(u64, u64, usize)> = Vec::new();
     let mut makespan = 0u64;
-    let mut aborted = false;
 
     while let Some(Reverse((now, _))) = heap.pop() {
-        // Deliver every completion due by `now` (payloads land on the
-        // consumers' channels; bounded capacity was reserved at dispatch).
+        // Deliver every completion due by `now`: one frame lands on each
+        // consumer channel (bounded capacity was reserved at dispatch).
         for i in 0..n {
-            let due = matches!(pending[i], Some((t, _)) if t <= now);
-            if !due {
+            let Some(t) = pending[i].filter(|&t| t <= now) else {
                 continue;
-            }
-            let (t, payload) = pending[i].take().expect("due completion");
+            };
+            pending[i] = None;
             makespan = makespan.max(t);
-            match consumers[i].len() {
-                0 => drop(payload),
-                1 => {
-                    let (c, slot) = consumers[i][0];
-                    push_frame(&mut channels[c][slot], payload);
-                }
-                _ => {
-                    for &(c, slot) in &consumers[i][1..] {
-                        let copy = kernel.dup(&payload);
-                        push_frame(&mut channels[c][slot], copy);
-                    }
-                    let (c, slot) = consumers[i][0];
-                    push_frame(&mut channels[c][slot], payload);
-                }
+            for &(c, slot) in &consumers[i] {
+                let ch = &mut channels[c][slot];
+                ch.queued += 1;
+                ch.high_water = ch.high_water.max(ch.queued);
             }
-        }
-
-        if aborted {
-            if heap.is_empty() && pending.iter().all(Option::is_none) {
-                break;
-            }
-            continue;
         }
 
         // Dispatch every node that is ready at `now`, scanning in the
         // seed-fixed permutation until a full pass fires nothing.
         loop {
-            if kernel.stop() {
-                aborted = true;
-                break;
-            }
             let mut progressed = false;
             for &i in &scan {
                 if !ready(i, &channels, &consumers, &pending, spec, &fired)
@@ -230,17 +183,15 @@ pub fn run<K: ClusterKernel>(spec: &ClusterSpec, kernel: &mut K) -> ClusterRepor
                 {
                     continue;
                 }
-                let frame = fired[i];
-                let inputs: Vec<K::Payload> = (0..spec.nodes[i].preds.len())
-                    .map(|slot| channels[i][slot].queue.pop_front().expect("ready input"))
-                    .collect();
-                let out = kernel.fire(i, frame, &inputs);
-                drop(inputs);
-                let done = now + spec.nodes[i].exec_ticks.max(1);
+                for ch in &mut channels[i] {
+                    ch.queued -= 1;
+                }
+                let ticks = spec.nodes[i].exec_ticks.max(1);
+                let done = now + ticks;
                 device_free[spec.nodes[i].device] = done;
-                busy[i] += spec.nodes[i].exec_ticks.max(1);
+                busy[i] += ticks;
                 fired[i] += 1;
-                pending[i] = Some((done, out));
+                pending[i] = Some(done);
                 events.push((now, seq, i));
                 seq += 1;
                 heap.push(Reverse((done, seq)));
@@ -249,13 +200,6 @@ pub fn run<K: ClusterKernel>(spec: &ClusterSpec, kernel: &mut K) -> ClusterRepor
             if !progressed {
                 break;
             }
-        }
-    }
-
-    // Drain any completion left when the heap emptied after an abort.
-    for slot in pending.iter_mut() {
-        if let Some((t, _)) = slot.take() {
-            makespan = makespan.max(t);
         }
     }
 
@@ -277,31 +221,25 @@ pub fn run<K: ClusterKernel>(spec: &ClusterSpec, kernel: &mut K) -> ClusterRepor
         devices,
         channels: stats,
         events,
-        aborted,
     }
-}
-
-fn push_frame<P>(ch: &mut Channel<P>, payload: P) {
-    ch.queue.push_back(payload);
-    ch.high_water = ch.high_water.max(ch.queue.len());
 }
 
 /// A node is ready when it still has frames to process, every input
 /// channel holds a frame, and every output channel has space for the
 /// result (counting capacity reserved by an in-flight producer firing is
 /// unnecessary: a node's device is busy until its previous result lands).
-fn ready<P>(
+fn ready(
     i: usize,
-    channels: &[Vec<Channel<P>>],
+    channels: &[Vec<Channel>],
     consumers: &[Vec<(usize, usize)>],
-    pending: &[Option<(u64, P)>],
+    pending: &[Option<u64>],
     spec: &ClusterSpec,
     fired: &[usize],
 ) -> bool {
     if fired[i] >= spec.frames {
         return false;
     }
-    if channels[i].iter().any(|ch| ch.queue.is_empty()) {
+    if channels[i].iter().any(|ch| ch.queued == 0) {
         return false;
     }
     consumers[i].iter().all(|&(c, slot)| {
@@ -309,39 +247,13 @@ fn ready<P>(
         // An undelivered in-flight frame from this producer still owns one
         // slot of every consumer channel.
         let reserved = usize::from(pending[i].is_some());
-        ch.queue.len() + reserved < ch.capacity
+        ch.queued + reserved < ch.capacity
     })
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Counts firings; payload is the frame index so ordering is checkable.
-    struct Recorder {
-        log: Vec<(usize, usize)>,
-    }
-
-    impl ClusterKernel for Recorder {
-        type Payload = usize;
-        fn fire(&mut self, node: usize, frame: usize, inputs: &[usize]) -> usize {
-            for &f in inputs {
-                assert_eq!(f, frame, "channels must deliver frames in order");
-            }
-            self.log.push((node, frame));
-            frame
-        }
-        fn dup(&mut self, p: &usize) -> usize {
-            *p
-        }
-    }
 
     fn chain(devices: &[usize], depth: usize, frames: usize) -> ClusterSpec {
         let nodes = devices
@@ -363,10 +275,8 @@ mod tests {
 
     #[test]
     fn pipelined_chain_overlaps_sequential_does_not() {
-        let mut k = Recorder { log: Vec::new() };
-        let pipe = run(&chain(&[0, 1, 2], 2, 4), &mut k);
-        let mut k2 = Recorder { log: Vec::new() };
-        let seq = run(&chain(&[0, 0, 0], 2, 4), &mut k2);
+        let pipe = run(&chain(&[0, 1, 2], 2, 4));
+        let seq = run(&chain(&[0, 0, 0], 2, 4));
         // 3 stages x 10 ticks x 4 frames fully serialized = 120; the
         // pipeline's makespan is fill (2 stages) + 4 frames at the
         // bottleneck = 60.
@@ -374,13 +284,12 @@ mod tests {
         assert_eq!(pipe.makespan_ticks, 60);
         assert!(pipe.makespan_ticks <= seq.makespan_ticks);
         assert_eq!(pipe.fired, vec![4, 4, 4]);
-        assert_eq!(k.log.len(), 12);
+        assert_eq!(pipe.events.len(), 12);
     }
 
     #[test]
     fn depth_one_channels_still_complete_all_frames() {
-        let mut k = Recorder { log: Vec::new() };
-        let rep = run(&chain(&[0, 1, 2], 1, 5), &mut k);
+        let rep = run(&chain(&[0, 1, 2], 1, 5));
         assert_eq!(rep.fired, vec![5, 5, 5]);
         assert!(rep.channels.iter().all(|c| c.high_water <= c.capacity));
         assert!(rep.channels.iter().all(|c| c.high_water == 1));
@@ -389,91 +298,39 @@ mod tests {
     #[test]
     fn same_seed_replays_identical_event_log() {
         let spec = chain(&[0, 1, 2], 2, 3);
-        let mut a = Recorder { log: Vec::new() };
-        let mut b = Recorder { log: Vec::new() };
-        let ra = run(&spec, &mut a);
-        let rb = run(&spec, &mut b);
-        assert_eq!(ra.events, rb.events);
-        assert_eq!(a.log, b.log);
+        assert_eq!(run(&spec).events, run(&spec).events);
     }
 
     #[test]
     fn fan_out_duplicates_and_fan_in_joins() {
-        // 0 -> {1, 2} -> 3 (diamond); node 3 sums its two inputs.
-        struct Sum;
-        impl ClusterKernel for Sum {
-            type Payload = u64;
-            fn fire(&mut self, node: usize, frame: usize, inputs: &[u64]) -> u64 {
-                match node {
-                    0 => frame as u64 + 1,
-                    3 => inputs[0] + inputs[1],
-                    _ => inputs[0] * 10,
-                }
-            }
-            fn dup(&mut self, p: &u64) -> u64 {
-                *p
-            }
-        }
+        // 0 -> {1, 2} -> 3 (diamond): node 0's frames land on both
+        // branches, and node 3 fires once per frame pair.
+        let node = |device: usize, preds: Vec<usize>, depths: Vec<usize>| ClusterNode {
+            device,
+            preds,
+            depths,
+            exec_ticks: 1,
+        };
         let spec = ClusterSpec {
             nodes: vec![
-                ClusterNode {
-                    device: 0,
-                    preds: vec![],
-                    depths: vec![],
-                    exec_ticks: 1,
-                },
-                ClusterNode {
-                    device: 1,
-                    preds: vec![0],
-                    depths: vec![2],
-                    exec_ticks: 1,
-                },
-                ClusterNode {
-                    device: 2,
-                    preds: vec![0],
-                    depths: vec![2],
-                    exec_ticks: 1,
-                },
-                ClusterNode {
-                    device: 3,
-                    preds: vec![1, 2],
-                    depths: vec![1, 1],
-                    exec_ticks: 1,
-                },
+                node(0, vec![], vec![]),
+                node(1, vec![0], vec![2]),
+                node(2, vec![0], vec![2]),
+                node(3, vec![1, 2], vec![1, 1]),
             ],
             frames: 2,
             seed: 1,
         };
-        let rep = run(&spec, &mut Sum);
+        let rep = run(&spec);
         assert_eq!(rep.fired, vec![2, 2, 2, 2]);
         assert_eq!(rep.devices, 4);
-    }
-
-    #[test]
-    fn stop_aborts_without_hanging() {
-        struct Stopper {
-            fires: usize,
-        }
-        impl ClusterKernel for Stopper {
-            type Payload = ();
-            fn fire(&mut self, _n: usize, _f: usize, _i: &[()]) {
-                self.fires += 1;
-            }
-            fn dup(&mut self, _p: &()) {}
-            fn stop(&mut self) -> bool {
-                self.fires >= 2
-            }
-        }
-        let mut k = Stopper { fires: 0 };
-        let rep = run(&chain(&[0, 1], 2, 8), &mut k);
-        assert!(rep.aborted);
-        assert!(rep.fired.iter().sum::<usize>() < 16);
+        assert_eq!(rep.channels.len(), 4);
+        assert!(rep.channels.iter().all(|c| c.high_water <= c.capacity));
     }
 
     #[test]
     fn busy_ticks_sum_equals_sequential_makespan() {
-        let mut k = Recorder { log: Vec::new() };
-        let seq = run(&chain(&[0, 0, 0, 0], 3, 3), &mut k);
+        let seq = run(&chain(&[0, 0, 0, 0], 3, 3));
         assert_eq!(seq.busy_ticks.iter().sum::<u64>(), seq.makespan_ticks);
     }
 }

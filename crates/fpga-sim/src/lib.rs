@@ -58,7 +58,7 @@ pub mod unblocked;
 
 pub use accelerator::Accelerator;
 pub use area::AreaEstimate;
-pub use cluster::{ChannelStats, ClusterKernel, ClusterNode, ClusterReport, ClusterSpec};
+pub use cluster::{ChannelStats, ClusterNode, ClusterReport, ClusterSpec};
 pub use counters::SimCounters;
 pub use device::FpgaDevice;
 pub use fmax::FmaxModel;

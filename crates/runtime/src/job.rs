@@ -262,8 +262,8 @@ pub struct JobSpec {
     /// (caught at the shard boundary) before the job is allowed to succeed.
     /// Exercises the retry/backoff path under load.
     pub fail_times: u32,
-    /// Optional stencil *program*: a DAG of dependent operators executed on
-    /// the multi-device cluster simulator instead of a single kernel.
+    /// Optional stencil *program*: a DAG of dependent operators placed on
+    /// simulated devices and run frame by frame instead of a single kernel.
     /// Absent (the default, and in all pre-program JSONL workloads) the job
     /// is the classic single-kernel run and every field above means what it
     /// always did. Present, the per-node radii/time-steps replace `rad`/

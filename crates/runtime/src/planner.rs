@@ -48,6 +48,7 @@ use perf_model::tuner;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+use stencil_core::util::splitmix64;
 use stencil_core::{BlockConfig, Dim, KernelClass, StencilError};
 
 /// Why a job spec cannot be validated or planned. The typed replacement
@@ -1218,15 +1219,6 @@ fn candidate_fingerprint(candidates: &[PlanCandidate]) -> u64 {
         mix(c.score.to_bits());
     }
     h
-}
-
-/// splitmix64 — the deterministic hash behind exploration sampling.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

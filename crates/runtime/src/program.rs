@@ -4,13 +4,13 @@
 //! A [`StencilProgram`] is the graph IR carried inside a
 //! [`crate::job::JobSpec`]: named operator nodes (each a star stencil of
 //! some radius run for some number of time steps) connected by edges that
-//! carry whole grid frames over bounded channels. Programs are what the
-//! multi-device cluster simulator ([`fpga_sim::cluster`]) executes: the
-//! planner places each node on its own simulated device and frames stream
-//! through the pipeline.
+//! carry whole grid frames over bounded channels. The planner places each
+//! node on its own simulated device; the worker computes the frames and
+//! prices the placement with the multi-device cluster schedule model
+//! ([`fpga_sim::cluster`]), which streams frames through the pipeline.
 //!
-//! Semantics (shared by the cluster run and the serial interpreter, which
-//! must agree bit-exactly):
+//! Semantics (shared by the worker's frame loop and the serial
+//! interpreter, which must agree bit-exactly):
 //!
 //! * every node's stencil coefficients derive from the job seed and the
 //!   node *name* ([`StencilProgram::node_seed`]);
@@ -29,6 +29,7 @@
 
 use serde::{Deserialize, Serialize};
 use stencil_core::exec;
+use stencil_core::util::splitmix64;
 use stencil_core::{Grid2D, Grid3D, Stencil2D, Stencil3D};
 
 /// Upper bound on program size: the serve report aggregates per-stage
@@ -407,7 +408,7 @@ impl StencilProgram {
 
 /// Writes the deterministic source frame for `(seed)` into `g` — the
 /// program-source analogue of the single-kernel job fill, shared by the
-/// cluster path and the serial interpreter.
+/// worker's frame loop and the serial interpreter.
 pub fn fill_source_2d(g: &mut Grid2D<f32>, seed: u64) {
     let s = seed as usize;
     let (nx, ny) = (g.nx(), g.ny());
@@ -448,7 +449,7 @@ pub(crate) fn add_into_3d(dst: &mut Grid3D<f32>, src: &Grid3D<f32>) {
 }
 
 /// Runs the program **serially in topological order on one device** — the
-/// reference interpreter every cluster execution must match bit-exactly.
+/// reference interpreter every program job must match bit-exactly.
 /// Calls `on_frame(frame, combined_sink_grid)` once per frame.
 ///
 /// # Panics
@@ -558,13 +559,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //! policy is pure data so tests can assert the exact schedule.
 
 use std::time::Duration;
+use stencil_core::util::splitmix64;
 
 /// When and how often a shard retries a transiently-failed job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,14 +84,6 @@ impl RetryPolicy {
     pub fn should_retry(&self, attempt: u32) -> bool {
         attempt < self.max_attempts
     }
-}
-
-/// SplitMix64 — the same single-shot mixer the shadow sampler uses.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -7,86 +7,43 @@
 //! with submissions instead of materializing all at once in
 //! [`crate::worker::DrainOutcome`].
 //!
-//! The channel is bounded with *blocking* backpressure on the sender side:
-//! a shard that outruns a slow client waits for space rather than dropping
-//! a result, preserving the runtime's zero-loss drain contract (the same
-//! trade the bounded on-chip FIFOs make). End-of-stream is reference
-//! counted: once every sender clone is dropped — the client's own handle
-//! plus one per in-flight job — `recv` drains what is queued and then
-//! returns `None`.
+//! The channel is a [`std::sync::mpsc::sync_channel`] with *blocking*
+//! backpressure on the sender side: a shard that outruns a slow client
+//! waits for space rather than dropping a result (the same trade the
+//! bounded on-chip FIFOs make). A client that drops its stream stops
+//! receiving: sends to it return at once, so its workers keep running and
+//! [`crate::worker::Runtime::drain`] still returns; the drain sink records
+//! every result either way. End-of-stream comes once every sender clone is
+//! dropped — the client's own handle plus one per in-flight job — and
+//! `recv` has drained what is queued.
 
 use crate::job::JobResult;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-struct ChannelState {
-    queue: VecDeque<JobResult>,
-}
-
-struct Channel {
-    state: Mutex<ChannelState>,
-    /// Signalled when a result arrives or the last sender drops.
-    readable: Condvar,
-    /// Signalled when the client drains a slot.
-    writable: Condvar,
-    capacity: usize,
-    /// Live [`ResultSender`] clones; 0 means end-of-stream once drained.
-    senders: AtomicUsize,
-}
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::time::Duration;
 
 /// The producer half: cloned once per submission, dropped when the job's
 /// terminal result has been delivered.
+#[derive(Debug, Clone)]
 pub struct ResultSender {
-    chan: Arc<Channel>,
-}
-
-impl Clone for ResultSender {
-    fn clone(&self) -> Self {
-        self.chan.senders.fetch_add(1, Ordering::Relaxed);
-        ResultSender {
-            chan: Arc::clone(&self.chan),
-        }
-    }
-}
-
-impl Drop for ResultSender {
-    fn drop(&mut self) {
-        if self.chan.senders.fetch_sub(1, Ordering::Release) == 1 {
-            // Last sender gone: wake a client blocked in recv so it can
-            // observe end-of-stream.
-            let _guard = self.chan.state.lock().unwrap();
-            self.chan.readable.notify_all();
-        }
-    }
+    tx: SyncSender<JobResult>,
 }
 
 impl ResultSender {
     /// Delivers one result, blocking while the channel is full — bounded
-    /// backpressure toward the worker rather than silent loss.
+    /// backpressure toward the worker rather than silent loss. Returns at
+    /// once, discarding the result, when the client has dropped its
+    /// stream.
     pub fn send(&self, result: JobResult) {
-        let mut st = self.chan.state.lock().unwrap();
-        while st.queue.len() >= self.chan.capacity {
-            st = self.chan.writable.wait(st).unwrap();
-        }
-        st.queue.push_back(result);
-        drop(st);
-        self.chan.readable.notify_one();
-    }
-}
-
-impl std::fmt::Debug for ResultSender {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResultSender")
-            .field("capacity", &self.chan.capacity)
-            .finish()
+        // A dropped stream wants nothing more; the drain sink keeps the
+        // result.
+        let _ = self.tx.send(result);
     }
 }
 
 /// The consumer half: the client's live view of its jobs' results.
+#[derive(Debug)]
 pub struct ResultStream {
-    chan: Arc<Channel>,
+    rx: Receiver<JobResult>,
 }
 
 impl ResultStream {
@@ -97,91 +54,30 @@ impl ResultStream {
     /// Panics when `capacity` is zero.
     pub fn bounded(capacity: usize) -> (ResultSender, ResultStream) {
         assert!(capacity > 0, "stream capacity must be positive");
-        let chan = Arc::new(Channel {
-            state: Mutex::new(ChannelState {
-                queue: VecDeque::with_capacity(capacity),
-            }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-            capacity,
-            senders: AtomicUsize::new(1),
-        });
-        (
-            ResultSender {
-                chan: Arc::clone(&chan),
-            },
-            ResultStream { chan },
-        )
+        let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
+        (ResultSender { tx }, ResultStream { rx })
     }
 
     /// Blocks for the next result. Returns `None` only at end-of-stream:
     /// the queue is empty and every sender clone has been dropped.
     pub fn recv(&self) -> Option<JobResult> {
-        let mut st = self.chan.state.lock().unwrap();
-        loop {
-            if let Some(r) = st.queue.pop_front() {
-                drop(st);
-                self.chan.writable.notify_one();
-                return Some(r);
-            }
-            if self.chan.senders.load(Ordering::Acquire) == 0 {
-                return None;
-            }
-            st = self.chan.readable.wait(st).unwrap();
-        }
+        self.rx.recv().ok()
     }
 
     /// Like [`ResultStream::recv`] but gives up after `timeout`; `Ok(None)`
     /// is end-of-stream, `Err(())` is a timeout with the stream still open.
     #[allow(clippy::result_unit_err)]
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<JobResult>, ()> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.chan.state.lock().unwrap();
-        loop {
-            if let Some(r) = st.queue.pop_front() {
-                drop(st);
-                self.chan.writable.notify_one();
-                return Ok(Some(r));
-            }
-            if self.chan.senders.load(Ordering::Acquire) == 0 {
-                return Ok(None);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(());
-            }
-            let (g, _) = self.chan.readable.wait_timeout(st, left).unwrap();
-            st = g;
+        match self.rx.recv_timeout(timeout) {
+            Ok(r) => Ok(Some(r)),
+            Err(RecvTimeoutError::Disconnected) => Ok(None),
+            Err(RecvTimeoutError::Timeout) => Err(()),
         }
     }
 
     /// Non-blocking poll: a result if one is queued right now.
     pub fn try_recv(&self) -> Option<JobResult> {
-        let mut st = self.chan.state.lock().unwrap();
-        let r = st.queue.pop_front();
-        if r.is_some() {
-            drop(st);
-            self.chan.writable.notify_one();
-        }
-        r
-    }
-
-    /// Results queued right now (racy snapshot).
-    pub fn len(&self) -> usize {
-        self.chan.state.lock().unwrap().queue.len()
-    }
-
-    /// Whether no results are queued right now (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl std::fmt::Debug for ResultStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResultStream")
-            .field("capacity", &self.chan.capacity)
-            .finish()
+        self.rx.try_recv().ok()
     }
 }
 

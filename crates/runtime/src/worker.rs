@@ -58,16 +58,21 @@ use crate::stream::ResultSender;
 use crate::tenant::{Tenant, TenantPolicy, TenantRegistry, TenantSnapshot};
 use crate::trace::{outcome_label, AttemptSpan, TraceRecord, TraceWriter, TRACE_SCHEMA_VERSION};
 use cpu_engine::engines;
-use fpga_sim::cluster::{self, ClusterKernel, ClusterNode, ClusterSpec};
+use fpga_sim::cluster::{self, ClusterNode, ClusterSpec};
 use fpga_sim::{functional, serial_ref, SimCounters};
+use std::ops::DerefMut;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use stencil_core::util::splitmix64;
 use stencil_core::{compile_star_2d, compile_star_3d, kernel_ir, Grid2D, Grid3D, KernelDesc};
 
-/// Everything tunable about a [`Runtime`].
+/// Everything tunable about a [`Runtime`]. Retries, the planner and the
+/// grid pool always run at their serving defaults
+/// ([`RetryPolicy::serving_default`], [`PlannerConfig::default`],
+/// [`PoolConfig::default`]).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Admission queue capacity (shared across all shards).
@@ -81,18 +86,12 @@ pub struct RuntimeConfig {
     /// `serial_ref` oracle and bit-compared. Jobs with `shadow: true` are
     /// always verified.
     pub shadow_percent: u8,
-    /// Retry policy for transient (panicking) jobs.
-    pub retry: RetryPolicy,
     /// Small-job batching policy.
     pub batch: BatchPolicy,
-    /// Planner tunables for [`PlanMode::Auto`] jobs.
-    pub planner: PlannerConfig,
     /// Device profile the planner ranks candidates against. The HBM
     /// profile opens the hybrid `replicas x partime` axis, so auto-planned
     /// jobs can land on spatially replicated functional chains.
     pub device: DeviceProfile,
-    /// Grid buffer pool tunables (free-list bound per shape class).
-    pub pool: PoolConfig,
     /// Per-tenant DWRR weights and in-flight quotas.
     pub tenants: TenantPolicy,
     /// Planner-memory sidecar path. When set, boot loads it (if present)
@@ -114,11 +113,8 @@ impl Default for RuntimeConfig {
             workers_per_shard: 2,
             backends: Backend::ALL.to_vec(),
             shadow_percent: 10,
-            retry: RetryPolicy::serving_default(),
             batch: BatchPolicy::serving_default(),
-            planner: PlannerConfig::default(),
             device: DeviceProfile::default(),
-            pool: PoolConfig::default(),
             tenants: TenantPolicy::default(),
             planner_memory: None,
             trace_out: None,
@@ -274,9 +270,9 @@ struct ExecEnv {
 }
 
 impl ExecEnv {
-    fn new(metrics: &MetricsRegistry, pool: PoolConfig, profile: DeviceProfile) -> ExecEnv {
+    fn new(metrics: &MetricsRegistry, profile: DeviceProfile) -> ExecEnv {
         ExecEnv {
-            pool: Arc::new(GridPool::new(metrics, pool)),
+            pool: Arc::new(GridPool::new(metrics, PoolConfig::default())),
             stencils: Arc::new(StencilMemo::new(metrics, StencilMemo::DEFAULT_CAPACITY)),
             profile,
         }
@@ -323,7 +319,10 @@ impl Runtime {
         ));
         let metrics = Arc::new(MetricsRegistry::new());
         let sink = Arc::new(ResultSink::default());
-        let planner = Arc::new(Planner::with_device(config.planner.clone(), config.device));
+        let planner = Arc::new(Planner::with_device(
+            PlannerConfig::default(),
+            config.device,
+        ));
         if let Some(path) = &config.planner_memory {
             if path.exists() {
                 match load_planner_memory(path)
@@ -343,7 +342,7 @@ impl Runtime {
         }
         let tracer = Arc::new(TraceWriter::spawn(config.trace_out.clone()).expect("trace output"));
         let tenants = Arc::new(TenantRegistry::new(config.tenants.clone()));
-        let env = ExecEnv::new(&metrics, config.pool, config.device);
+        let env = ExecEnv::new(&metrics, config.device);
         let mut workers = Vec::new();
         for &backend in &config.backends {
             for w in 0..config.workers_per_shard {
@@ -356,7 +355,7 @@ impl Runtime {
                     planner: Arc::clone(&planner),
                     tracer: Arc::clone(&tracer),
                     epoch: started,
-                    retry: config.retry,
+                    retry: RetryPolicy::serving_default(),
                     batch: config.batch,
                     shadow_percent: config.shadow_percent,
                     env: env.clone(),
@@ -1044,21 +1043,21 @@ fn run_3d(
     }
 }
 
-/// Shared shape of one program run, derived once from the spec and reused
-/// by both cluster kernels: topological slots, per-slot program node
-/// indices, per-slot cluster nodes (preds/depths/device/exec ticks), and
-/// which slots are sinks (in [`StencilProgram::sinks`] order — the order
-/// sink frames are combined in, which must match the interpreter).
+/// Shape of one program run, derived once from the spec: the placement,
+/// the topological slots, the cluster nodes the schedule model runs (whose
+/// `preds` are also the slots a slot sums, in edge order), the sink slots
+/// in [`StencilProgram::sinks`] order (the order the interpreter sums sink
+/// outputs in), and each slot's last consumer.
 struct ProgramShape {
     placement: crate::planner::ProgramPlacement,
-    /// Cluster slot → program node index (topological order).
+    /// Slot → program node index (topological order).
     node_of: Vec<usize>,
-    /// Cluster nodes for the placed (pipelined) run.
+    /// Cluster nodes for the placed (pipelined) schedule, one per slot.
     cnodes: Vec<ClusterNode>,
-    /// Cluster slot → capture index when the slot is a sink.
-    capture_of: Vec<Option<usize>>,
-    /// Number of sinks.
-    sinks: usize,
+    /// Sink slots, in sink order.
+    sinks: Vec<usize>,
+    /// Slot → the last slot that reads its output (`None` for sinks).
+    last_consumer: Vec<Option<usize>>,
 }
 
 impl ProgramShape {
@@ -1070,7 +1069,7 @@ impl ProgramShape {
         for (slot, &i) in order.iter().enumerate() {
             slot_of[i] = slot;
         }
-        let cnodes = order
+        let cnodes: Vec<ClusterNode> = order
             .iter()
             .zip(&placement.stages)
             .map(|(&i, stage)| {
@@ -1091,187 +1090,97 @@ impl ProgramShape {
                 }
             })
             .collect();
-        let sinks = prog.sinks();
-        let mut capture_of = vec![None; prog.nodes.len()];
-        for (k, &s) in sinks.iter().enumerate() {
-            capture_of[slot_of[s]] = Some(k);
+        let mut last_consumer = vec![None; cnodes.len()];
+        for (slot, node) in cnodes.iter().enumerate() {
+            for &p in &node.preds {
+                last_consumer[p] = Some(slot);
+            }
         }
         ProgramShape {
             placement,
             node_of: order,
             cnodes,
-            capture_of,
-            sinks: sinks.len(),
+            sinks: prog.sinks().iter().map(|&s| slot_of[s]).collect(),
+            last_consumer,
         }
     }
 }
 
-/// 2D program cluster kernel: every firing leases pooled grids, sums its
-/// fan-in in edge order, runs the node's stencil through the functional
-/// engine, and captures sink outputs per frame for checksum/shadow use.
-struct ProgramKernel2D<'a> {
-    spec: &'a JobSpec,
-    prog: &'a StencilProgram,
-    shape: &'a ProgramShape,
-    env: &'a ExecEnv,
-    token: &'a CancelToken,
-    cancelled: bool,
-    counters: SimCounters,
-    /// `captured[capture_idx][frame]` — sink outputs in sink order.
-    captured: Vec<Vec<Option<GridLease2D>>>,
-}
-
-impl ClusterKernel for ProgramKernel2D<'_> {
-    type Payload = GridLease2D;
-
-    fn fire(&mut self, slot: usize, frame: usize, inputs: &[GridLease2D]) -> GridLease2D {
-        let i = self.shape.node_of[slot];
-        let node = &self.prog.nodes[i];
-        let stage = &self.shape.placement.stages[slot];
-        let mut input = self.env.pool.lease_2d(self.spec.nx, self.spec.ny);
-        if inputs.is_empty() {
-            program::fill_source_2d(&mut input, self.prog.frame_seed(self.spec.seed, i, frame));
-        } else {
-            input.copy_from(&inputs[0]);
-            for extra in &inputs[1..] {
-                program::add_into_2d(&mut input, extra);
+/// Computes every frame of a program run in a plain loop over the
+/// topological slots. A slot's input is its source fill, or the sum of
+/// its predecessors' outputs in edge order; an output returns to the pool
+/// once its last consumer has read it; the frame is the sum of the sink
+/// outputs in sink order. Generic over the frame grid: `fill`, `copy` and
+/// `add` are the source fill, copy and fan-in sum of the grid `lease`
+/// hands out, and `run(slot, input, out, scratch)` runs the slot's node
+/// (`None` once the job is cancelled).
+#[allow(clippy::too_many_arguments)]
+fn program_frames<G: DerefMut>(
+    prog: &StencilProgram,
+    shape: &ProgramShape,
+    seed: u64,
+    lease: impl Fn() -> G,
+    fill: fn(&mut G::Target, u64),
+    copy: fn(&mut G::Target, &G::Target),
+    add: fn(&mut G::Target, &G::Target),
+    mut run: impl FnMut(usize, &G::Target, &mut G::Target, &mut G::Target) -> Option<SimCounters>,
+) -> Result<(Vec<G>, SimCounters), Interrupted> {
+    let mut counters = SimCounters::default();
+    let mut frames = Vec::with_capacity(prog.frames);
+    for frame in 0..prog.frames {
+        let mut outs: Vec<Option<G>> = (0..shape.cnodes.len()).map(|_| None).collect();
+        for (slot, node) in shape.cnodes.iter().enumerate() {
+            let mut input = lease();
+            match node.preds.split_first() {
+                None => fill(
+                    &mut input,
+                    prog.frame_seed(seed, shape.node_of[slot], frame),
+                ),
+                Some((&first, rest)) => {
+                    copy(
+                        &mut input,
+                        outs[first].as_deref().expect("topological order"),
+                    );
+                    for &p in rest {
+                        add(&mut input, outs[p].as_deref().expect("topological order"));
+                    }
+                }
             }
-        }
-        let st = self
-            .env
-            .stencils
-            .stencil_2d(node.rad, self.prog.node_seed(self.spec.seed, i));
-        let mut out = self.env.pool.lease_2d(self.spec.nx, self.spec.ny);
-        let mut scratch = self.env.pool.lease_2d(self.spec.nx, self.spec.ny);
-        let cancel = || self.token.is_cancelled();
-        match functional::run_2d_replicated_cancellable_into(
-            &st,
-            &input,
-            &stage.config,
-            node.iters,
-            stage.config.parvec,
-            stage.replicas,
-            &cancel,
-            &mut out,
-            &mut scratch,
-        ) {
-            Some(c) => self.counters.merge(&c),
-            None => self.cancelled = true,
-        }
-        if let Some(k) = self.shape.capture_of[slot] {
-            self.captured[k][frame] = Some(out);
-            // Sinks feed no channel; a minimal placeholder keeps the
-            // payload contract uniform.
-            self.env.pool.lease_2d(1, 1)
-        } else {
-            out
-        }
-    }
-
-    fn dup(&mut self, payload: &GridLease2D) -> GridLease2D {
-        let mut copy = self.env.pool.lease_2d(self.spec.nx, self.spec.ny);
-        copy.copy_from(payload);
-        copy
-    }
-
-    fn stop(&mut self) -> bool {
-        self.cancelled || self.token.is_cancelled()
-    }
-}
-
-/// 3D twin of [`ProgramKernel2D`].
-struct ProgramKernel3D<'a> {
-    spec: &'a JobSpec,
-    prog: &'a StencilProgram,
-    shape: &'a ProgramShape,
-    env: &'a ExecEnv,
-    token: &'a CancelToken,
-    cancelled: bool,
-    counters: SimCounters,
-    captured: Vec<Vec<Option<GridLease3D>>>,
-}
-
-impl ClusterKernel for ProgramKernel3D<'_> {
-    type Payload = GridLease3D;
-
-    fn fire(&mut self, slot: usize, frame: usize, inputs: &[GridLease3D]) -> GridLease3D {
-        let i = self.shape.node_of[slot];
-        let node = &self.prog.nodes[i];
-        let stage = &self.shape.placement.stages[slot];
-        let (nx, ny, nz) = (self.spec.nx, self.spec.ny, self.spec.nz);
-        let mut input = self.env.pool.lease_3d(nx, ny, nz);
-        if inputs.is_empty() {
-            program::fill_source_3d(&mut input, self.prog.frame_seed(self.spec.seed, i, frame));
-        } else {
-            input.copy_from(&inputs[0]);
-            for extra in &inputs[1..] {
-                program::add_into_3d(&mut input, extra);
+            for &p in &node.preds {
+                if shape.last_consumer[p] == Some(slot) {
+                    outs[p] = None;
+                }
             }
+            let mut out = lease();
+            let mut scratch = lease();
+            counters.merge(&run(slot, &input, &mut out, &mut scratch).ok_or(Interrupted)?);
+            outs[slot] = Some(out);
         }
-        let st = self
-            .env
-            .stencils
-            .stencil_3d(node.rad, self.prog.node_seed(self.spec.seed, i));
-        let mut out = self.env.pool.lease_3d(nx, ny, nz);
-        let mut scratch = self.env.pool.lease_3d(nx, ny, nz);
-        let cancel = || self.token.is_cancelled();
-        match functional::run_3d_replicated_cancellable_into(
-            &st,
-            &input,
-            &stage.config,
-            node.iters,
-            stage.config.parvec,
-            stage.replicas,
-            &cancel,
-            &mut out,
-            &mut scratch,
-        ) {
-            Some(c) => self.counters.merge(&c),
-            None => self.cancelled = true,
+        let mut sinks = shape
+            .sinks
+            .iter()
+            .map(|&s| outs[s].take().expect("sink computed"));
+        let mut combined = sinks.next().expect("program has a sink");
+        for extra in sinks {
+            add(&mut combined, &extra);
         }
-        if let Some(k) = self.shape.capture_of[slot] {
-            self.captured[k][frame] = Some(out);
-            self.env.pool.lease_3d(1, 1, 1)
-        } else {
-            out
-        }
+        frames.push(combined);
     }
-
-    fn dup(&mut self, payload: &GridLease3D) -> GridLease3D {
-        let mut copy = self
-            .env
-            .pool
-            .lease_3d(self.spec.nx, self.spec.ny, self.spec.nz);
-        copy.copy_from(payload);
-        copy
-    }
-
-    fn stop(&mut self) -> bool {
-        self.cancelled || self.token.is_cancelled()
-    }
+    Ok((frames, counters))
 }
 
-/// Payload-free kernel for schedule-only re-runs (the 1-device sequential
-/// baseline): the discrete-event schedule is payload-independent, so the
-/// sequential makespan needs no recomputation of any grid.
-struct NoopKernel;
-
-impl ClusterKernel for NoopKernel {
-    type Payload = ();
-    fn fire(&mut self, _node: usize, _frame: usize, _inputs: &[()]) {}
-    fn dup(&mut self, _payload: &()) {}
-}
-
-/// Runs a program job on the simulated device cluster: nodes are placed by
-/// the planner (one device per stage, pipeline-parallel), frames stream
-/// through bounded inter-device channels under the deterministic
-/// discrete-event scheduler, and every node firing executes through the
-/// functional engine regardless of the spec's backend (programs model the
-/// paper's multi-FPGA dataflow, which only the FPGA-functional engine
-/// represents). The same schedule is then re-run with every node on one
-/// device — the measured sequential baseline the serve report compares
-/// pipelining against. The job checksum folds the per-frame combined sink
-/// checksums in frame order.
+/// Runs a program job: nodes are placed by the planner (one device per
+/// stage, pipeline-parallel), every frame is computed by
+/// [`program_frames`] with each node running through the functional
+/// engine at its placed configuration, regardless of the spec's backend
+/// (programs model the paper's multi-FPGA dataflow, which only the
+/// FPGA-functional engine represents). The completed run's schedule comes
+/// from one payload-free [`cluster::run`] over the placement: frames
+/// streaming through bounded inter-device channels under the
+/// deterministic discrete-event scheduler. The sequential baseline the
+/// serve report compares pipelining against is the sum of the busy ticks,
+/// the makespan of every node on one device. The job checksum folds the
+/// per-frame combined sink checksums in frame order.
 fn execute_program(
     spec: &JobSpec,
     prog: &StencilProgram,
@@ -1279,104 +1188,84 @@ fn execute_program(
     env: &ExecEnv,
 ) -> Result<ExecOut, Interrupted> {
     let shape = ProgramShape::new(spec, prog, env);
-    let cspec = ClusterSpec {
+    let cancel = || token.is_cancelled();
+    let node = |slot: usize| {
+        let i = shape.node_of[slot];
+        (
+            &prog.nodes[i],
+            prog.node_seed(spec.seed, i),
+            &shape.placement.stages[slot],
+        )
+    };
+    let (output, counters) = if spec.dim == 2 {
+        let (frames, counters) = program_frames(
+            prog,
+            &shape,
+            spec.seed,
+            || env.pool.lease_2d(spec.nx, spec.ny),
+            program::fill_source_2d,
+            Grid2D::copy_from,
+            program::add_into_2d,
+            |slot, input, out, scratch| {
+                let (node, seed, stage) = node(slot);
+                functional::run_2d_replicated_cancellable_into(
+                    &env.stencils.stencil_2d(node.rad, seed),
+                    input,
+                    &stage.config,
+                    node.iters,
+                    stage.config.parvec,
+                    stage.replicas,
+                    &cancel,
+                    out,
+                    scratch,
+                )
+            },
+        )?;
+        (OutputGrid::P2(frames), counters)
+    } else {
+        let (frames, counters) = program_frames(
+            prog,
+            &shape,
+            spec.seed,
+            || env.pool.lease_3d(spec.nx, spec.ny, spec.nz),
+            program::fill_source_3d,
+            Grid3D::copy_from,
+            program::add_into_3d,
+            |slot, input, out, scratch| {
+                let (node, seed, stage) = node(slot);
+                functional::run_3d_replicated_cancellable_into(
+                    &env.stencils.stencil_3d(node.rad, seed),
+                    input,
+                    &stage.config,
+                    node.iters,
+                    stage.config.parvec,
+                    stage.replicas,
+                    &cancel,
+                    out,
+                    scratch,
+                )
+            },
+        )?;
+        (OutputGrid::P3(frames), counters)
+    };
+    if token.is_cancelled() {
+        return Err(Interrupted);
+    }
+
+    let rep = cluster::run(&ClusterSpec {
         nodes: shape.cnodes.clone(),
         frames: prog.frames,
         seed: spec.seed,
-    };
-    let cells = (spec.nx * spec.ny * if spec.dim == 3 { spec.nz } else { 1 }) as u64;
-
-    let (counters, output, rep) = if spec.dim == 2 {
-        let mut kernel = ProgramKernel2D {
-            spec,
-            prog,
-            shape: &shape,
-            env,
-            token,
-            cancelled: false,
-            counters: SimCounters::default(),
-            captured: (0..shape.sinks)
-                .map(|_| (0..prog.frames).map(|_| None).collect())
-                .collect(),
-        };
-        let rep = cluster::run(&cspec, &mut kernel);
-        if rep.aborted || kernel.cancelled || token.is_cancelled() {
-            return Err(Interrupted);
-        }
-        // Combine sink outputs per frame, in sink order — the exact
-        // combination the serial interpreter performs.
-        let mut frames = Vec::with_capacity(prog.frames);
-        for f in 0..prog.frames {
-            let mut captured = kernel.captured.iter_mut();
-            let mut combined = captured.next().expect("program has a sink")[f]
-                .take()
-                .expect("completed run captured every frame");
-            for rest in captured {
-                let extra = rest[f].take().expect("completed run captured every frame");
-                program::add_into_2d(&mut combined, &extra);
-            }
-            frames.push(combined);
-        }
-        (kernel.counters, OutputGrid::P2(frames), rep)
-    } else {
-        let mut kernel = ProgramKernel3D {
-            spec,
-            prog,
-            shape: &shape,
-            env,
-            token,
-            cancelled: false,
-            counters: SimCounters::default(),
-            captured: (0..shape.sinks)
-                .map(|_| (0..prog.frames).map(|_| None).collect())
-                .collect(),
-        };
-        let rep = cluster::run(&cspec, &mut kernel);
-        if rep.aborted || kernel.cancelled || token.is_cancelled() {
-            return Err(Interrupted);
-        }
-        let mut frames = Vec::with_capacity(prog.frames);
-        for f in 0..prog.frames {
-            let mut captured = kernel.captured.iter_mut();
-            let mut combined = captured.next().expect("program has a sink")[f]
-                .take()
-                .expect("completed run captured every frame");
-            for rest in captured {
-                let extra = rest[f].take().expect("completed run captured every frame");
-                program::add_into_3d(&mut combined, &extra);
-            }
-            frames.push(combined);
-        }
-        (kernel.counters, OutputGrid::P3(frames), rep)
-    };
-
-    // Sequential baseline: identical graph and stage costs, every node on
-    // device 0. Payload-free — scheduling does not depend on the data.
-    let seq_spec = ClusterSpec {
-        nodes: shape
-            .cnodes
-            .iter()
-            .map(|n| ClusterNode {
-                device: 0,
-                preds: n.preds.clone(),
-                depths: n.depths.clone(),
-                exec_ticks: n.exec_ticks,
-            })
-            .collect(),
-        frames: prog.frames,
-        seed: spec.seed,
-    };
-    let seq_rep = cluster::run(&seq_spec, &mut NoopKernel);
-
-    let checksum = match &output {
-        OutputGrid::P2(frames) => frames.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, f| {
-            (h ^ checksum_f32(f.as_slice())).wrapping_mul(0x0000_0100_0000_01b3)
-        }),
-        OutputGrid::P3(frames) => frames.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, f| {
-            (h ^ checksum_f32(f.as_slice())).wrapping_mul(0x0000_0100_0000_01b3)
-        }),
+    });
+    let frame_sums: Vec<u64> = match &output {
+        OutputGrid::P2(frames) => frames.iter().map(|f| checksum_f32(f.as_slice())).collect(),
+        OutputGrid::P3(frames) => frames.iter().map(|f| checksum_f32(f.as_slice())).collect(),
         _ => unreachable!("program output is always P2/P3"),
     };
+    let checksum = frame_sums.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &sum| {
+        (h ^ sum).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let cells = (spec.nx * spec.ny * if spec.dim == 3 { spec.nz } else { 1 }) as u64;
     let stats = ProgramRunStats {
         nodes: shape.cnodes.len() as u64,
         devices: shape.placement.devices as u64,
@@ -1387,14 +1276,14 @@ fn execute_program(
             .collect(),
         frames: prog.frames as u64,
         pipelined_ticks: rep.makespan_ticks,
-        sequential_ticks: seq_rep.makespan_ticks,
+        sequential_ticks: rep.busy_ticks.iter().sum(),
         stage_cells: rep
             .fired
             .iter()
             .enumerate()
             .map(|(slot, &n)| n as u64 * cells * prog.nodes[shape.node_of[slot]].iters as u64)
             .collect(),
-        stage_ticks: rep.busy_ticks.clone(),
+        stage_ticks: rep.busy_ticks,
     };
     Ok(ExecOut {
         checksum,
@@ -1582,15 +1471,6 @@ fn checksum_f32(vals: &[f32]) -> u64 {
     h
 }
 
-/// splitmix64 — the deterministic hash behind shadow sampling.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Suppresses panic-hook output for the load test's *injected* transient
 /// failures (marked `[transient]`) so retries don't spam stderr; every
 /// other panic keeps the default reporting. Installed once per process.
@@ -1625,7 +1505,7 @@ mod tests {
     /// so pool counters can be asserted in isolation.
     fn test_env() -> (ExecEnv, Arc<MetricsRegistry>) {
         let metrics = Arc::new(MetricsRegistry::new());
-        let env = ExecEnv::new(&metrics, PoolConfig::default(), DeviceProfile::Ddr);
+        let env = ExecEnv::new(&metrics, DeviceProfile::Ddr);
         (env, metrics)
     }
 
@@ -1941,6 +1821,58 @@ mod tests {
                 + metrics.counter("program_stage1_cells").get(),
             metrics.counter("program_cells").get()
         );
+
+        // The model's outputs, pinned: the checksum and every
+        // ProgramRunStats field of both canned programs under both device
+        // profiles, as recorded before the frame loop and the schedule
+        // model were separated. Only the ticks depend on the profile.
+        let mut heat = JobSpec::new_2d(7, 1, 192, 128, 1);
+        heat.program = Some(StencilProgram::heat_gradient_2d(4));
+        let mut seismic = JobSpec::new_3d(9, 1, 48, 48, 48, 1);
+        seismic.program = Some(StencilProgram::seismic_3d(3));
+        let heat_ticks = [(5, 8, vec![4, 4]), (5, 8, vec![4, 4])];
+        let seismic_ticks = [(196, 300, vec![108, 144, 48]), (119, 171, vec![54, 93, 24])];
+        let pinned = [
+            (
+                &heat,
+                0x1fa8_498f_362d_2012,
+                2,
+                vec![(2, 1)],
+                4,
+                vec![196_608, 98_304],
+                heat_ticks,
+            ),
+            (
+                &seismic,
+                0x64d1_1ba2_eb3b_ae35,
+                3,
+                vec![(2, 1), (1, 1)],
+                3,
+                vec![331_776, 663_552, 331_776],
+                seismic_ticks,
+            ),
+        ];
+        for (spec, checksum, nodes, channels, frames, cells, ticks) in pinned {
+            for (profile, ticks) in [DeviceProfile::Ddr, DeviceProfile::Hbm]
+                .into_iter()
+                .zip(ticks)
+            {
+                let metrics = MetricsRegistry::new();
+                let env = ExecEnv::new(&metrics, profile);
+                let out = execute(spec, 1, &token, &env).ok().expect("completes");
+                let s = out.program.expect("program stats");
+                let what = format!("{profile:?} {}D", spec.dim);
+                assert_eq!(out.checksum, checksum, "{what}");
+                assert_eq!(
+                    (s.nodes, s.devices, s.frames),
+                    (nodes, nodes, frames),
+                    "{what}"
+                );
+                assert_eq!((&s.channels, &s.stage_cells), (&channels, &cells), "{what}");
+                let got = (s.pipelined_ticks, s.sequential_ticks, s.stage_ticks);
+                assert_eq!(got, ticks, "{what}");
+            }
+        }
     }
 
     #[test]

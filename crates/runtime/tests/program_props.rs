@@ -3,21 +3,21 @@
 //! Two contracts are enforced over *random* program DAGs (2–5 nodes,
 //! radii 1–4, 2D and 3D frames, channel depths down to 1):
 //!
-//! 1. **Bit-exactness** — executing a program on the N-device cluster
-//!    simulator produces frames identical to the topological serial_ref
-//!    interpreter. Program jobs are always shadow-verified against the
-//!    interpreter, so a completed job with `shadow_match == Some(true)`
-//!    *is* the proof, end to end through admission, placement, and the
-//!    worker's cluster kernels.
-//! 2. **Replay stability** — two cluster runs with an identical spec
-//!    (including seed) produce byte-identical event logs, and the
-//!    schedule obeys its structural identities (high-water within
-//!    capacity, pipelined makespan never above the one-device serial
-//!    makespan, one-device devices never idle).
+//! 1. **Bit-exactness** — a program job's frames, computed by the
+//!    worker's frame loop at each node's placed configuration, are
+//!    identical to the topological serial_ref interpreter's. Program jobs
+//!    are always shadow-verified against the interpreter, so a completed
+//!    job with `shadow_match == Some(true)` *is* the proof, end to end
+//!    through admission, placement, and the worker.
+//! 2. **Replay stability** — two runs of the cluster schedule model with
+//!    an identical spec (including seed) produce byte-identical event
+//!    logs, and the schedule obeys its structural identities (high-water
+//!    within capacity, pipelined makespan never above the one-device
+//!    serial makespan, one-device devices never idle).
 
 use std::time::Duration;
 
-use fpga_sim::cluster::{self, ClusterKernel, ClusterNode, ClusterSpec};
+use fpga_sim::cluster::{self, ClusterNode, ClusterSpec};
 use proptest::prelude::*;
 use stencil_runtime::{
     Backend, BatchPolicy, JobSpec, Outcome, ProgramEdge, ProgramNode, Runtime, RuntimeConfig,
@@ -93,7 +93,7 @@ fn random_program(seed: u64) -> StencilProgram {
 }
 
 /// Submits one random program job through the full runtime and asserts
-/// the always-on shadow verification (cluster output vs the serial_ref
+/// the always-on shadow verification (program output vs the serial_ref
 /// interpreter) reports a bit-exact match.
 fn assert_cluster_matches_interpreter(seed: u64, dim3: bool) {
     let program = random_program(seed);
@@ -127,30 +127,8 @@ fn assert_cluster_matches_interpreter(seed: u64, dim3: bool) {
     assert_eq!(
         r.shadow_match,
         Some(true),
-        "cluster output diverged from the serial_ref interpreter (seed {seed})"
+        "program output diverged from the serial_ref interpreter (seed {seed})"
     );
-}
-
-/// A cheap payload kernel for schedule-only properties: payloads are
-/// checksums, so a diverging schedule would also diverge in data.
-struct CountKernel {
-    fired: u64,
-}
-
-impl ClusterKernel for CountKernel {
-    type Payload = u64;
-
-    fn fire(&mut self, node: usize, frame: usize, inputs: &[u64]) -> u64 {
-        self.fired += 1;
-        let acc = inputs
-            .iter()
-            .fold(0u64, |h, v| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3));
-        acc ^ ((node as u64) << 32) ^ frame as u64 ^ self.fired
-    }
-
-    fn dup(&mut self, payload: &u64) -> u64 {
-        *payload
-    }
 }
 
 /// Builds a random placed cluster spec directly (bypassing the planner):
@@ -191,7 +169,7 @@ fn random_cluster(seed: u64) -> ClusterSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// 2D programs: the cluster execution is bit-exact against the
+    /// 2D programs: the worker's execution is bit-exact against the
     /// topological serial_ref interpreter for random DAGs.
     #[test]
     fn cluster_matches_serial_interpreter_2d(seed in 0u64..u64::MAX / 2) {
@@ -215,8 +193,8 @@ proptest! {
     #[test]
     fn same_seed_runs_replay_identically(seed in 0u64..u64::MAX / 2) {
         let spec = random_cluster(seed);
-        let a = cluster::run(&spec, &mut CountKernel { fired: 0 });
-        let b = cluster::run(&spec, &mut CountKernel { fired: 0 });
+        let a = cluster::run(&spec);
+        let b = cluster::run(&spec);
         assert_eq!(a.events, b.events, "event order diverged (seed {seed})");
         assert_eq!(a, b, "reports diverged (seed {seed})");
 
@@ -239,7 +217,7 @@ proptest! {
         for node in &mut serial.nodes {
             node.device = 0;
         }
-        let s = cluster::run(&serial, &mut CountKernel { fired: 0 });
+        let s = cluster::run(&serial);
         let busy: u64 = s.busy_ticks.iter().sum();
         assert_eq!(s.makespan_ticks, busy, "a lone device must never idle (seed {seed})");
         assert!(

@@ -1,10 +1,12 @@
 //! Edge-case integration tests for the serving runtime: deadline expiry
-//! while queued, mid-run cancellation, queue-full backpressure, and
-//! graceful drain — the failure paths a load test only hits by luck.
+//! while queued, mid-run cancellation, queue-full backpressure, graceful
+//! drain, and a streaming client that walks away — the failure paths a
+//! load test only hits by luck.
 
 use std::time::{Duration, Instant};
 use stencil_runtime::{
-    Backend, BatchPolicy, JobSpec, Outcome, Priority, Runtime, RuntimeConfig, SubmitError,
+    Backend, BatchPolicy, JobSpec, Outcome, Priority, ResultStream, Runtime, RuntimeConfig,
+    SubmitError,
 };
 
 /// A runtime with a single one-worker shard, so a heavy head-of-line job
@@ -142,6 +144,32 @@ fn drain_finishes_every_admitted_job() {
     let outcome = rt.drain();
     assert_eq!(outcome.wedged_workers, 0);
     assert_eq!(outcome.results.len(), admitted, "graceful drain lost jobs");
+    assert!(outcome
+        .results
+        .iter()
+        .all(|r| r.outcome == Outcome::Completed));
+}
+
+#[test]
+fn dropping_a_result_stream_does_not_wedge_drain() {
+    let rt = single_lane(Backend::CpuEngine, 16);
+    let (tx, rx) = ResultStream::bounded(2);
+    for id in 0..8u64 {
+        rt.submit_streaming(small(id, Backend::CpuEngine), &tx)
+            .unwrap();
+    }
+    // The client walks away: nobody reads the stream again, and it holds
+    // fewer slots than there are jobs.
+    drop(rx);
+    drop(tx);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let drainer = std::thread::spawn(move || done_tx.send(rt.drain()).expect("test waits"));
+    let outcome = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("drain returns after the stream is dropped");
+    drainer.join().expect("drain thread");
+    assert_eq!(outcome.wedged_workers, 0);
+    assert_eq!(outcome.results.len(), 8, "the drain sink records every job");
     assert!(outcome
         .results
         .iter()

@@ -706,13 +706,11 @@ fn print_summary(r: &ServeReport) {
     if p.enabled {
         println!(
             "  planner: {} plans, {} hits / {} misses (hit rate {:.0}%), \
-             {} explored / {} exploited, {} feedback samples, {} shapes",
+             {} feedback samples, {} shapes",
             p.plans_requested,
             p.cache_hits,
             p.cache_misses,
             p.hit_rate * 100.0,
-            p.explored,
-            p.exploited,
             p.feedback_samples,
             p.shapes.len(),
         );

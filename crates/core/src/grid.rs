@@ -7,6 +7,15 @@
 use crate::error::{Result, StencilError};
 use crate::real::Real;
 
+/// The product of `extents`, or `None` when an extent is zero or the
+/// product overflows `usize`.
+fn cell_count(extents: &[usize]) -> Option<usize> {
+    extents
+        .iter()
+        .try_fold(1usize, |n, &e| n.checked_mul(e))
+        .filter(|&n| n > 0)
+}
+
 /// Fills `out` with `out.len()` cells of `row` starting at (possibly
 /// negative) column `x0`, clamping out-of-range columns to the row ends —
 /// the paper's boundary condition, vectorized: one `copy_from_slice` for the
@@ -92,17 +101,16 @@ impl<T: Real> Grid2D<T> {
     /// Creates an `nx × ny` grid with every cell set to `v`.
     ///
     /// # Errors
-    /// Returns [`StencilError::InvalidGrid`] when either dimension is zero.
+    /// Returns [`StencilError::InvalidGrid`] when either dimension is zero
+    /// or the cell count overflows `usize`.
     pub fn filled(nx: usize, ny: usize, v: T) -> Result<Self> {
-        if nx == 0 || ny == 0 {
-            return Err(StencilError::InvalidGrid {
-                what: format!("dimensions must be nonzero, got {nx}x{ny}"),
-            });
-        }
+        let cells = cell_count(&[nx, ny]).ok_or_else(|| StencilError::InvalidGrid {
+            what: format!("dimensions must be nonzero with a representable product, got {nx}x{ny}"),
+        })?;
         Ok(Self {
             nx,
             ny,
-            data: vec![v; nx * ny],
+            data: vec![v; cells],
         })
     }
 
@@ -126,10 +134,10 @@ impl<T: Real> Grid2D<T> {
     /// defined state must overwrite every cell.
     ///
     /// # Errors
-    /// Returns [`StencilError::InvalidGrid`] when either dimension is zero
-    /// or `data.len() != nx * ny`.
+    /// Returns [`StencilError::InvalidGrid`] when either dimension is zero,
+    /// the cell count overflows `usize`, or `data.len() != nx * ny`.
     pub fn from_vec(nx: usize, ny: usize, data: Vec<T>) -> Result<Self> {
-        if nx == 0 || ny == 0 || data.len() != nx * ny {
+        if cell_count(&[nx, ny]) != Some(data.len()) {
             return Err(StencilError::InvalidGrid {
                 what: format!(
                     "buffer of {} cells cannot back a {nx}x{ny} grid",
@@ -310,18 +318,19 @@ impl<T: Real> Grid3D<T> {
     /// Creates a grid with every cell set to `v`.
     ///
     /// # Errors
-    /// Returns [`StencilError::InvalidGrid`] when any dimension is zero.
+    /// Returns [`StencilError::InvalidGrid`] when any dimension is zero or
+    /// the cell count overflows `usize`.
     pub fn filled(nx: usize, ny: usize, nz: usize, v: T) -> Result<Self> {
-        if nx == 0 || ny == 0 || nz == 0 {
-            return Err(StencilError::InvalidGrid {
-                what: format!("dimensions must be nonzero, got {nx}x{ny}x{nz}"),
-            });
-        }
+        let cells = cell_count(&[nx, ny, nz]).ok_or_else(|| StencilError::InvalidGrid {
+            what: format!(
+                "dimensions must be nonzero with a representable product, got {nx}x{ny}x{nz}"
+            ),
+        })?;
         Ok(Self {
             nx,
             ny,
             nz,
-            data: vec![v; nx * ny * nz],
+            data: vec![v; cells],
         })
     }
 
@@ -350,10 +359,10 @@ impl<T: Real> Grid3D<T> {
     /// copying (see [`Grid2D::from_vec`]). Cell contents are taken as-is.
     ///
     /// # Errors
-    /// Returns [`StencilError::InvalidGrid`] when any dimension is zero or
-    /// `data.len() != nx * ny * nz`.
+    /// Returns [`StencilError::InvalidGrid`] when any dimension is zero, the
+    /// cell count overflows `usize`, or `data.len() != nx * ny * nz`.
     pub fn from_vec(nx: usize, ny: usize, nz: usize, data: Vec<T>) -> Result<Self> {
-        if nx == 0 || ny == 0 || nz == 0 || data.len() != nx * ny * nz {
+        if cell_count(&[nx, ny, nz]) != Some(data.len()) {
             return Err(StencilError::InvalidGrid {
                 what: format!(
                     "buffer of {} cells cannot back a {nx}x{ny}x{nz} grid",
@@ -580,6 +589,26 @@ mod tests {
         assert!(Grid2D::<f32>::zeros(0, 3).is_err());
         assert!(Grid2D::<f32>::zeros(3, 0).is_err());
         assert!(Grid3D::<f64>::zeros(1, 0, 1).is_err());
+    }
+
+    #[test]
+    fn overflowing_cell_count_rejected() {
+        // big x big wraps to 0 (2^32 squared in a 64-bit usize): an empty
+        // buffer must not pass for that grid, and nothing may be allocated
+        // for it.
+        let big = 1usize << (usize::BITS / 2);
+        let invalid = |r: Result<()>| matches!(r, Err(StencilError::InvalidGrid { .. }));
+        assert!(invalid(
+            Grid2D::<f32>::from_vec(big, big, Vec::new()).map(drop)
+        ));
+        assert!(invalid(Grid2D::<f32>::filled(big, big, 0.0).map(drop)));
+        assert!(invalid(
+            Grid3D::<f32>::from_vec(big, big, 1, Vec::new()).map(drop)
+        ));
+        assert!(invalid(Grid3D::<f32>::filled(big, 1, big, 0.0).map(drop)));
+        assert!(invalid(
+            Grid3D::<f32>::filled(usize::MAX, 2, 1, 0.0).map(drop)
+        ));
     }
 
     #[test]

@@ -50,8 +50,8 @@ const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// One SplitMix64 step as a pure function: the value
 /// [`SplitMix64::next_u64`] returns from state `x`. The workspace's
 /// single-shot hash wherever a draw must be a pure function of a key
-/// (shadow sampling, planner exploration, retry jitter, program node
-/// seeds, the cluster model's scan order).
+/// (shadow sampling, retry jitter, program node seeds, the cluster model's
+/// scan order).
 #[inline]
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(SPLITMIX_GAMMA);

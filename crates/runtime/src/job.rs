@@ -374,6 +374,9 @@ impl JobSpec {
         if self.replicas.get() == 0 {
             return Err(PlanError::ZeroReplicas);
         }
+        if self.checked_work_cells().is_none() {
+            return Err(PlanError::WorkOverflow);
+        }
         if let Some(spec) = &self.kernel {
             if self.program.is_some() {
                 return Err(PlanError::KernelWithProgram);
@@ -398,14 +401,23 @@ impl JobSpec {
 
     /// Useful cell updates the job performs: `cells · iters` for a
     /// single-kernel job, the sum over every program stage and frame for a
-    /// program job.
+    /// program job. Saturates at `u64::MAX`, which [`JobSpec::validate`]
+    /// never admits.
     pub fn work_cells(&self) -> u64 {
-        if let Some(program) = &self.program {
-            return program.work_cells(self.dim, self.nx, self.ny, self.nz);
+        self.checked_work_cells().unwrap_or(u64::MAX)
+    }
+
+    /// [`JobSpec::work_cells`], or `None` when the cell count or the work
+    /// overflows a u64.
+    fn checked_work_cells(&self) -> Option<u64> {
+        let nz = if self.dim == 3 { self.nz } else { 1 };
+        let cells = (self.nx as u64)
+            .checked_mul(self.ny as u64)?
+            .checked_mul(nz as u64)?;
+        match &self.program {
+            Some(program) => program.work_cells(cells),
+            None => cells.checked_mul(self.iters as u64),
         }
-        let cells =
-            self.nx as u64 * self.ny as u64 * if self.dim == 3 { self.nz as u64 } else { 1 };
-        cells * self.iters as u64
     }
 }
 
@@ -464,7 +476,7 @@ pub struct JobResult {
     /// frozen serial oracle, `Some(false)` = mismatch, `None` = not sampled.
     pub shadow_match: Option<bool>,
     /// The planner's decision for auto-planned jobs (backend, block config,
-    /// lanes, and cached/explored provenance); `None` for explicit jobs.
+    /// lanes, and model/cached/warm provenance); `None` for explicit jobs.
     pub plan: Option<PlanChoice>,
 }
 

@@ -18,9 +18,9 @@
 //! Jobs submitted in [`planner::PlanMode::Auto`] skip hand-picking a block
 //! configuration: the [`planner::Planner`] ranks candidate plans with the
 //! `perf-model` analytical tuner (the paper's §V.A flow), caches them per
-//! job shape class, and refines the choice epsilon-greedy style from the
-//! throughput workers measure — model-guided planning with online
-//! feedback.
+//! job shape class, and refines the choice with the throughput workers
+//! measure: every cache hit takes the candidate with the best measured
+//! rate per in-flight job — model-guided planning with online feedback.
 //!
 //! ```
 //! use stencil_runtime::{JobSpec, Runtime, RuntimeConfig};
@@ -64,9 +64,9 @@ pub use persist::{
 };
 pub use planner::{
     place_program, DeviceProfile, PlanChoice, PlanError, PlanEvent, PlanMode, Planner,
-    PlannerConfig, ProgramPlacement, ShapeKey, StagePlacement,
+    ProgramPlacement, ShapeKey, StagePlacement,
 };
-pub use pool::{GridLease2D, GridLease3D, GridPool, PoolConfig, PoolStats, StencilMemo};
+pub use pool::{GridLease2D, GridLease3D, GridPool, PoolStats, StencilMemo};
 pub use program::{ProgramEdge, ProgramError, ProgramNode, StencilProgram};
 pub use queue::{AdmissionQueue, PushError};
 pub use report::{

@@ -6,38 +6,36 @@
 //! the top few to place-and-route. The serving equivalent: a [`JobSpec`]
 //! submitted in [`PlanMode::Auto`] does not hand-pick its block
 //! configuration or backend — the [`Planner`] consults
-//! `perf_model::tuner::shape_candidates` for the top-k valid candidate
-//! plans (backend + `BlockConfig` + lane width) for the job's
+//! `perf_model::tuner::shape_candidates` for the top four valid
+//! candidate plans (backend + `BlockConfig` + lane width) for the job's
 //! `(dim, rad, grid shape, deadline)`, every one re-validated against the
 //! Eq. 2 / Eq. 6 constraints, and picks one through a concurrent **plan
 //! cache** keyed by job shape class.
 //!
-//! The cache refines the model's static ranking with *measured* feedback,
-//! epsilon-greedy style (the same loop autotuners like YASK run): workers
-//! report each completed auto-planned job's achieved cells/s back into the
-//! cache, most jobs exploit the empirically fastest candidate so far, and
-//! a deterministic per-job hash sends a small fraction off to explore
-//! another candidate. The planner therefore converges on the plan that is
-//! actually fastest on this machine, not the one the model merely predicts
-//! — while provably never selecting a candidate that failed validation,
-//! because invalid configurations are filtered out before they ever enter
-//! the candidate table.
+//! The cache refines the model's static ranking with *measured* feedback:
+//! workers report each completed auto-planned job's achieved cells/s back
+//! into the cache, and every cache hit exploits the candidate with the
+//! best estimated throughput — its measured mean once it has one, the
+//! backend's conservative prior until then. A cache miss trusts the
+//! model's top pick. The planner never selects a candidate that failed
+//! validation, because invalid configurations are filtered out before
+//! they ever enter the candidate table.
 //!
-//! Exploitation is additionally **load-aware**: the planner tracks how
-//! many of its jobs are in flight per backend (incremented at plan time,
-//! released by the worker at job completion) and ranks candidates by
-//! estimated throughput divided by `(in-flight + 1)` — shortest expected
-//! finish, not fastest in isolation. Without this, every job chases the
-//! single fastest backend, its shard's run queue backs up, and the other
-//! shards idle; with it, overflow spills onto the next-fastest backend
-//! exactly when the backlog justifies the slower per-job rate.
+//! Exploitation is **load-aware**: the planner tracks how many of its
+//! jobs are in flight per backend (incremented at plan time, released by
+//! the worker at job completion) and ranks candidates by estimated
+//! throughput divided by `(in-flight + 1)` — shortest expected finish,
+//! not fastest in isolation. Without this, every job chases the single
+//! fastest backend, its shard's run queue backs up, and the other shards
+//! idle; with it, overflow spills onto the next-fastest backend exactly
+//! when the backlog justifies the slower per-job rate — which is also
+//! how the slower candidates get measured.
 //!
 //! Every decision is surfaced: the chosen [`PlanChoice`] (with its
-//! cached/explored provenance) rides on the `JobResult`, and the planner
-//! maintains counters (`plans_requested`, `plan_cache_hits`,
-//! `plan_cache_misses`, `plans_explored`, `plans_exploited`,
-//! `plan_feedback_samples`) plus a per-shape achieved-throughput gauge in
-//! the [`MetricsRegistry`].
+//! model/cached/warm provenance) rides on the `JobResult`, and the
+//! planner maintains counters (`plans_requested`, `plan_cache_hits`,
+//! `plan_cache_misses`, `plan_cache_warm_hits`, `plan_feedback_samples`)
+//! in the [`MetricsRegistry`].
 
 use crate::job::{Backend, JobSpec};
 use crate::metrics::MetricsRegistry;
@@ -48,7 +46,6 @@ use perf_model::tuner;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use stencil_core::util::splitmix64;
 use stencil_core::{BlockConfig, Dim, KernelClass, StencilError};
 
 /// Why a job spec cannot be validated or planned. The typed replacement
@@ -82,6 +79,9 @@ pub enum PlanError {
     /// The job sets both `kernel` and `program` — a desc kernel describes
     /// one operator, a program is a DAG of fixed-star operators.
     KernelWithProgram,
+    /// The grid's cell count, or the job's work (`cells · iters`, summed
+    /// over nodes and frames for a program), overflows a u64.
+    WorkOverflow,
 }
 
 impl std::fmt::Display for PlanError {
@@ -98,6 +98,7 @@ impl std::fmt::Display for PlanError {
             PlanError::KernelWithProgram => {
                 write!(f, "a job cannot carry both a kernel and a program")
             }
+            PlanError::WorkOverflow => write!(f, "grid cells or work overflow a u64"),
         }
     }
 }
@@ -166,8 +167,8 @@ impl Deserialize for PlanMode {
 /// DDR-attached Arria 10 (two channels, deep temporal chains win) or an
 /// HBM-class Stratix 10 MX (32 pseudo-channels, where the tuner's hybrid
 /// `replicas × partime` axis opens and spatially replicated shallow chains
-/// win the model ranking). The profile decides which candidates exist; the
-/// epsilon-greedy measurement loop still decides which one actually wins.
+/// win the model ranking). The profile decides which candidates exist;
+/// measured feedback still decides which one actually wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeviceProfile {
     /// The paper's Arria 10 GX 1150 with one shared DDR4 interface.
@@ -315,8 +316,6 @@ pub struct PlanChoice {
     pub score: f64,
     /// Whether the shape's candidate table was already cached.
     pub cached: bool,
-    /// Whether this job explored (epsilon draw) rather than exploited.
-    pub explored: bool,
     /// Whether the cache entry serving this hit was seeded from a
     /// planner-memory sidecar rather than learned this run.
     pub warm: bool,
@@ -324,12 +323,10 @@ pub struct PlanChoice {
 
 impl PlanChoice {
     /// The plan's provenance label, as trace records carry it:
-    /// `explored` > `warm` > `cached` > `model` (a cache miss trusts the
-    /// model's static ranking).
+    /// `warm` > `cached` > `model` (a cache miss trusts the model's static
+    /// ranking).
     pub fn provenance(&self) -> &'static str {
-        if self.explored {
-            "explored"
-        } else if self.warm {
+        if self.warm {
             "warm"
         } else if self.cached {
             "cached"
@@ -361,32 +358,16 @@ pub struct PlanAssignment {
     pub choice: PlanChoice,
 }
 
-/// Planner tunables.
-#[derive(Debug, Clone)]
-pub struct PlannerConfig {
-    /// Candidate plans kept per shape class (the paper's "top few").
-    pub top_k: usize,
-    /// Percentage (0–100) of cache hits that explore a deterministic
-    /// pseudo-random candidate instead of exploiting the best-measured one.
-    pub epsilon_pct: u8,
-    /// Half-life, in boots, of persisted measured rates. A warm-started
-    /// shape that last saw fresh feedback `age` boots ago has its means
-    /// blended toward the backend prior with weight `0.5^(age / half_life)`
-    /// — after enough idle boots a once-fast candidate's stale rate decays
-    /// to the prior and fresh feedback beats it. Rates measured (or
-    /// refreshed) in the current run never decay.
-    pub warm_half_life_boots: f64,
-}
+/// Candidate plans kept per shape class (the paper's "top few").
+const TOP_K: usize = 4;
 
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 10,
-            warm_half_life_boots: 4.0,
-        }
-    }
-}
+/// Half-life, in boots, of persisted measured rates. A warm-started shape
+/// that last saw fresh feedback `age` boots ago has its means blended
+/// toward the backend prior with weight `0.5^(age / half_life)` — after
+/// enough idle boots a once-fast candidate's stale rate decays to the
+/// prior and fresh feedback beats it. Rates measured (or refreshed) in
+/// the current run never decay.
+const WARM_HALF_LIFE_BOOTS: f64 = 4.0;
 
 /// Per-candidate measured-throughput accumulator.
 #[derive(Debug, Default, Clone, Copy)]
@@ -403,16 +384,16 @@ impl Stat {
         (self.samples > 0).then(|| self.sum_cells_per_sec / self.samples as f64)
     }
 
-    /// The mean the decision rules see: fresh feedback verbatim, persisted
-    /// feedback blended toward the backend prior by the age-decay weight.
-    fn decayed_mean(&self, backend: Backend, decay: f64) -> Option<f64> {
-        self.mean().map(|m| {
-            if self.fresh {
-                m
-            } else {
-                decay * m + (1.0 - decay) * prior_cells_per_sec(backend)
-            }
-        })
+    /// The throughput the decision rules see: fresh feedback verbatim,
+    /// persisted feedback blended toward the backend prior by the
+    /// age-decay weight, and the prior itself until feedback arrives.
+    fn estimate(&self, backend: Backend, decay: f64) -> f64 {
+        let prior = prior_cells_per_sec(backend);
+        match self.mean() {
+            Some(m) if self.fresh => m,
+            Some(m) => decay * m + (1.0 - decay) * prior,
+            None => prior,
+        }
     }
 }
 
@@ -432,12 +413,8 @@ struct CacheEntry {
 
 impl CacheEntry {
     /// Age-decay weight for this entry's persisted means.
-    fn decay(&self, half_life: f64) -> f64 {
-        if half_life <= 0.0 || self.age == 0 {
-            1.0
-        } else {
-            0.5f64.powf(self.age as f64 / half_life)
-        }
+    fn decay(&self) -> f64 {
+        0.5f64.powf(self.age as f64 / WARM_HALF_LIFE_BOOTS)
     }
 }
 
@@ -474,7 +451,6 @@ pub struct ShapeSnapshot {
 pub struct Planner {
     profile: DeviceProfile,
     device: FpgaDevice,
-    config: PlannerConfig,
     cache: Mutex<BTreeMap<ShapeKey, CacheEntry>>,
     /// Auto-planned jobs currently in flight per backend; the denominator
     /// of the load-aware exploit rule. Locked after `cache` when both are
@@ -486,22 +462,15 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// A planner ranking candidates against the paper's Arria 10 model
-    /// (the [`DeviceProfile::Ddr`] default).
-    pub fn new(config: PlannerConfig) -> Planner {
-        Planner::with_device(config, DeviceProfile::Ddr)
-    }
-
-    /// A planner ranking candidates against an explicit device profile.
+    /// A planner ranking candidates against `profile`'s analytical model.
     /// [`DeviceProfile::Hbm`] opens the tuner's `replicas × partime` hybrid
     /// axis, so candidate tables carry spatially replicated shallow chains
     /// alongside (and, on memory-bound shapes, ahead of) the deep temporal
     /// configurations the DDR profile favors.
-    pub fn with_device(config: PlannerConfig, profile: DeviceProfile) -> Planner {
+    pub fn new(profile: DeviceProfile) -> Planner {
         Planner {
             profile,
             device: profile.fpga_device(),
-            config,
             cache: Mutex::new(BTreeMap::new()),
             load: Mutex::new(BTreeMap::new()),
             history: Mutex::new(Vec::new()),
@@ -514,9 +483,9 @@ impl Planner {
     }
 
     /// Plans one auto-mode job: resolves (building on first sight) the
-    /// shape's candidate table, then picks a candidate — epsilon-greedy
-    /// over measured throughput for cache hits, the model's top pick for
-    /// misses — restricted to candidates whose backend is in `served` and
+    /// shape's candidate table, then picks a candidate — the best
+    /// load-aware estimated throughput for cache hits, the model's top pick
+    /// for misses — restricted to candidates whose backend is in `served` and
     /// whose predicted runtime fits the spec's deadline (when any
     /// candidate does).
     ///
@@ -568,20 +537,16 @@ impl Planner {
         }
         let entry = cache.get_mut(&key).expect("inserted above");
 
-        // Estimated throughput per candidate: the measured mean (decayed
-        // by the entry's warm-start age) once feedback exists, the
-        // backend's conservative prior until then. Copied out of the
-        // entry so the entry stays mutable below.
-        let decay = entry.decay(self.config.warm_half_life_boots);
+        // Estimated throughput per candidate, copied out of the entry so
+        // the entry stays mutable below.
+        let decay = entry.decay();
         let backends: Vec<Backend> = entry.candidates.iter().map(|c| c.backend).collect();
-        let means: Vec<Option<f64>> = entry
+        let est: Vec<f64> = entry
             .stats
             .iter()
             .zip(&backends)
-            .map(|(s, &b)| s.decayed_mean(b, decay))
+            .map(|(s, &b)| s.estimate(b, decay))
             .collect();
-        let est =
-            |i: usize| -> f64 { means[i].unwrap_or_else(|| prior_cells_per_sec(backends[i])) };
 
         // Candidates eligible for this job: backend is served (the table
         // is already filtered at build time, but the served set may differ
@@ -592,7 +557,7 @@ impl Planner {
         let eligible: Vec<usize> = {
             let by_deadline: Vec<usize> = (0..backends.len())
                 .filter(|&i| served.contains(&backends[i]))
-                .filter(|&i| deadline_fits(est(i), spec))
+                .filter(|&i| deadline_fits(est[i], spec))
                 .collect();
             if by_deadline.is_empty() {
                 (0..backends.len())
@@ -606,8 +571,8 @@ impl Planner {
             // A cached table none of whose candidates is served cannot
             // answer this request; it counts as a miss, not a hit. Hit/miss
             // is recorded only below this point — after eligibility is
-            // known — so the report invariants `hits + misses == requested`
-            // and `explored + exploited == hits` hold across failed plans.
+            // known — so the report invariant `hits + misses == requested`
+            // holds across failed plans.
             metrics.counter("plan_cache_misses").inc();
             self.push_event(PlanEvent {
                 hit: false,
@@ -632,46 +597,18 @@ impl Planner {
         self.push_event(PlanEvent { hit: cached, warm });
         entry.planned += 1;
 
-        // Epsilon-greedy over the eligible set. Exploration is a
-        // deterministic per-job hash (same scheme as shadow sampling), so
-        // a replayed workload explores the same jobs — concurrency and
-        // wall-clock never influence *which* jobs explore. Exploitation
-        // ranks by measured (or prior) throughput divided by the backend's
-        // in-flight count — shortest expected finish, so overflow spills
-        // to the next-fastest shard instead of piling onto one.
+        // A hit ranks by measured (or prior) throughput divided by the
+        // backend's in-flight count — shortest expected finish, so
+        // overflow spills to the next-fastest shard instead of piling onto
+        // one. First sight of the shape trusts the model's ranking.
         let mut load = self.load.lock().unwrap();
-        let (index, explored) = if cached {
-            let h = splitmix64(spec.id ^ spec.seed.rotate_left(17));
-            if h % 100 < self.config.epsilon_pct as u64 {
-                // Explore only candidates within 32x of the best estimated
-                // rate: a backend two orders of magnitude slower would turn
-                // one exploration probe into the run's latency tail.
-                let best_est = eligible.iter().map(|&i| est(i)).fold(0.0, f64::max);
-                let explorable: Vec<usize> = eligible
-                    .iter()
-                    .copied()
-                    .filter(|&i| est(i) * 32.0 >= best_est)
-                    .collect();
-                let pool = if explorable.is_empty() {
-                    &eligible
-                } else {
-                    &explorable
-                };
-                (pool[(h >> 32) as usize % pool.len()], true)
-            } else {
-                (exploit_index(&eligible, &backends, &means, &load), false)
-            }
+        let index = if cached {
+            exploit_index(&eligible, &backends, &est, &load)
         } else {
-            // First sight of the shape: trust the model's ranking.
-            (eligible[0], false)
+            eligible[0]
         };
         *load.entry(entry.candidates[index].backend).or_insert(0) += 1;
         drop(load);
-        if explored {
-            metrics.counter("plans_explored").inc();
-        } else if cached {
-            metrics.counter("plans_exploited").inc();
-        }
 
         let c = &entry.candidates[index];
         debug_assert!(c.config.validate().is_ok(), "candidate table is validated");
@@ -687,7 +624,6 @@ impl Planner {
                 replicas: c.replicas,
                 score: c.score,
                 cached,
-                explored,
                 warm,
             },
         })
@@ -706,7 +642,7 @@ impl Planner {
     }
 
     /// Feeds one completed job's measured throughput back into the plan
-    /// cache and updates the shape's achieved-throughput gauge.
+    /// cache.
     pub fn record_throughput(
         &self,
         assignment: &PlanAssignment,
@@ -727,10 +663,6 @@ impl Planner {
         stat.samples += 1;
         stat.fresh = true;
         metrics.counter("plan_feedback_samples").inc();
-        let best = best_measured(&entry.stats).unwrap_or(0.0);
-        metrics
-            .gauge(&format!("plan_cells_per_sec_{}", assignment.key.label()))
-            .set(best as i64);
     }
 
     /// Releases a planned job's in-flight slot — called by the worker once
@@ -752,30 +684,6 @@ impl Planner {
             .get(&backend)
             .copied()
             .unwrap_or(0)
-    }
-
-    /// The candidate table for a shape class, building (and caching) it if
-    /// absent — the `--plan-explain` entry point.
-    pub fn candidates(&self, key: ShapeKey, served: &[Backend]) -> Vec<PlanCandidate> {
-        let mut cache = self.cache.lock().unwrap();
-        if let Some(entry) = cache.get(&key) {
-            return entry.candidates.clone();
-        }
-        let candidates = self.build_candidates(&key, served);
-        if !candidates.is_empty() {
-            let stats = vec![Stat::default(); candidates.len()];
-            cache.insert(
-                key,
-                CacheEntry {
-                    candidates: candidates.clone(),
-                    stats,
-                    planned: 0,
-                    warm: false,
-                    age: 0,
-                },
-            );
-        }
-        candidates
     }
 
     /// Exports the plan cache's learned state for persistence: every
@@ -947,8 +855,9 @@ impl Planner {
     /// Builds the validated candidate table for one shape class: the
     /// model's top-k block configurations on the vectorized functional
     /// backend, plus CPU-engine and serial-reference alternatives on the
-    /// best configuration — so the epsilon-greedy loop has genuinely
-    /// different backends to measure, not just different block shapes.
+    /// best configuration — so the load-aware exploit rule has genuinely
+    /// different backends to spill onto and measure, not just different
+    /// block shapes.
     fn build_candidates(&self, key: &ShapeKey, served: &[Backend]) -> Vec<PlanCandidate> {
         let dim = if key.dim == 2 { Dim::D2 } else { Dim::D3 };
         let ranked = tuner::shape_candidates(
@@ -957,7 +866,7 @@ impl Planner {
             key.rad,
             key.nx_class,
             key.ny_class,
-            self.config.top_k.max(1),
+            TOP_K,
         );
         let mut out: Vec<PlanCandidate> = Vec::new();
         if served.contains(&Backend::Functional) {
@@ -1004,23 +913,19 @@ impl Planner {
 }
 
 /// Exploit rule: among `eligible` candidates, maximize estimated
-/// throughput — the (age-decayed) measured mean cells/s where feedback
-/// exists, the backend's conservative prior otherwise — divided by
-/// `(in-flight + 1)` on the candidate's backend. Ties keep the earlier
-/// (model-best) candidate.
+/// throughput (`Stat::estimate`) divided by `(in-flight + 1)` on the
+/// candidate's backend. Ties keep the earlier (model-best) candidate.
 fn exploit_index(
     eligible: &[usize],
     backends: &[Backend],
-    means: &[Option<f64>],
+    est: &[f64],
     load: &BTreeMap<Backend, u64>,
 ) -> usize {
     let mut best = eligible[0];
     let mut best_rate = f64::NEG_INFINITY;
     for &i in eligible {
-        let backend = backends[i];
-        let est = means[i].unwrap_or_else(|| prior_cells_per_sec(backend));
-        let in_flight = load.get(&backend).copied().unwrap_or(0);
-        let rate = est / (in_flight + 1) as f64;
+        let in_flight = load.get(&backends[i]).copied().unwrap_or(0);
+        let rate = est[i] / (in_flight + 1) as f64;
         if rate > best_rate {
             best_rate = rate;
             best = i;
@@ -1029,18 +934,10 @@ fn exploit_index(
     best
 }
 
-/// Best measured mean across a shape's candidates, if any has samples.
-fn best_measured(stats: &[Stat]) -> Option<f64> {
-    stats
-        .iter()
-        .filter_map(Stat::mean)
-        .fold(None, |acc, m| Some(acc.map_or(m, |a: f64| a.max(m))))
-}
-
-/// Conservative prior throughput per backend (cells/s), used only to
-/// screen candidates against a job's deadline before any measurement
-/// exists. Deliberately pessimistic so a tight deadline prefers the fast
-/// paths.
+/// Conservative prior throughput per backend (cells/s): a candidate's
+/// estimate, for deadline screening and the exploit rule, until it is
+/// measured. Deliberately pessimistic so a tight deadline prefers the
+/// fast paths.
 fn prior_cells_per_sec(backend: Backend) -> f64 {
     match backend {
         Backend::Functional => 5e7,
@@ -1113,7 +1010,7 @@ pub fn place_program(
     let mut tables = Vec::with_capacity(order.len());
     for &i in &order {
         let node = &program.nodes[i];
-        let cands = tuner::shape_candidates(&device, dim, node.rad, spec.nx, spec.ny, 4);
+        let cands = tuner::shape_candidates(&device, dim, node.rad, spec.nx, spec.ny, TOP_K);
         if cands.is_empty() {
             return Err(PlanError::NoCandidates {
                 dim: spec.dim,
@@ -1280,14 +1177,13 @@ mod tests {
 
     #[test]
     fn first_plan_misses_then_hits() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         let first = planner
             .plan(&auto_spec(1, 2, 96, 32), &served, &metrics)
             .unwrap();
         assert!(!first.choice.cached);
-        assert!(!first.choice.explored, "misses exploit the model ranking");
         let second = planner
             .plan(&auto_spec(2, 2, 96, 32), &served, &metrics)
             .unwrap();
@@ -1299,7 +1195,7 @@ mod tests {
 
     #[test]
     fn planned_configs_validate() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         for (id, (rad, nx, ny)) in [(1, 96, 32), (2, 300, 120), (4, 48, 16), (3, 64, 64)]
@@ -1318,11 +1214,7 @@ mod tests {
 
     #[test]
     fn feedback_steers_exploitation() {
-        let planner = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 0, // pure exploitation after the miss
-            ..Default::default()
-        });
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         let first = planner
@@ -1339,51 +1231,15 @@ mod tests {
             .plan(&auto_spec(2, 1, 96, 32), &served, &metrics)
             .unwrap();
         assert_eq!(next.index, other.index, "exploits the measured winner");
-        assert!(!next.choice.explored);
         assert_eq!(metrics.counter("plan_feedback_samples").get(), 2);
-        let gauge = metrics.gauge(&format!("plan_cells_per_sec_{}", first.key.label()));
-        assert_eq!(gauge.get(), 1e9 as i64);
-    }
-
-    #[test]
-    fn exploration_is_deterministic_per_job() {
-        let planner = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 30,
-            ..Default::default()
-        });
-        let metrics = MetricsRegistry::new();
-        let served = Backend::ALL.to_vec();
-        planner
-            .plan(&auto_spec(0, 1, 96, 32), &served, &metrics)
-            .unwrap();
-        // Which jobs explore, and which candidate they explore, is a pure
-        // function of the job id and seed. (Exploit picks are deliberately
-        // *not* pure — they follow the in-flight load.)
-        let explore_picks = |planner: &Planner| -> Vec<Option<usize>> {
-            (1..50)
-                .map(|id| {
-                    let a = planner
-                        .plan(&auto_spec(id, 1, 96, 32), &served, &metrics)
-                        .unwrap();
-                    a.choice.explored.then_some(a.index)
-                })
-                .collect()
-        };
-        let picks = explore_picks(&planner);
-        let again = explore_picks(&planner);
-        assert_eq!(picks, again, "exploration is a pure function of the job");
-        assert!(picks.iter().any(Option::is_some), "some jobs explore");
-        assert!(picks.iter().any(Option::is_none), "most jobs exploit");
+        let snap = planner.snapshot();
+        assert_eq!(snap[0].best_index, other.index);
+        assert_eq!(snap[0].mean_cells_per_sec, 1e9);
     }
 
     #[test]
     fn exploitation_balances_in_flight_load() {
-        let planner = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 0, // pure exploitation
-            ..Default::default()
-        });
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         let first = planner
@@ -1411,16 +1267,14 @@ mod tests {
 
     #[test]
     fn tight_deadlines_screen_out_slow_backends() {
-        let planner = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 100, // force exploration — even explorers obey
-            ..Default::default()
-        });
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         let mut spec = auto_spec(1, 1, 256, 128);
         spec.iters = 8;
         planner.plan(&spec, &served, &metrics).unwrap();
+        // Nothing is released, so after about twenty jobs the load spill
+        // would prefer the idle serial shard; the deadline screens it out.
         for id in 2..40 {
             let mut s = auto_spec(id, 1, 256, 128);
             s.iters = 8;
@@ -1438,11 +1292,7 @@ mod tests {
 
     #[test]
     fn unserved_backends_never_chosen() {
-        let planner = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 50,
-            ..Default::default()
-        });
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = vec![Backend::CpuEngine];
         for id in 0..30 {
@@ -1455,7 +1305,7 @@ mod tests {
 
     #[test]
     fn plan_errors_are_exact_variants() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         let mut bad = auto_spec(1, 2, 96, 32);
@@ -1480,7 +1330,7 @@ mod tests {
 
     #[test]
     fn counters_stay_consistent_when_cached_shape_has_no_eligible_candidate() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         planner
@@ -1500,11 +1350,6 @@ mod tests {
         assert_eq!(count("plans_requested"), 3);
         assert_eq!(count("plan_cache_hits"), 1, "only the successful re-plan");
         assert_eq!(count("plan_cache_misses"), 2, "first build + failed plan");
-        assert_eq!(
-            count("plans_explored") + count("plans_exploited"),
-            count("plan_cache_hits"),
-            "every hit is exactly one of explored/exploited"
-        );
     }
 
     #[test]
@@ -1522,7 +1367,7 @@ mod tests {
     fn ddr_planner_stays_single_chain() {
         // The default (Arria 10 / DDR) profile must keep the historical
         // candidate tables byte-identical: no replicated entries at all.
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::new(DeviceProfile::Ddr);
         assert_eq!(planner.device_profile(), DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
@@ -1530,7 +1375,7 @@ mod tests {
             .plan(&auto_spec(1, 1, 512, 256), &served, &metrics)
             .unwrap();
         assert_eq!(asg.choice.replicas, 1);
-        for c in planner.candidates(asg.key, &served) {
+        for c in &planner.snapshot()[0].candidates {
             assert_eq!(c.replicas, 1, "{:?}", c.backend);
         }
     }
@@ -1540,7 +1385,7 @@ mod tests {
         // On the 32-channel profile the model's top pick for a wide
         // memory-bound shape is a replicated shallow chain, and the choice
         // carries the replica count into the spec.
-        let planner = Planner::with_device(PlannerConfig::default(), DeviceProfile::Hbm);
+        let planner = Planner::new(DeviceProfile::Hbm);
         assert_eq!(planner.device_profile(), DeviceProfile::Hbm);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
@@ -1558,7 +1403,7 @@ mod tests {
         assert_eq!(planned.replicas.get(), asg.choice.replicas);
         assert_eq!(planned.backend, asg.choice.backend);
         // Non-functional alternates never replicate.
-        for c in planner.candidates(asg.key, &served) {
+        for c in &planner.snapshot()[0].candidates {
             if c.backend != Backend::Functional {
                 assert_eq!(c.replicas, 1, "{:?}", c.backend);
             }
@@ -1571,11 +1416,7 @@ mod tests {
         let served = Backend::ALL.to_vec();
         // Learn on one planner: plan a shape, feed back a decisive rate
         // for a non-default candidate.
-        let teacher = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 0,
-            ..Default::default()
-        });
+        let teacher = Planner::new(DeviceProfile::Ddr);
         let first = teacher
             .plan(&auto_spec(1, 2, 96, 32), &served, &metrics)
             .unwrap();
@@ -1592,11 +1433,7 @@ mod tests {
         // A fresh planner warm-started from that memory must exploit the
         // taught winner on its very first request — and the request is a
         // cache *hit* with warm provenance.
-        let student = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 0,
-            ..Default::default()
-        });
+        let student = Planner::new(DeviceProfile::Ddr);
         let fresh = MetricsRegistry::new();
         assert_eq!(student.warm_start(&memory, &served).unwrap(), 1);
         let asg = student
@@ -1622,14 +1459,14 @@ mod tests {
     fn warm_start_rejects_drift_with_exact_variants() {
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
-        let teacher = Planner::new(PlannerConfig::default());
+        let teacher = Planner::new(DeviceProfile::Ddr);
         teacher
             .plan(&auto_spec(1, 2, 96, 32), &served, &metrics)
             .unwrap();
         let memory = teacher.export_memory();
 
         // Device mismatch.
-        let hbm = Planner::with_device(PlannerConfig::default(), DeviceProfile::Hbm);
+        let hbm = Planner::new(DeviceProfile::Hbm);
         assert_eq!(
             hbm.warm_start(&memory, &served).unwrap_err(),
             crate::persist::PersistError::DeviceMismatch {
@@ -1641,7 +1478,7 @@ mod tests {
         // Shape-key drift: a non-power-of-two extent class.
         let mut bad_key = memory.clone();
         bad_key.shapes[0].nx_class = 100;
-        let student = Planner::new(PlannerConfig::default());
+        let student = Planner::new(DeviceProfile::Ddr);
         assert_eq!(
             student.warm_start(&bad_key, &served).unwrap_err(),
             crate::persist::PersistError::ShapeKeyDrift {
@@ -1705,11 +1542,7 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         // Teach a decisive winner: candidate `slow.index + 1` at 1e9.
-        let teacher = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 0,
-            ..Default::default()
-        });
+        let teacher = Planner::new(DeviceProfile::Ddr);
         let first = teacher
             .plan(&auto_spec(1, 2, 96, 32), &served, &metrics)
             .unwrap();
@@ -1727,11 +1560,7 @@ mod tests {
         // A student with a 4-boot half-life sees the stale 1e9 decayed by
         // 2^-10 toward the prior; one fresh sample at 2x the prior on the
         // model-best candidate must now win.
-        let student = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 0,
-            warm_half_life_boots: 4.0,
-        });
+        let student = Planner::new(DeviceProfile::Ddr);
         let fresh = MetricsRegistry::new();
         assert_eq!(student.warm_start(&memory, &served).unwrap(), 1);
         let asg = student
@@ -1754,11 +1583,7 @@ mod tests {
         // Control: the same sidecar at age 0 still steers to the taught
         // winner even against the same fresh sample.
         memory.shapes[0].age = 0;
-        let control = Planner::new(PlannerConfig {
-            top_k: 4,
-            epsilon_pct: 0,
-            warm_half_life_boots: 4.0,
-        });
+        let control = Planner::new(DeviceProfile::Ddr);
         let cm = MetricsRegistry::new();
         control.warm_start(&memory, &served).unwrap();
         control.record_throughput(&best, 1e8, &cm);
@@ -1770,7 +1595,7 @@ mod tests {
 
     #[test]
     fn plan_history_tracks_every_request() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         for id in 0..4 {
@@ -1793,7 +1618,7 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_cache() {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         let served = Backend::ALL.to_vec();
         for id in 0..5 {

@@ -13,7 +13,7 @@
 //!   planner's `ShapeKey` uses — and allocated at the class capacity, so
 //!   every shape in a class reuses the same free list without reallocating.
 //! - **Bounded free lists.** Each class retains at most
-//!   [`PoolConfig::max_free_per_class`] buffers; returns beyond that are
+//!   `MAX_FREE_PER_CLASS` (32) buffers; returns beyond that are
 //!   dropped (counted as discards), so an adversarial shape mix cannot
 //!   hold unbounded memory.
 //! - **RAII leases.** [`GridLease2D`]/[`GridLease3D`] deref to the grid and
@@ -43,36 +43,10 @@ use stencil_core::{
     Stencil2D, Stencil3D, StencilError,
 };
 
-/// Tunables for [`GridPool`].
-#[derive(Debug, Clone, Copy)]
-pub struct PoolConfig {
-    /// Buffers retained per shape class; returns beyond this are dropped.
-    /// Sized so one free list can absorb every lease the worker fleet can
-    /// hold in flight for a class (workers × leases-per-job) with room to
-    /// spare.
-    pub max_free_per_class: usize,
-    /// Soft budget on `pool_resident_bytes`, the free-list footprint. When
-    /// a return would push the gauge past the budget, the pool discards the
-    /// incoming buffer and evicts free buffers — largest shape classes
-    /// first — until the gauge is back under
-    /// `shrink_watermark × resident_budget_bytes` (counted as
-    /// `pool_evictions`). `usize::MAX` (the default) disables the budget,
-    /// leaving `max_free_per_class` as the only bound.
-    pub resident_budget_bytes: usize,
-    /// Low-watermark fraction of the budget the shrink drains down to —
-    /// hysteresis, so one oversized return doesn't thrash the lists.
-    pub shrink_watermark: f64,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            max_free_per_class: 32,
-            resident_budget_bytes: usize::MAX,
-            shrink_watermark: 0.75,
-        }
-    }
-}
+/// Buffers retained per shape class; returns beyond this are dropped.
+/// Sized so one free list can absorb every lease the worker fleet can hold
+/// in flight for a class (workers × leases-per-job) with room to spare.
+const MAX_FREE_PER_CLASS: usize = 32;
 
 /// A shape class: dimensionality plus each axis rounded up to a power of
 /// two (the planner's `ShapeKey` bucketing). All shapes in a class share a
@@ -110,12 +84,8 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned to a free list on lease drop.
     pub returns: u64,
-    /// Buffers dropped on return because their class list was full or the
-    /// resident-bytes budget was exceeded.
+    /// Buffers dropped on return because their class list was full.
     pub discards: u64,
-    /// Previously returned buffers evicted from free lists by the
-    /// watermark shrink (see [`PoolConfig::resident_budget_bytes`]).
-    pub evictions: u64,
 }
 
 /// A shape-class-keyed pool of grid storage shared across worker shards.
@@ -125,27 +95,23 @@ pub struct PoolStats {
 /// hands the storage back on drop.
 pub struct GridPool {
     free: Mutex<BTreeMap<PoolKey, Vec<Vec<f32>>>>,
-    config: PoolConfig,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     returns: Arc<Counter>,
     discards: Arc<Counter>,
-    evictions: Arc<Counter>,
     bytes_pooled: Arc<Counter>,
     resident: Arc<Gauge>,
 }
 
 impl GridPool {
     /// Creates a pool whose counters live in `metrics`.
-    pub fn new(metrics: &MetricsRegistry, config: PoolConfig) -> GridPool {
+    pub fn new(metrics: &MetricsRegistry) -> GridPool {
         GridPool {
             free: Mutex::new(BTreeMap::new()),
-            config,
             hits: metrics.counter("pool_hits"),
             misses: metrics.counter("pool_misses"),
             returns: metrics.counter("pool_returns"),
             discards: metrics.counter("pool_discards"),
-            evictions: metrics.counter("pool_evictions"),
             bytes_pooled: metrics.counter("pool_bytes_pooled"),
             resident: metrics.gauge("pool_resident_bytes"),
         }
@@ -158,7 +124,6 @@ impl GridPool {
             misses: self.misses.get(),
             returns: self.returns.get(),
             discards: self.discards.get(),
-            evictions: self.evictions.get(),
         }
     }
 
@@ -195,49 +160,18 @@ impl GridPool {
         buf
     }
 
-    /// Returns a buffer to `key`'s free list. Drops it when the class list
-    /// is full, or when retaining it would push the resident-bytes gauge
-    /// past [`PoolConfig::resident_budget_bytes`] — in which case the free
-    /// lists are additionally shrunk down to the low watermark.
+    /// Returns a buffer to `key`'s free list, or drops it when the class
+    /// list is full.
     fn give_back(&self, key: PoolKey, buf: Vec<f32>) {
         let mut free = self.free.lock().unwrap();
-        let bytes = (key.capacity() * std::mem::size_of::<f32>()) as i64;
-        if (self.resident.get() + bytes) as f64 > self.config.resident_budget_bytes as f64 {
-            self.discards.inc();
-            self.shrink_locked(&mut free);
-            return;
-        }
         let list = free.entry(key).or_default();
-        if list.len() < self.config.max_free_per_class {
+        if list.len() < MAX_FREE_PER_CLASS {
             list.push(buf);
             self.returns.inc();
-            self.resident.add(bytes);
+            self.resident
+                .add((key.capacity() * std::mem::size_of::<f32>()) as i64);
         } else {
             self.discards.inc();
-        }
-    }
-
-    /// Evicts free buffers — largest shape classes first — until the
-    /// resident gauge is back under the low watermark
-    /// (`shrink_watermark × resident_budget_bytes`). Caller holds the lock.
-    fn shrink_locked(&self, free: &mut BTreeMap<PoolKey, Vec<Vec<f32>>>) {
-        let low = self.config.shrink_watermark * self.config.resident_budget_bytes as f64;
-        let mut keys: Vec<PoolKey> = free.keys().copied().collect();
-        keys.sort_by_key(|k| std::cmp::Reverse(k.capacity()));
-        for key in keys {
-            let bytes = (key.capacity() * std::mem::size_of::<f32>()) as i64;
-            while self.resident.get() as f64 > low {
-                match free.get_mut(&key).and_then(Vec::pop) {
-                    Some(_) => {
-                        self.evictions.inc();
-                        self.resident.add(-bytes);
-                    }
-                    None => break,
-                }
-            }
-            if self.resident.get() as f64 <= low {
-                return;
-            }
         }
     }
 
@@ -274,7 +208,6 @@ impl GridPool {
 impl std::fmt::Debug for GridPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GridPool")
-            .field("config", &self.config)
             .field("stats", &self.stats())
             .field("free_buffers", &self.free_buffers())
             .finish()
@@ -613,7 +546,7 @@ mod tests {
 
     fn pool() -> (Arc<GridPool>, MetricsRegistry) {
         let metrics = MetricsRegistry::new();
-        let p = Arc::new(GridPool::new(&metrics, PoolConfig::default()));
+        let p = Arc::new(GridPool::new(&metrics));
         (p, metrics)
     }
 
@@ -631,7 +564,6 @@ mod tests {
                 misses: 1,
                 returns: 1,
                 discards: 0,
-                evictions: 0
             }
         );
         // A different shape in the same class (128 x 64) reuses the buffer.
@@ -656,87 +588,18 @@ mod tests {
 
     #[test]
     fn free_lists_are_bounded() {
-        let metrics = MetricsRegistry::new();
-        let p = Arc::new(GridPool::new(
-            &metrics,
-            PoolConfig {
-                max_free_per_class: 2,
-                ..PoolConfig::default()
-            },
-        ));
-        let leases: Vec<_> = (0..4).map(|_| p.lease_2d(8, 8)).collect();
+        let (p, _) = pool();
+        let leases: Vec<_> = (0..MAX_FREE_PER_CLASS + 2)
+            .map(|_| p.lease_2d(8, 8))
+            .collect();
         drop(leases);
-        assert_eq!(p.free_buffers(), 2, "only max_free_per_class retained");
-        assert_eq!(p.stats().returns, 2);
+        assert_eq!(
+            p.free_buffers(),
+            MAX_FREE_PER_CLASS,
+            "only the bound retained"
+        );
+        assert_eq!(p.stats().returns, MAX_FREE_PER_CLASS as u64);
         assert_eq!(p.stats().discards, 2);
-    }
-
-    #[test]
-    fn watermark_shrink_engages_when_returns_approach_the_budget() {
-        let metrics = MetricsRegistry::new();
-        // Class 16x16 = 1024 bytes per buffer. Budget 4096 bytes, low
-        // watermark 0.5: the first return that would push the gauge past
-        // 4096 is discarded and the lists drain back down to 2048.
-        let p = Arc::new(GridPool::new(
-            &metrics,
-            PoolConfig {
-                max_free_per_class: 32,
-                resident_budget_bytes: 4096,
-                shrink_watermark: 0.5,
-            },
-        ));
-        let gauge = metrics.gauge("pool_resident_bytes");
-        let leases: Vec<_> = (0..5).map(|_| p.lease_2d(16, 16)).collect();
-        drop(leases);
-        // Four returns fill the budget exactly; the fifth breaches it.
-        assert_eq!(
-            p.stats(),
-            PoolStats {
-                hits: 0,
-                misses: 5,
-                returns: 4,
-                discards: 1,
-                evictions: 2
-            }
-        );
-        assert_eq!(gauge.get(), 2048, "drained to the low watermark");
-        assert_eq!(p.free_buffers(), 2);
-        assert!(gauge.high_water() <= 4096, "budget never exceeded");
-        // The pool keeps serving from what survived the shrink.
-        let again = p.lease_2d(16, 16);
-        assert_eq!(again.len(), 256);
-        assert_eq!(p.stats().hits, 1);
-    }
-
-    #[test]
-    fn shrink_evicts_largest_classes_first() {
-        let metrics = MetricsRegistry::new();
-        // Small class 8x8 (256 B), large class 32x32 (4096 B). Budget
-        // 8192 B, low watermark 0.25 (2048 B).
-        let p = Arc::new(GridPool::new(
-            &metrics,
-            PoolConfig {
-                max_free_per_class: 32,
-                resident_budget_bytes: 8192,
-                shrink_watermark: 0.25,
-            },
-        ));
-        drop(p.lease_2d(8, 8)); // resident 256
-        let a = p.lease_2d(32, 32);
-        let b = p.lease_2d(32, 32);
-        drop(a); // resident 4352
-        drop(b); // would be 8448 > 8192: discard + shrink
-        let gauge = metrics.gauge("pool_resident_bytes");
-        assert_eq!(
-            gauge.get(),
-            256,
-            "the large class was drained, the small one survived"
-        );
-        assert_eq!(p.stats().evictions, 1);
-        // The small buffer is still leaseable.
-        let small = p.lease_2d(8, 8);
-        assert_eq!(small.len(), 64);
-        assert_eq!(p.stats().hits, 1);
     }
 
     #[test]

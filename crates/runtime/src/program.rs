@@ -397,12 +397,16 @@ impl StencilProgram {
         splitmix64(self.node_seed(seed, i) ^ (frame as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    /// Useful cell updates one full run performs:
-    /// `Σ_nodes cells · iters · frames`.
-    pub fn work_cells(&self, dim: usize, nx: usize, ny: usize, nz: usize) -> u64 {
-        let cells = nx as u64 * ny as u64 * if dim == 3 { nz as u64 } else { 1 };
-        let per_frame: u64 = self.nodes.iter().map(|n| cells * n.iters as u64).sum();
-        per_frame * self.frames as u64
+    /// Useful cell updates one full run on a grid of `cells` cells
+    /// performs: `Σ_nodes cells · iters · frames`, or `None` when the sum
+    /// overflows a u64.
+    pub fn work_cells(&self, cells: u64) -> Option<u64> {
+        self.nodes.iter().try_fold(0u64, |sum, n| {
+            let node = cells
+                .checked_mul(n.iters as u64)?
+                .checked_mul(self.frames as u64)?;
+            sum.checked_add(node)
+        })
     }
 }
 
@@ -697,7 +701,8 @@ mod tests {
     fn work_cells_counts_every_stage() {
         let p = StencilProgram::seismic_3d(2);
         // (1 + 2 + 1) iters x 8^3 cells x 2 frames.
-        assert_eq!(p.work_cells(3, 8, 8, 8), 4 * 512 * 2);
+        assert_eq!(p.work_cells(512), Some(4 * 512 * 2));
+        assert_eq!(p.work_cells(u64::MAX / 4), None, "overflow is reported");
     }
 
     #[test]

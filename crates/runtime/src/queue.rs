@@ -136,7 +136,6 @@ struct QueueState {
     total: usize,
     closed: bool,
     next_seq: u64,
-    high_water: usize,
 }
 
 /// Bounded, tenant-fair, priority-aware, multi-backend admission queue.
@@ -164,7 +163,6 @@ impl AdmissionQueue {
                 total: 0,
                 closed: false,
                 next_seq: 0,
-                high_water: 0,
             }),
             not_empty: Condvar::new(),
             capacity,
@@ -172,19 +170,9 @@ impl AdmissionQueue {
         }
     }
 
-    /// Maximum number of queued jobs (summed over all tenant lanes).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Jobs currently queued across all lanes.
     pub fn depth(&self) -> usize {
         self.state.lock().unwrap().total
-    }
-
-    /// Deepest the queue has ever been.
-    pub fn high_water(&self) -> usize {
-        self.state.lock().unwrap().high_water
     }
 
     /// Admits a job into its tenant's lane, assigning its sequence number.
@@ -244,7 +232,6 @@ impl AdmissionQueue {
             .jobs
             .push_back(job);
         st.total += 1;
-        st.high_water = st.high_water.max(st.total);
         drop(st);
         // Shards filter by backend, so a single targeted wakeup could go to
         // the wrong shard; wake everyone and let the losers re-sleep.
@@ -422,7 +409,6 @@ mod tests {
             PushError::Full
         );
         assert_eq!(q.depth(), 2);
-        assert_eq!(q.high_water(), 2);
     }
 
     #[test]

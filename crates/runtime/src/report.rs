@@ -46,8 +46,11 @@ use stencil_core::BlockConfig;
 /// and `run_ms` sums every attempt, matching the trace's spans; drops
 /// `trace.max_span_ms` (it equals `total_ms.max_ms`) and the summed
 /// `dataflow.est_*_cells_per_sec` model rates, and renames
-/// `dataflow.measured_*_cells_per_tick` to `sim_*_cells_per_tick`.
-pub const SCHEMA_VERSION: u64 = 9;
+/// `dataflow.measured_*_cells_per_tick` to `sim_*_cells_per_tick`; 10 =
+/// every plan-cache hit exploits, so `planner.explored` and
+/// `planner.exploited` are gone, and the grid pool has no resident-byte
+/// budget, so `memory.pool_evictions` is gone.
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// Latency distribution summary (milliseconds): nearest-rank over one
 /// sample per terminal job, so every quantile is an observed value and
@@ -128,7 +131,8 @@ pub struct BackendReport {
 }
 
 /// One shape class's slice of the plan cache: its geometry, how many jobs
-/// it planned, and the candidate currently winning the epsilon-greedy race.
+/// it planned, and the candidate with the best measured rate (the model's
+/// top pick until feedback arrives).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShapeReport {
     /// Stable shape label (`ShapeKey::label`), e.g. `d2r3x128y64z1`.
@@ -170,10 +174,6 @@ pub struct PlannerReport {
     /// Requests not answered from a cached table: first sight of a shape
     /// (the table had to be built) or a request no candidate could serve.
     pub cache_misses: u64,
-    /// Cache hits that explored a non-greedy candidate (epsilon draw).
-    pub explored: u64,
-    /// Cache hits that exploited the best-measured candidate.
-    pub exploited: u64,
     /// Completed jobs that reported throughput back into the cache.
     pub feedback_samples: u64,
     /// `cache_hits / plans_requested` (0 when nothing was planned).
@@ -194,8 +194,6 @@ impl PlannerReport {
             plans_requested: requested,
             cache_hits: hits,
             cache_misses: count("plan_cache_misses"),
-            explored: count("plans_explored"),
-            exploited: count("plans_exploited"),
             feedback_samples: count("plan_feedback_samples"),
             hit_rate: if requested > 0 {
                 hits as f64 / requested as f64
@@ -237,12 +235,8 @@ pub struct MemoryReport {
     pub pool_misses: u64,
     /// Buffers handed back to a free list on lease drop.
     pub pool_returns: u64,
-    /// Buffers dropped on return because their class list was full, or
-    /// because accepting them would breach the resident-byte budget.
+    /// Buffers dropped on return because their class list was full.
     pub pool_discards: u64,
-    /// Already-pooled buffers freed by the watermark shrink when the
-    /// resident gauge approached the configured budget.
-    pub pool_evictions: u64,
     /// `pool_hits / (pool_hits + pool_misses)` (0 when nothing was leased).
     pub pool_hit_rate: f64,
     /// Heap allocations the pool avoided — identical to `pool_hits`, named
@@ -282,7 +276,6 @@ impl MemoryReport {
             pool_misses: misses,
             pool_returns: count("pool_returns"),
             pool_discards: count("pool_discards"),
-            pool_evictions: count("pool_evictions"),
             pool_hit_rate: if hits + misses > 0 {
                 hits as f64 / (hits + misses) as f64
             } else {
@@ -1175,9 +1168,6 @@ fn validate_memory(m: &MemoryReport) -> Result<(), String> {
     if m.pool_returns + m.pool_discards > leases {
         return Err("memory: returns + discards exceed leases taken".into());
     }
-    if m.pool_evictions > m.pool_returns {
-        return Err("memory: evictions exceed returns".into());
-    }
     if m.pool_hits > 0 && m.bytes_pooled == 0 {
         return Err("memory: pool hits recorded but bytes_pooled is 0".into());
     }
@@ -1214,9 +1204,6 @@ fn validate_planner(p: &PlannerReport, device: DeviceProfile) -> Result<(), Stri
     }
     if p.cache_hits + p.cache_misses != p.plans_requested {
         return Err("planner: hits + misses != plans_requested".into());
-    }
-    if p.explored + p.exploited != p.cache_hits {
-        return Err("planner: explored + exploited != cache_hits".into());
     }
     let expected_rate = if p.plans_requested > 0 {
         p.cache_hits as f64 / p.plans_requested as f64
@@ -1328,7 +1315,7 @@ fn validate_latency(name: &str, l: &LatencySummary, jobs: u64) -> Result<(), Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{PlanMode, Planner, PlannerConfig};
+    use crate::planner::{PlanMode, Planner};
 
     fn result(id: u64, backend: Backend, outcome: Outcome) -> JobResult {
         JobResult {
@@ -1412,7 +1399,7 @@ mod tests {
 
     /// A report whose planner section reflects real planning activity.
     fn planned_report() -> ServeReport {
-        let planner = Planner::new(PlannerConfig::default());
+        let planner = Planner::new(DeviceProfile::Ddr);
         let metrics = MetricsRegistry::new();
         for id in 1..=4u64 {
             let mut s = crate::job::JobSpec::new_2d(id, 2, 96, 32, 2);
@@ -1664,7 +1651,7 @@ mod tests {
     /// A report produced against the HBM profile, where the planner is
     /// expected to publish a replicated-chain winner.
     fn hbm_report() -> ServeReport {
-        let planner = Planner::with_device(PlannerConfig::default(), DeviceProfile::Hbm);
+        let planner = Planner::new(DeviceProfile::Hbm);
         let metrics = MetricsRegistry::new();
         let mut s = crate::job::JobSpec::new_3d(1, 1, 512, 256, 16, 2);
         s.plan = PlanMode::Auto;
@@ -1883,14 +1870,6 @@ mod tests {
         zero.memory.kernel_memo_evictions = 0;
         zero.memory.kernel_memo_hit_rate = 0.0;
         validate_report_json(&serde_json::to_string(&zero).unwrap()).unwrap();
-    }
-
-    #[test]
-    fn pool_evictions_cannot_exceed_returns() {
-        let mut bad = sample_report();
-        bad.memory.pool_evictions = bad.memory.pool_returns + 1;
-        let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
-        assert!(err.contains("evictions exceed returns"), "{err}");
     }
 
     /// A report whose `dataflow` section reflects one completed 2-stage

@@ -1,25 +1,22 @@
-//! Per-job structured trace records and the bounded, lossless JSONL
-//! trace writer.
+//! Per-job structured trace records and the lossless JSONL trace writer.
 //!
 //! Every job that reaches a terminal state emits exactly one
 //! [`TraceRecord`]: span timestamps for queue wait, planning, each
 //! execution attempt (with its retry backoff), shadow verification, and
 //! stream delivery, plus the tenant, backend, plan provenance
-//! (`explicit`/`model`/`cached`/`explored`/`warm`), replica count, and
-//! program placement size. Records are the per-job complement of the
-//! aggregate [`crate::report::ServeReport`] — the same idea StencilFlow
-//! and cyclotron-style performance logs use: one line per unit of work,
+//! (`explicit`/`model`/`cached`/`warm`), replica count, and program
+//! placement size. Records are the per-job complement of the aggregate
+//! [`crate::report::ServeReport`] — the same idea StencilFlow and
+//! cyclotron-style performance logs use: one line per unit of work,
 //! structured enough that an external tool (or the validator below) can
 //! re-derive and *check* the aggregate claims.
 //!
-//! The writer is bounded and lossless: workers block (backpressure) when
-//! the buffer is full rather than dropping records, and shutdown is
-//! close-then-drain — [`TraceWriter::close`] wakes the writer thread,
-//! drains every buffered record to the sink, appends a footer line
-//! carrying the final record count, and only then returns. The footer is
-//! what makes a trace file self-validating: a truncated or
-//! record-dropping file fails [`validate_trace_file`] on a count
-//! mismatch.
+//! The writer is lossless: each [`TraceWriter::emit`] writes its line
+//! and counts it under one lock, so concurrent workers never drop or
+//! interleave records, and [`TraceWriter::close`] appends a footer line
+//! carrying the final record count. The footer is what makes a trace
+//! file self-validating: a truncated or record-dropping file fails
+//! [`validate_trace_file`] on a count mismatch.
 //!
 //! All timestamps are milliseconds since the runtime's start instant
 //! (the *epoch*); durations are plain milliseconds. Timing fields are
@@ -29,24 +26,16 @@
 
 use crate::job::Outcome;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
 /// Version stamped on every trace record and the footer. Bump when the
 /// record schema changes shape; [`validate_trace_file`] rejects files
 /// written by any other version. Version 2 dropped the `stolen` flag
 /// when the runtime stopped stealing.
 pub const TRACE_SCHEMA_VERSION: u64 = 2;
-
-/// Buffered records the writer holds before emitters block. Small on
-/// purpose: the writer thread drains a record in microseconds, and a
-/// bounded buffer keeps a wedged sink from hiding unbounded memory
-/// growth behind "lossless".
-pub const TRACE_BUFFER_RECORDS: usize = 256;
 
 /// One execution attempt's span within a job's trace record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,8 +67,7 @@ pub struct TraceRecord {
     pub outcome: String,
     /// Plan provenance: `explicit` (no planner involved), `model`
     /// (plan-cache miss, model ranking trusted), `cached` (hit on an
-    /// entry built this run), `warm` (hit on a sidecar-seeded entry), or
-    /// `explored` (epsilon draw).
+    /// entry built this run), or `warm` (hit on a sidecar-seeded entry).
     pub provenance: String,
     /// Spatially replicated chain count the job ran with.
     pub replicas: u64,
@@ -140,148 +128,69 @@ struct TraceFooter {
     records: u64,
 }
 
-struct WriterState {
-    buf: VecDeque<TraceRecord>,
-    closed: bool,
-}
-
-struct WriterShared {
-    state: Mutex<WriterState>,
-    /// Emitters wait here when the buffer is full.
-    space: Condvar,
-    /// The writer thread waits here when the buffer is empty.
-    items: Condvar,
-    capacity: usize,
-}
-
-/// Bounded, lossless, close-then-drain JSONL trace writer.
+/// Lossless JSONL trace writer.
 ///
-/// Construction ([`TraceWriter::spawn`]) opens the sink eagerly and
-/// starts one writer thread; [`TraceWriter::emit`] blocks under
-/// backpressure instead of dropping; [`TraceWriter::close`] drains every
-/// buffered record, appends the footer, and returns the count written.
-/// A writer spawned without a path counts records but writes nothing —
-/// the runtime always traces (the serve report's `trace` section needs
-/// the counts) even when no `--trace-out` file was requested.
+/// [`TraceWriter::create`] opens the sink eagerly; [`TraceWriter::emit`]
+/// writes one line and counts it under the lock; [`TraceWriter::close`]
+/// appends the footer, flushes, and returns the count written. A writer
+/// created without a path counts records but writes nothing — the
+/// runtime always traces (the serve report's `trace` section needs the
+/// counts) even when no `--trace-out` file was requested.
 pub struct TraceWriter {
-    shared: Arc<WriterShared>,
-    thread: Option<JoinHandle<u64>>,
+    /// The optional output file and the records emitted so far.
+    state: Mutex<(Option<BufWriter<File>>, u64)>,
 }
 
 impl TraceWriter {
-    /// Starts a writer draining to `path` (or a counting sink when
-    /// `None`).
+    /// A writer to `path` (or a counting sink when `None`).
     ///
     /// # Errors
     /// Any error creating the output file, surfaced eagerly so a bad
     /// `--trace-out` path fails at startup rather than at drain.
-    pub fn spawn(path: Option<PathBuf>) -> std::io::Result<TraceWriter> {
-        let mut sink = match path {
+    pub fn create(path: Option<PathBuf>) -> std::io::Result<TraceWriter> {
+        let sink = match path {
             Some(p) => Some(BufWriter::new(File::create(p)?)),
             None => None,
         };
-        let shared = Arc::new(WriterShared {
-            state: Mutex::new(WriterState {
-                buf: VecDeque::new(),
-                closed: false,
-            }),
-            space: Condvar::new(),
-            items: Condvar::new(),
-            capacity: TRACE_BUFFER_RECORDS,
-        });
-        let inner = Arc::clone(&shared);
-        let thread = std::thread::Builder::new()
-            .name("trace-writer".into())
-            .spawn(move || {
-                let mut written = 0u64;
-                loop {
-                    let rec = {
-                        let mut st = inner.state.lock().unwrap();
-                        loop {
-                            if let Some(rec) = st.buf.pop_front() {
-                                inner.space.notify_all();
-                                break Some(rec);
-                            }
-                            if st.closed {
-                                break None;
-                            }
-                            st = inner.items.wait(st).unwrap();
-                        }
-                    };
-                    match rec {
-                        Some(rec) => {
-                            if let Some(out) = sink.as_mut() {
-                                let line =
-                                    serde_json::to_string(&rec).expect("trace record serializes");
-                                // Sink errors must not wedge the worker
-                                // pool; the footer count still reflects
-                                // every record the writer consumed, and
-                                // the validator catches short files.
-                                let _ = writeln!(out, "{line}");
-                            }
-                            written += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if let Some(out) = sink.as_mut() {
-                    let footer = TraceFooter {
-                        trace_footer: true,
-                        schema_version: TRACE_SCHEMA_VERSION,
-                        records: written,
-                    };
-                    let line = serde_json::to_string(&footer).expect("trace footer serializes");
-                    let _ = writeln!(out, "{line}");
-                    let _ = out.flush();
-                }
-                written
-            })
-            .expect("spawn trace writer");
         Ok(TraceWriter {
-            shared,
-            thread: Some(thread),
+            state: Mutex::new((sink, 0)),
         })
     }
 
-    /// Queues one record, blocking while the bounded buffer is full.
-    /// Records emitted after [`TraceWriter::close`] are dropped (the
-    /// runtime closes the writer only after every worker has joined, so
-    /// this never loses a job's record in practice).
+    /// Writes one record (when there is a file) and counts it.
     pub fn emit(&self, rec: TraceRecord) {
-        let mut st = self.shared.state.lock().unwrap();
-        while st.buf.len() >= self.shared.capacity && !st.closed {
-            st = self.shared.space.wait(st).unwrap();
+        let mut st = self
+            .state
+            .lock()
+            .expect("no emitter panics while holding the trace lock");
+        let (sink, records) = &mut *st;
+        if let Some(out) = sink {
+            let line = serde_json::to_string(&rec).expect("trace record serializes");
+            // Sink errors must not wedge the worker pool; the footer count
+            // still reflects every record emitted, and the validator
+            // catches short files.
+            let _ = writeln!(out, "{line}");
         }
-        if st.closed {
-            return;
-        }
-        st.buf.push_back(rec);
-        drop(st);
-        self.shared.items.notify_all();
+        *records += 1;
     }
 
-    /// Close-then-drain: stops admissions, drains the buffer, writes the
-    /// footer, joins the writer thread, and returns the records written.
-    pub fn close(mut self) -> u64 {
-        self.shared.state.lock().unwrap().closed = true;
-        self.shared.items.notify_all();
-        self.shared.space.notify_all();
-        self.thread
-            .take()
-            .expect("close is called once")
-            .join()
-            .expect("trace writer thread never panics")
-    }
-}
-
-impl Drop for TraceWriter {
-    fn drop(&mut self) {
-        if let Some(t) = self.thread.take() {
-            self.shared.state.lock().unwrap().closed = true;
-            self.shared.items.notify_all();
-            self.shared.space.notify_all();
-            let _ = t.join();
+    /// Writes the footer, flushes, and returns the records emitted.
+    pub fn close(self) -> u64 {
+        let (sink, records) = self
+            .state
+            .into_inner()
+            .expect("no emitter panics while holding the trace lock");
+        if let Some(mut out) = sink {
+            let footer = TraceFooter {
+                trace_footer: true,
+                schema_version: TRACE_SCHEMA_VERSION,
+                records,
+            };
+            let line = serde_json::to_string(&footer).expect("trace footer serializes");
+            let _ = writeln!(out, "{line}");
+            let _ = out.flush();
         }
+        records
     }
 }
 
@@ -327,7 +236,7 @@ fn validate_record(rec: &TraceRecord, lineno: usize) -> Result<(), String> {
         other => return Err(at(format!("unknown outcome `{other}`"))),
     }
     match rec.provenance.as_str() {
-        "explicit" | "model" | "cached" | "warm" | "explored" => {}
+        "explicit" | "model" | "cached" | "warm" => {}
         other => return Err(at(format!("unknown provenance `{other}`"))),
     }
     let durations = [
@@ -525,7 +434,7 @@ mod tests {
     #[test]
     fn writer_round_trips_records_losslessly() {
         let path = std::env::temp_dir().join(format!("trace_test_{}.jsonl", std::process::id()));
-        let w = TraceWriter::spawn(Some(path.clone())).unwrap();
+        let w = TraceWriter::create(Some(path.clone())).unwrap();
         for id in 0..100 {
             w.emit(record(id));
         }
@@ -540,7 +449,7 @@ mod tests {
 
     #[test]
     fn pathless_writer_counts_without_writing() {
-        let w = TraceWriter::spawn(None).unwrap();
+        let w = TraceWriter::create(None).unwrap();
         for id in 0..7 {
             w.emit(record(id));
         }
@@ -548,16 +457,17 @@ mod tests {
     }
 
     #[test]
-    fn writer_blocks_rather_than_drops_under_load() {
-        // Many producers, far more records than the buffer holds: every
-        // record must still land exactly once.
+    fn concurrent_emitters_land_every_record_once() {
+        use std::sync::Arc;
+        // Four producers racing on one writer: every record must land
+        // exactly once, on its own line.
         let path = std::env::temp_dir().join(format!("trace_flood_{}.jsonl", std::process::id()));
-        let w = Arc::new(TraceWriter::spawn(Some(path.clone())).unwrap());
+        let w = Arc::new(TraceWriter::create(Some(path.clone())).unwrap());
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let w = Arc::clone(&w);
                 std::thread::spawn(move || {
-                    for i in 0..(TRACE_BUFFER_RECORDS as u64 * 2) {
+                    for i in 0..512 {
                         w.emit(record(t * 10_000 + i));
                     }
                 })
@@ -568,7 +478,7 @@ mod tests {
         }
         let w = Arc::into_inner(w).expect("all producers done");
         let written = w.close();
-        assert_eq!(written, 4 * TRACE_BUFFER_RECORDS as u64 * 2);
+        assert_eq!(written, 4 * 512);
         let stats = validate_trace_file(&path).unwrap();
         assert_eq!(stats.records, written);
         std::fs::remove_file(&path).ok();
@@ -615,6 +525,12 @@ mod tests {
             .collect();
         let err = validate_trace_reader(unclosed.as_bytes()).unwrap_err();
         assert!(err.contains("footer"), "{err}");
+
+        // Unknown provenance, including the retired `explored`.
+        let mut prov = recs.clone();
+        prov[1].provenance = "explored".into();
+        let err = validate_trace_reader(render(&prov).as_bytes()).unwrap_err();
+        assert!(err.contains("unknown provenance `explored`"), "{err}");
 
         // Duplicate job id.
         let mut dup = recs.clone();

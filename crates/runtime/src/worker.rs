@@ -48,8 +48,8 @@ use crate::cancel::CancelToken;
 use crate::job::{Backend, JobResult, JobSpec, Outcome};
 use crate::metrics::MetricsRegistry;
 use crate::persist::{load_planner_memory, save_planner_memory};
-use crate::planner::{place_program, DeviceProfile, PlanError, PlanMode, Planner, PlannerConfig};
-use crate::pool::{GridLease2D, GridLease3D, GridPool, PoolConfig, StencilMemo};
+use crate::planner::{place_program, DeviceProfile, PlanError, PlanMode, Planner};
+use crate::pool::{GridLease2D, GridLease3D, GridPool, StencilMemo};
 use crate::program::{self, StencilProgram};
 use crate::queue::{AdmissionQueue, PushError, QueuedJob};
 use crate::report::StealTotals;
@@ -69,10 +69,9 @@ use std::time::{Duration, Instant};
 use stencil_core::util::splitmix64;
 use stencil_core::{compile_star_2d, compile_star_3d, kernel_ir, Grid2D, Grid3D, KernelDesc};
 
-/// Everything tunable about a [`Runtime`]. Retries, the planner and the
-/// grid pool always run at their serving defaults
-/// ([`RetryPolicy::serving_default`], [`PlannerConfig::default`],
-/// [`PoolConfig::default`]).
+/// Everything tunable about a [`Runtime`]. Retries always run at
+/// [`RetryPolicy::serving_default`]; the planner and the grid pool take
+/// no configuration.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Admission queue capacity (shared across all shards).
@@ -198,7 +197,7 @@ pub struct DrainOutcome {
     /// Steal counters for the serve report's `scheduler` section. Always
     /// zero: shards run the batches they pop and never steal.
     pub steals: StealTotals,
-    /// Trace records the writer drained (one per terminal job; the
+    /// Trace records the writer wrote (one per terminal job; the
     /// lossless-writer invariant makes this equal `results.len()`).
     pub trace_records_written: u64,
 }
@@ -214,10 +213,6 @@ impl ResultSink {
     fn push(&self, r: JobResult) {
         self.results.lock().unwrap().push(r);
         self.progressed.notify_all();
-    }
-
-    fn count(&self) -> usize {
-        self.results.lock().unwrap().len()
     }
 
     /// Blocks until at least `n` results exist or `timeout` passes.
@@ -272,7 +267,7 @@ struct ExecEnv {
 impl ExecEnv {
     fn new(metrics: &MetricsRegistry, profile: DeviceProfile) -> ExecEnv {
         ExecEnv {
-            pool: Arc::new(GridPool::new(metrics, PoolConfig::default())),
+            pool: Arc::new(GridPool::new(metrics)),
             stencils: Arc::new(StencilMemo::new(metrics, StencilMemo::DEFAULT_CAPACITY)),
             profile,
         }
@@ -319,10 +314,7 @@ impl Runtime {
         ));
         let metrics = Arc::new(MetricsRegistry::new());
         let sink = Arc::new(ResultSink::default());
-        let planner = Arc::new(Planner::with_device(
-            PlannerConfig::default(),
-            config.device,
-        ));
+        let planner = Arc::new(Planner::new(config.device));
         if let Some(path) = &config.planner_memory {
             if path.exists() {
                 match load_planner_memory(path)
@@ -340,7 +332,7 @@ impl Runtime {
                 }
             }
         }
-        let tracer = Arc::new(TraceWriter::spawn(config.trace_out.clone()).expect("trace output"));
+        let tracer = Arc::new(TraceWriter::create(config.trace_out.clone()).expect("trace output"));
         let tenants = Arc::new(TenantRegistry::new(config.tenants.clone()));
         let env = ExecEnv::new(&metrics, config.device);
         let mut workers = Vec::new();
@@ -522,21 +514,6 @@ impl Runtime {
         &self.planner
     }
 
-    /// The runtime's tenant admission registry (shared; live).
-    pub fn tenants(&self) -> &Arc<TenantRegistry> {
-        &self.tenants
-    }
-
-    /// Jobs currently waiting in the admission queue.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
-    }
-
-    /// Terminal results recorded so far.
-    pub fn completed_count(&self) -> usize {
-        self.sink.count()
-    }
-
     /// Blocks until `n` results exist or `timeout` passes; returns whether
     /// the count was reached.
     pub fn wait_for_results(&self, n: usize, timeout: Duration) -> bool {
@@ -545,9 +522,8 @@ impl Runtime {
 
     /// Graceful shutdown: close admissions, drain every queued job, join
     /// all workers, persist the planner's learned rates (when
-    /// `planner_memory` is configured), and close-then-drain the trace
-    /// writer — its final record count lands in `trace_records_written`
-    /// and the `trace_records_written` counter.
+    /// `planner_memory` is configured), and close the trace writer — its
+    /// final record count lands in `trace_records_written`.
     pub fn drain(self) -> DrainOutcome {
         self.queue.close();
         let Runtime {
@@ -574,14 +550,10 @@ impl Runtime {
             }
         }
         // Every worker has joined, so every emit has happened and the
-        // workers' Arc clones are dropped: this close drains the last
-        // buffered records and writes the footer.
+        // workers' Arc clones are dropped: this close writes the footer.
         let trace_records_written = Arc::into_inner(tracer)
             .expect("workers joined; no tracer handles remain")
             .close();
-        metrics
-            .counter("trace_records_written")
-            .add(trace_records_written);
         DrainOutcome {
             results: sink.take(),
             wedged_workers: wedged,

@@ -10,7 +10,7 @@ use fpga_sim::{functional, serial_ref};
 use proptest::prelude::*;
 use std::sync::Arc;
 use stencil_core::{BlockConfig, Grid2D, Grid3D, Stencil2D, Stencil3D};
-use stencil_runtime::{GridPool, MetricsRegistry, PoolConfig};
+use stencil_runtime::{GridPool, MetricsRegistry};
 
 fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
@@ -65,10 +65,7 @@ fn dirty_lease_3d(
 }
 
 fn test_pool() -> Arc<GridPool> {
-    Arc::new(GridPool::new(
-        &MetricsRegistry::new(),
-        PoolConfig::default(),
-    ))
+    Arc::new(GridPool::new(&MetricsRegistry::new()))
 }
 
 proptest! {

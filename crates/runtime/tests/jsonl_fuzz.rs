@@ -1,18 +1,24 @@
 //! Fuzz target for the JSONL workload boundary: a mutated `JobSpec` line
 //! must parse to specs or to a `(line, message)` error — never a panic, a
-//! stack overflow or a hang — and every spec that parses must validate
+//! stack overflow or a hang — every spec that parses must validate
+//! without panicking, and every spec that validates must report its work
 //! without panicking.
 //!
-//! Inputs are lines of the committed replay fixture with 1–8 random ASCII
-//! byte edits (`parse_jsonl` takes `&str`, so the edits keep the text
-//! valid UTF-8). A quarter of the cases are also wrapped in up to 200,000
+//! Inputs are lines of the two committed replay fixtures with 1–8 random
+//! ASCII byte edits (`parse_jsonl` takes `&str`, so the edits keep the
+//! text valid UTF-8). `replay_programs.jsonl` carries the `program`,
+//! `kernel` and `tenant` fields; it was written by `stencil_serve
+//! --synthetic --jobs 16 --seed 5 --quick --programs --kernels --tenants 2
+//! --emit-workload FILE`. A quarter of the cases are also wrapped in up to 200,000
 //! leading `[`, deep enough to overflow the stack of a parser without a
 //! nesting limit. Cases run on the test thread's default 2 MiB stack.
 
 use proptest::prelude::*;
 use stencil_runtime::workload::parse_jsonl;
+use stencil_runtime::PlanError;
 
 const FIXTURE: &str = include_str!("fixtures/replay_small.jsonl");
+const PROGRAM_FIXTURE: &str = include_str!("fixtures/replay_programs.jsonl");
 
 /// One byte edit: (kind, position seed, byte seed), applied at
 /// `position % (len + 1)`. Kinds 0–2 overwrite, 3–4 insert, 5–6 delete and
@@ -48,15 +54,15 @@ proptest! {
         edits in prop::collection::vec((0u8..8, any::<usize>(), any::<u8>()), 1..9),
         nest in (0usize..4, 0usize..=200_000),
     ) {
-        let lines: Vec<&str> = FIXTURE.lines().collect();
+        let lines: Vec<&str> = FIXTURE.lines().chain(PROGRAM_FIXTURE.lines()).collect();
         let line = lines[pick % lines.len()];
         prop_assert!(line.is_ascii());
         let depth = if nest.0 == 0 { nest.1 } else { 0 };
         let text = "[".repeat(depth) + &mutate(line, &edits);
         match parse_jsonl(&text) {
             Ok(specs) => {
-                for spec in &specs {
-                    let _ = spec.validate();
+                for spec in specs.iter().filter(|s| s.validate().is_ok()) {
+                    let _ = spec.work_cells();
                 }
             }
             Err((at, msg)) => {
@@ -77,4 +83,26 @@ fn the_retired_threaded_backend_is_a_typed_error_on_its_line() {
     let (at, msg) = parse_jsonl(&threaded).unwrap_err();
     assert_eq!(at, 1);
     assert!(msg.contains("Threaded"), "{msg}");
+}
+
+#[test]
+fn an_overflowing_grid_is_a_typed_validate_error() {
+    let line = FIXTURE.lines().next().unwrap();
+    let huge = line.replacen(
+        "\"nx\":71,\"ny\":42",
+        "\"nx\":4294967296,\"ny\":4294967296",
+        1,
+    );
+    assert_ne!(huge, line, "the fixture's first line names a 71x42 grid");
+    let spec = parse_jsonl(&huge).unwrap().remove(0);
+    assert_eq!(spec.validate().unwrap_err(), PlanError::WorkOverflow);
+    // A program whose frames overflow the work sum is refused the same way.
+    let line = PROGRAM_FIXTURE
+        .lines()
+        .find(|l| l.contains("\"frames\":4,"))
+        .unwrap();
+    let spec = parse_jsonl(&line.replacen("\"frames\":4,", "\"frames\":4611686018427387904,", 1))
+        .unwrap()
+        .remove(0);
+    assert_eq!(spec.validate().unwrap_err(), PlanError::WorkOverflow);
 }

@@ -10,10 +10,10 @@
 //! computes or how it terminates.
 //!
 //! The projection compared covers outcome, attempts, committed cells, the
-//! output checksum, the shadow verdict, and the planner's cached/explored
-//! provenance. Timing fields (`queue_wait_ms`, `run_ms`, `total_ms`) and
-//! the *chosen candidate* are excluded by design: the epsilon-greedy
-//! exploit arm follows measured throughput, which is timing-dependent —
+//! output checksum, the shadow verdict, and whether the planner's answer
+//! was cached. Timing fields (`queue_wait_ms`, `run_ms`, `total_ms`) and
+//! the *chosen candidate* are excluded by design: the exploit rule follows
+//! measured throughput and in-flight load, which are timing-dependent —
 //! but the repo-wide bit-exactness contract makes every valid candidate
 //! produce the identical output grid, so checksums stay byte-stable
 //! regardless of which plan won.
@@ -77,7 +77,7 @@ fn run_once(specs: Vec<JobSpec>) -> (Vec<String>, u64, u64, u64) {
                 r.cells_updated,
                 r.checksum,
                 r.shadow_match,
-                r.plan.as_ref().map(|p| (p.cached, p.explored)),
+                r.plan.as_ref().map(|p| p.cached),
             );
             (r.id, projected)
         })

@@ -4,9 +4,10 @@
 //! load test only hits by luck.
 
 use std::time::{Duration, Instant};
+use stencil_runtime::workload::parse_jsonl;
 use stencil_runtime::{
-    Backend, BatchPolicy, JobSpec, Outcome, Priority, ResultStream, Runtime, RuntimeConfig,
-    SubmitError,
+    Backend, BatchPolicy, JobSpec, Outcome, PlanError, Priority, ResultStream, Runtime,
+    RuntimeConfig, SubmitError,
 };
 
 /// A runtime with a single one-worker shard, so a heavy head-of-line job
@@ -200,4 +201,36 @@ fn retries_recover_and_are_counted() {
     assert_eq!(outcome.wedged_workers, 0);
     assert_eq!(outcome.results[0].outcome, Outcome::Completed);
     assert_eq!(outcome.results[0].attempts, 3);
+}
+
+#[test]
+fn an_overflowing_grid_is_refused_and_the_runtime_keeps_serving() {
+    // The first replay-fixture line with a 2^32 x 2^32 grid: its cell
+    // count overflows a u64, so it must be refused at admission instead of
+    // reaching the queue's cost function or a worker.
+    let line = include_str!("fixtures/replay_small.jsonl")
+        .lines()
+        .next()
+        .unwrap();
+    let huge = line.replacen(
+        "\"nx\":71,\"ny\":42",
+        "\"nx\":4294967296,\"ny\":4294967296",
+        1,
+    );
+    assert_ne!(huge, line, "the fixture's first line names a 71x42 grid");
+    let spec = parse_jsonl(&huge).unwrap().remove(0);
+    let rt = single_lane(spec.backend, 8);
+    assert_eq!(
+        rt.submit(spec).unwrap_err(),
+        SubmitError::Invalid(PlanError::WorkOverflow)
+    );
+    rt.submit(small(1, Backend::SerialRef)).unwrap();
+    assert!(
+        rt.wait_for_results(1, Duration::from_secs(60)),
+        "runtime wedged"
+    );
+    let outcome = rt.drain();
+    assert_eq!(outcome.results.len(), 1);
+    assert_eq!(outcome.results[0].outcome, Outcome::Completed);
+    assert_eq!(outcome.wedged_workers, 0);
 }

@@ -4,8 +4,7 @@
 //! Xeon Phi: a naive sweep, a cache-tiled sweep, a rayon-parallel engine
 //! (all bit-exact with the `stencil-core` oracle), temporal wave-front
 //! blocking (to reproduce §V.B's "temporal blocking is ineffective on
-//! cache-based architectures"), a YASK-style measuring auto-tuner, and
-//! throughput/bandwidth measurement helpers.
+//! cache-based architectures"), and throughput measurement helpers.
 //!
 //! ```
 //! use cpu_engine::engines;
@@ -28,7 +27,6 @@ pub mod engines;
 pub mod folded;
 pub mod measure;
 pub mod padded;
-pub mod tuner;
 pub mod wavefront;
 
 pub use engines::{
@@ -40,5 +38,4 @@ pub use folded::{
     folded_run_3d, folded_run_3d_into, FoldedGrid2D, FoldedGrid3D,
 };
 pub use padded::{padded_run_2d, PaddedGrid2D};
-pub use tuner::{tune_2d, tune_3d, Tuned};
 pub use wavefront::{wavefront_2d, wavefront_2d_into, wavefront_3d, wavefront_3d_into};

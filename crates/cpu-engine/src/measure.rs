@@ -1,6 +1,4 @@
-//! Measurement helpers: wall-clock timing, throughput accounting, and a
-//! STREAM-style host bandwidth probe (needed to place host measurements on
-//! the roofline, as `perf-model::hostmodel` does for the paper's devices).
+//! Measurement helpers: wall-clock timing and throughput accounting.
 
 use std::time::Instant;
 
@@ -17,31 +15,6 @@ pub fn gcells_per_s(cells: usize, iters: usize, seconds: f64) -> f64 {
     (cells as f64 * iters as f64) / seconds / 1e9
 }
 
-/// GFLOP/s given FLOP per cell update.
-pub fn gflops_per_s(cells: usize, iters: usize, flops_per_cell: usize, seconds: f64) -> f64 {
-    gcells_per_s(cells, iters, seconds) * flops_per_cell as f64
-}
-
-/// A STREAM-triad-style bandwidth probe: `a[i] = b[i] + s*c[i]` over
-/// `floats`-element arrays, repeated `reps` times; returns GB/s counting
-/// 3 × 4 bytes moved per element (two reads + one write).
-pub fn stream_triad_gbps(floats: usize, reps: usize) -> f64 {
-    assert!(floats > 0 && reps > 0);
-    let b = vec![1.0f32; floats];
-    let c = vec![2.0f32; floats];
-    let mut a = vec![0.0f32; floats];
-    let s = 1.5f32;
-    let (_, secs) = time(|| {
-        for _ in 0..reps {
-            for i in 0..floats {
-                a[i] = b[i] + s * c[i];
-            }
-            std::hint::black_box(&mut a);
-        }
-    });
-    (floats as f64 * reps as f64 * 12.0) / secs / 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,7 +22,6 @@ mod tests {
     #[test]
     fn gcells_arithmetic() {
         assert!((gcells_per_s(1_000_000, 1000, 1.0) - 1.0).abs() < 1e-12);
-        assert!((gflops_per_s(1_000_000, 1000, 9, 1.0) - 9.0).abs() < 1e-12);
     }
 
     #[test]
@@ -57,12 +29,6 @@ mod tests {
         let (v, secs) = time(|| (0..100_000).sum::<u64>());
         assert_eq!(v, 4_999_950_000);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn stream_probe_returns_positive_bandwidth() {
-        let bw = stream_triad_gbps(1 << 16, 4);
-        assert!(bw > 0.1, "implausibly low bandwidth {bw}");
     }
 
     #[test]

@@ -75,14 +75,6 @@ impl Channel {
         &self.stats
     }
 
-    /// Resets statistics and dynamic state (open rows, coalescing cursor).
-    pub fn reset(&mut self) {
-        self.open_rows.iter_mut().for_each(|r| *r = None);
-        self.last_line = None;
-        self.last_kind = None;
-        self.stats = ChannelStats::default();
-    }
-
     /// Services one request and returns the controller cycles it consumed.
     ///
     /// # Panics
@@ -140,28 +132,6 @@ impl Channel {
         self.last_kind = Some(req.kind);
         cycles
     }
-
-    /// Services `count` equally-sized, equally-strided requests starting at
-    /// `addr` (a strided stream, e.g. one vectorized block row per request).
-    /// Returns total cycles.
-    pub fn service_stream(
-        &mut self,
-        addr: u64,
-        req_bytes: u64,
-        stride: u64,
-        count: u64,
-        kind: AccessKind,
-    ) -> u64 {
-        let mut total = 0;
-        for i in 0..count {
-            total += self.service(&Request {
-                addr: addr + i * stride,
-                bytes: req_bytes,
-                kind,
-            });
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -172,12 +142,20 @@ mod tests {
         Channel::new(DdrTimings::ddr4_2133())
     }
 
+    /// Services `count` reads of `bytes` bytes, `stride` bytes apart from
+    /// `addr`; returns the cycles they took.
+    fn read_stream(c: &mut Channel, addr: u64, bytes: u64, stride: u64, count: u64) -> u64 {
+        (0..count)
+            .map(|i| c.service(&Request::read(addr + i * stride, bytes)))
+            .sum()
+    }
+
     #[test]
     fn aligned_sequential_stream_is_one_cycle_per_line_plus_rows() {
         let mut c = ch();
         // 1 MiB sequential aligned read in 64 B requests.
         let n = 16_384u64;
-        let cycles = c.service_stream(0, 64, 64, n, AccessKind::Read);
+        let cycles = read_stream(&mut c, 0, 64, 64, n);
         let s = *c.stats();
         assert_eq!(s.lines_charged, n);
         assert_eq!(s.split_requests, 0);
@@ -198,7 +176,7 @@ mod tests {
         // it fully.
         let mut c = ch();
         let n = 1024u64;
-        c.service_stream(16, 64, 64, n, AccessKind::Read);
+        read_stream(&mut c, 16, 64, 64, n);
         // Sequential: lines touched overall = n + 1 (one extra boundary
         // line), coalescing makes it n + 1.
         assert_eq!(c.stats().lines_charged, n + 1);
@@ -208,7 +186,7 @@ mod tests {
         // unaligned offsets far apart): no coalescing possible, 2 lines per
         // request -> 50% bus efficiency.
         let mut c = ch();
-        c.service_stream(16, 64, 4096, n, AccessKind::Read);
+        read_stream(&mut c, 16, 64, 4096, n);
         assert_eq!(c.stats().lines_charged, 2 * n);
         assert!((c.stats().bus_efficiency(64) - 0.5).abs() < 1e-12);
     }
@@ -217,7 +195,7 @@ mod tests {
     fn small_aligned_requests_waste_bus_when_strided() {
         // 16 B requests strided 4 KiB apart: each transfers a full line.
         let mut c = ch();
-        c.service_stream(0, 16, 4096, 100, AccessKind::Read);
+        read_stream(&mut c, 0, 16, 4096, 100);
         assert_eq!(c.stats().lines_charged, 100);
         assert!((c.stats().bus_efficiency(64) - 0.25).abs() < 1e-12);
     }
@@ -226,7 +204,7 @@ mod tests {
     fn small_sequential_requests_coalesce() {
         // 16 B sequential requests: 4 share each line -> 1 line per 4 reqs.
         let mut c = ch();
-        c.service_stream(0, 16, 16, 256, AccessKind::Read);
+        read_stream(&mut c, 0, 16, 16, 256);
         assert_eq!(c.stats().lines_charged, 64);
         assert!((c.stats().bus_efficiency(64) - 1.0).abs() < 1e-12);
     }
@@ -234,7 +212,7 @@ mod tests {
     #[test]
     fn coalescing_disabled_charges_every_line() {
         let mut c = Channel::new(DdrTimings::ddr4_2133()).without_coalescing();
-        c.service_stream(0, 16, 16, 256, AccessKind::Read);
+        read_stream(&mut c, 0, 16, 16, 256);
         assert_eq!(c.stats().lines_charged, 256);
     }
 
@@ -283,17 +261,6 @@ mod tests {
             });
         }
         assert_eq!(c.stats().turnarounds, 9);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = ch();
-        c.service(&Request::read(0, 64));
-        c.reset();
-        assert_eq!(c.stats().requests, 0);
-        // Row must be cold again.
-        c.service(&Request::read(0, 64));
-        assert_eq!(c.stats().row_misses, 1);
     }
 
     #[test]

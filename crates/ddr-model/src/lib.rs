@@ -23,15 +23,14 @@
 //! milliseconds — about 6–7 s for all eight rows.
 //!
 //! ```
-//! use ddr_model::{Controller, Request};
+//! use ddr_model::{Channel, DdrTimings, Request};
 //!
-//! let mut mem = Controller::nallatech_385a();
-//! // An aligned 64-byte read: one cycle (plus one row activation).
-//! let c1 = mem.service(0, &Request::read(0, 64));
-//! // An unaligned 64-byte read: split across two lines.
-//! let c2 = mem.service(0, &Request::read(6400 + 16, 64));
-//! assert!(c2 > 0 && c1 > 0);
-//! assert_eq!(mem.total_stats().split_requests, 1);
+//! let mut ch = Channel::new(DdrTimings::ddr4_2133());
+//! // An aligned 64-byte read: one line plus a row activation (4 cycles).
+//! assert_eq!(ch.service(&Request::read(0, 64)), 5);
+//! // An unaligned 64-byte read in the same open row: split across two lines.
+//! assert_eq!(ch.service(&Request::read(6400 + 16, 64)), 2);
+//! assert_eq!(ch.stats().split_requests, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,18 +38,14 @@
 #![warn(clippy::all)]
 
 pub mod channel;
-pub mod controller;
 pub mod request;
 pub mod stats;
 pub mod timing;
-pub mod trace;
 
 pub use channel::Channel;
-pub use controller::{BufferMapping, Controller, MemoryProfile};
 pub use request::{AccessKind, Request};
 pub use stats::ChannelStats;
 pub use timing::DdrTimings;
-pub use trace::{AlignmentHistogram, RequestTrace};
 
 #[cfg(test)]
 mod proptests {
@@ -95,32 +90,12 @@ mod proptests {
             prop_assert_eq!(s.busy_cycles, s.lines_charged + penalties);
         }
 
-        /// Servicing a stream request-by-request equals `service_stream`.
-        #[test]
-        fn stream_equals_loop(
-            start in 0u64..4096,
-            req_bytes in 1u64..128,
-            stride in 1u64..512,
-            count in 1u64..64,
-        ) {
-            let t = DdrTimings::ddr4_2133();
-            let mut a = Channel::new(t);
-            let mut b = Channel::new(t);
-            let ca = a.service_stream(start, req_bytes, stride, count, AccessKind::Read);
-            let mut cb = 0;
-            for i in 0..count {
-                cb += b.service(&Request::read(start + i * stride, req_bytes));
-            }
-            prop_assert_eq!(ca, cb);
-            prop_assert_eq!(a.stats(), b.stats());
-        }
-
         /// An aligned full-line stream achieves >= 95% of peak (only row
         /// activations are exposed).
         #[test]
         fn aligned_stream_near_peak(n in 512u64..4096) {
             let mut ch = Channel::new(DdrTimings::ddr4_2133());
-            let cycles = ch.service_stream(0, 64, 64, n, AccessKind::Read);
+            let cycles: u64 = (0..n).map(|i| ch.service(&Request::read(i * 64, 64))).sum();
             prop_assert!(cycles >= n);
             prop_assert!((cycles as f64) < n as f64 * 1.05);
         }

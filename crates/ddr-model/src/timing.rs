@@ -92,13 +92,6 @@ impl DdrTimings {
     pub fn peak_gbps(&self) -> f64 {
         self.data_rate_mts as f64 * self.bus_bytes as f64 / 1000.0
     }
-
-    /// Bytes covered by one bank rotation (`row_bytes × banks`) — the period
-    /// of the streaming row-miss pattern under the row-interleaved mapping.
-    #[inline]
-    pub fn rotation_bytes(&self) -> u64 {
-        self.row_bytes * self.banks as u64
-    }
 }
 
 #[cfg(test)]
@@ -114,12 +107,6 @@ mod tests {
         // paper's 34.1 GB/s.
         assert!((t.peak_gbps() - 17.064).abs() < 1e-9);
         assert!((2.0 * t.peak_gbps() - 34.128).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rotation_covers_all_banks() {
-        let t = DdrTimings::ddr4_2133();
-        assert_eq!(t.rotation_bytes(), 8192 * 16);
     }
 
     #[test]

@@ -79,13 +79,6 @@ impl Accelerator {
         self.fmax_mhz
     }
 
-    /// Overrides the kernel clock (used to re-score published builds at
-    /// their reported fmax).
-    pub fn with_fmax(mut self, fmax_mhz: f64) -> Self {
-        self.fmax_mhz = fmax_mhz;
-        self
-    }
-
     /// Estimated board power at the achieved clock, watts.
     pub fn power_watts(&self) -> f64 {
         power::estimate_watts(&self.device, &self.area, self.fmax_mhz)

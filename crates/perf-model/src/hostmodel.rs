@@ -7,10 +7,8 @@
 //! orders), and Tang et al.'s GPU code is bandwidth-bound with an efficiency
 //! that decays with radius. That makes performance on a device we do not own
 //! projectable from two numbers: the device's peak bandwidth (Table II) and
-//! a bandwidth efficiency — which we either take from the paper (to
-//! regenerate the tables) or measure with `cpu-engine` on the host CPU (to
-//! validate that a real cache-blocked CPU stencil sits in the same
-//! efficiency band; see EXPERIMENTS.md).
+//! a bandwidth efficiency, taken from the paper's published results
+//! (`BandwidthEfficiency::paper_*`). Nothing here measures the host.
 
 use crate::devices::Device;
 use crate::roofline;
@@ -64,13 +62,6 @@ impl BandwidthEfficiency {
             Dim::D2 => self.d2.map(|t| t[rad - 1]),
             Dim::D3 => self.d3.map(|t| t[rad - 1]),
         }
-    }
-
-    /// Derives an efficiency from a measurement: committed GCell/s against
-    /// the machine's peak bandwidth in GB/s (8 bytes move per update).
-    pub fn from_measurement(gcells: f64, peak_gbps: f64) -> f64 {
-        assert!(peak_gbps > 0.0);
-        gcells * 8.0 / peak_gbps
     }
 }
 
@@ -180,13 +171,6 @@ mod tests {
             g.iter().cloned().fold(0.0, f64::max),
         );
         assert!(max / min < 1.05);
-    }
-
-    #[test]
-    fn efficiency_from_measurement_roundtrips() {
-        let eff = BandwidthEfficiency::from_measurement(5.0, 76.8);
-        let p = project(&XEON, Dim::D2, 1, eff, 0.84);
-        assert!((p.gcells - 5.0).abs() < 1e-12);
     }
 
     #[test]

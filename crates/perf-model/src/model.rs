@@ -124,12 +124,6 @@ pub fn estimate_hybrid(
     }
 }
 
-/// Convenience: the estimate at the device's modelled fmax (seed-swept).
-pub fn estimate_at_model_fmax(device: &FpgaDevice, config: &BlockConfig, seeds: usize) -> Estimate {
-    let fmax = fpga_sim::FmaxModel::for_device(device).sweep(config, seeds.max(1));
-    estimate(device, config, fmax)
-}
-
 /// Inverse model: the external bandwidth (GB/s) a configuration needs to
 /// sustain `target_gcells` without the memory term binding — the
 /// conclusion's "further accelerating such stencils will only be possible

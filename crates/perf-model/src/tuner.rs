@@ -124,14 +124,15 @@ pub fn shape_bsizes(extent: usize) -> Vec<usize> {
 /// real [`BlockConfig::spans`] decomposition, normalized by the aligned
 /// ratio `Π csize_d / bsize_d` the model already charges. A block whose
 /// compute region dwarfs the grid reads a full halo to commit a sliver,
-/// so its fit drops well below 1; an exactly-tiling block scores ~1.
+/// so its fit drops well below 1; an exactly-tiling block scores ~1. An
+/// empty extent commits nothing and fits 0 (the serving planner refuses
+/// empty grids before it ranks candidates).
 pub fn shape_fit(config: &BlockConfig, nx: usize, ny: usize) -> f64 {
     let eff = |n: usize, csize: usize| -> f64 {
-        let read: usize = BlockConfig::spans(n, csize, config.halo())
-            .iter()
-            .map(|s| s.read_len())
-            .sum();
-        n as f64 / read as f64
+        if n == 0 {
+            return 0.0;
+        }
+        n as f64 / read_cells(n, csize, config.halo()) as f64
     };
     match config.dim {
         Dim::D2 => {
@@ -144,6 +145,14 @@ pub fn shape_fit(config: &BlockConfig, nx: usize, ny: usize) -> f64 {
             eff(nx, config.csize_x()) * eff(ny, config.csize_y()) / aligned
         }
     }
+}
+
+/// Cells read along a dimension of length `n` cut into `csize`-wide
+/// compute spans with `halo` read margin on each side: the sum of
+/// [`BlockConfig::spans`]' read lengths, `n + 2·halo·⌈n/csize⌉`, since
+/// read regions are never clamped to the grid.
+fn read_cells(n: usize, csize: usize, halo: usize) -> usize {
+    n + 2 * halo * n.div_ceil(csize)
 }
 
 /// Replica counts enumerated for a device: always 1 (the classic single
@@ -309,6 +318,7 @@ fn gcd(a: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn arria() -> FpgaDevice {
         FpgaDevice::arria10_gx1150()
@@ -446,6 +456,23 @@ mod tests {
         // An exactly-tiling grid scores ~1.
         let aligned = shape_fit(&snug, snug.csize_x() * 4, 0);
         assert!((aligned - 1.0).abs() < 1e-9, "{aligned}");
+        // An empty extent fits 0, not 0/0.
+        let cube = BlockConfig::new_3d(1, 64, 64, 4, 4).unwrap();
+        assert_eq!(shape_fit(&snug, 0, 0), 0.0);
+        assert_eq!(shape_fit(&cube, 30, 0), 0.0);
+    }
+
+    proptest! {
+        /// The closed-form read count equals the sum over the spans it
+        /// replaces.
+        #[test]
+        fn read_cells_is_the_span_sum(n in 1usize..200_000, csize in 1usize..5000, halo in 0usize..64) {
+            let spans: usize = BlockConfig::spans(n, csize, halo)
+                .iter()
+                .map(|s| s.read_len())
+                .sum();
+            prop_assert_eq!(read_cells(n, csize, halo), spans);
+        }
     }
 
     #[test]

@@ -202,6 +202,13 @@ impl Priority {
     }
 }
 
+/// The most cells a job's grid may hold: 2²⁶, which is 256 MiB per f32
+/// buffer. [`JobSpec::validate`] refuses a larger grid, because a worker
+/// that leased its buffers would abort the process when the allocation
+/// fails. The largest committed workload shape, a 48³ program job, has
+/// 110,592 cells.
+pub const MAX_GRID_CELLS: u64 = 1 << 26;
+
 /// One job: a complete stencil problem plus serving parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
@@ -374,6 +381,13 @@ impl JobSpec {
         if self.replicas.get() == 0 {
             return Err(PlanError::ZeroReplicas);
         }
+        let cells = self.checked_cells().ok_or(PlanError::WorkOverflow)?;
+        if cells > MAX_GRID_CELLS {
+            return Err(PlanError::GridTooLarge {
+                cells,
+                max: MAX_GRID_CELLS,
+            });
+        }
         if self.checked_work_cells().is_none() {
             return Err(PlanError::WorkOverflow);
         }
@@ -407,13 +421,18 @@ impl JobSpec {
         self.checked_work_cells().unwrap_or(u64::MAX)
     }
 
+    /// The grid's cell count, or `None` when it overflows a u64.
+    fn checked_cells(&self) -> Option<u64> {
+        let nz = if self.dim == 3 { self.nz } else { 1 };
+        (self.nx as u64)
+            .checked_mul(self.ny as u64)?
+            .checked_mul(nz as u64)
+    }
+
     /// [`JobSpec::work_cells`], or `None` when the cell count or the work
     /// overflows a u64.
     fn checked_work_cells(&self) -> Option<u64> {
-        let nz = if self.dim == 3 { self.nz } else { 1 };
-        let cells = (self.nx as u64)
-            .checked_mul(self.ny as u64)?
-            .checked_mul(nz as u64)?;
+        let cells = self.checked_cells()?;
         match &self.program {
             Some(program) => program.work_cells(cells),
             None => cells.checked_mul(self.iters as u64),

@@ -82,6 +82,14 @@ pub enum PlanError {
     /// The grid's cell count, or the job's work (`cells · iters`, summed
     /// over nodes and frames for a program), overflows a u64.
     WorkOverflow,
+    /// The grid holds more than [`crate::job::MAX_GRID_CELLS`] cells, so
+    /// its buffers would not fit in memory.
+    GridTooLarge {
+        /// The grid's cell count.
+        cells: u64,
+        /// The cap it exceeds.
+        max: u64,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -99,6 +107,12 @@ impl std::fmt::Display for PlanError {
                 write!(f, "a job cannot carry both a kernel and a program")
             }
             PlanError::WorkOverflow => write!(f, "grid cells or work overflow a u64"),
+            PlanError::GridTooLarge { cells, max } => {
+                write!(
+                    f,
+                    "grid has {cells} cells, more than the {max} a job may hold"
+                )
+            }
         }
     }
 }

@@ -4,9 +4,10 @@
 //! without panicking, and every spec that validates must report its work
 //! without panicking.
 //!
-//! Inputs are lines of the two committed replay fixtures with 1–8 random
-//! ASCII byte edits (`parse_jsonl` takes `&str`, so the edits keep the
-//! text valid UTF-8). `replay_programs.jsonl` carries the `program`,
+//! Inputs are lines of the two committed replay fixtures, plus the first
+//! fixture line with a 2³⁰ × 2³⁰ grid, with 1–8 random ASCII byte edits
+//! (`parse_jsonl` takes `&str`, so the edits keep the text valid UTF-8).
+//! `replay_programs.jsonl` carries the `program`,
 //! `kernel` and `tenant` fields; it was written by `stencil_serve
 //! --synthetic --jobs 16 --seed 5 --quick --programs --kernels --tenants 2
 //! --emit-workload FILE`. A quarter of the cases are also wrapped in up to 200,000
@@ -14,11 +15,24 @@
 //! nesting limit. Cases run on the test thread's default 2 MiB stack.
 
 use proptest::prelude::*;
+use stencil_runtime::job::MAX_GRID_CELLS;
 use stencil_runtime::workload::parse_jsonl;
 use stencil_runtime::PlanError;
 
 const FIXTURE: &str = include_str!("fixtures/replay_small.jsonl");
 const PROGRAM_FIXTURE: &str = include_str!("fixtures/replay_programs.jsonl");
+
+/// The first fixture line with its 71×42 grid replaced by `nx` × `ny`.
+fn first_line_with_grid(nx: u64, ny: u64) -> String {
+    let line = FIXTURE.lines().next().unwrap();
+    let resized = line.replacen(
+        "\"nx\":71,\"ny\":42",
+        &format!("\"nx\":{nx},\"ny\":{ny}"),
+        1,
+    );
+    assert_ne!(resized, line, "the fixture's first line names a 71x42 grid");
+    resized
+}
 
 /// One byte edit: (kind, position seed, byte seed), applied at
 /// `position % (len + 1)`. Kinds 0–2 overwrite, 3–4 insert, 5–6 delete and
@@ -54,7 +68,12 @@ proptest! {
         edits in prop::collection::vec((0u8..8, any::<usize>(), any::<u8>()), 1..9),
         nest in (0usize..4, 0usize..=200_000),
     ) {
-        let lines: Vec<&str> = FIXTURE.lines().chain(PROGRAM_FIXTURE.lines()).collect();
+        let oversized = first_line_with_grid(1 << 30, 1 << 30);
+        let lines: Vec<&str> = FIXTURE
+            .lines()
+            .chain(PROGRAM_FIXTURE.lines())
+            .chain([oversized.as_str()])
+            .collect();
         let line = lines[pick % lines.len()];
         prop_assert!(line.is_ascii());
         let depth = if nest.0 == 0 { nest.1 } else { 0 };
@@ -87,15 +106,20 @@ fn the_retired_threaded_backend_is_a_typed_error_on_its_line() {
 
 #[test]
 fn an_overflowing_grid_is_a_typed_validate_error() {
-    let line = FIXTURE.lines().next().unwrap();
-    let huge = line.replacen(
-        "\"nx\":71,\"ny\":42",
-        "\"nx\":4294967296,\"ny\":4294967296",
-        1,
-    );
-    assert_ne!(huge, line, "the fixture's first line names a 71x42 grid");
+    let huge = first_line_with_grid(1 << 32, 1 << 32);
     let spec = parse_jsonl(&huge).unwrap().remove(0);
     assert_eq!(spec.validate().unwrap_err(), PlanError::WorkOverflow);
+    // A grid whose cell count fits a u64 but not memory is refused too.
+    let spec = parse_jsonl(&first_line_with_grid(1 << 30, 1 << 30))
+        .unwrap()
+        .remove(0);
+    assert_eq!(
+        spec.validate().unwrap_err(),
+        PlanError::GridTooLarge {
+            cells: 1 << 60,
+            max: MAX_GRID_CELLS
+        }
+    );
     // A program whose frames overflow the work sum is refused the same way.
     let line = PROGRAM_FIXTURE
         .lines()

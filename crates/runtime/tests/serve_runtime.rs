@@ -4,6 +4,7 @@
 //! load test only hits by luck.
 
 use std::time::{Duration, Instant};
+use stencil_runtime::job::MAX_GRID_CELLS;
 use stencil_runtime::workload::parse_jsonl;
 use stencil_runtime::{
     Backend, BatchPolicy, JobSpec, Outcome, PlanError, Priority, ResultStream, Runtime,
@@ -205,25 +206,36 @@ fn retries_recover_and_are_counted() {
 
 #[test]
 fn an_overflowing_grid_is_refused_and_the_runtime_keeps_serving() {
-    // The first replay-fixture line with a 2^32 x 2^32 grid: its cell
-    // count overflows a u64, so it must be refused at admission instead of
-    // reaching the queue's cost function or a worker.
+    // The first replay-fixture line with a 2^32 x 2^32 grid, whose cell
+    // count overflows a u64, and with a 2^30 x 2^30 grid, whose buffers
+    // cannot be allocated: both must be refused at admission instead of
+    // reaching the queue's cost function or a worker, which would abort
+    // the process leasing the second one's buffers.
     let line = include_str!("fixtures/replay_small.jsonl")
         .lines()
         .next()
         .unwrap();
-    let huge = line.replacen(
-        "\"nx\":71,\"ny\":42",
-        "\"nx\":4294967296,\"ny\":4294967296",
-        1,
-    );
-    assert_ne!(huge, line, "the fixture's first line names a 71x42 grid");
-    let spec = parse_jsonl(&huge).unwrap().remove(0);
-    let rt = single_lane(spec.backend, 8);
-    assert_eq!(
-        rt.submit(spec).unwrap_err(),
-        SubmitError::Invalid(PlanError::WorkOverflow)
-    );
+    let rt = single_lane(Backend::SerialRef, 8);
+    for (side, why) in [
+        (1u64 << 32, PlanError::WorkOverflow),
+        (
+            1 << 30,
+            PlanError::GridTooLarge {
+                cells: 1 << 60,
+                max: MAX_GRID_CELLS,
+            },
+        ),
+    ] {
+        let huge = line.replacen(
+            "\"nx\":71,\"ny\":42",
+            &format!("\"nx\":{side},\"ny\":{side}"),
+            1,
+        );
+        assert_ne!(huge, line, "the fixture's first line names a 71x42 grid");
+        let spec = parse_jsonl(&huge).unwrap().remove(0);
+        assert_eq!(spec.backend, Backend::SerialRef);
+        assert_eq!(rt.submit(spec).unwrap_err(), SubmitError::Invalid(why));
+    }
     rt.submit(small(1, Backend::SerialRef)).unwrap();
     assert!(
         rt.wait_for_results(1, Duration::from_secs(60)),

@@ -22,9 +22,12 @@
 //! dimensionalities, a spread of radii/priorities, forced shadow
 //! verification, injected transient failures, and near-impossible
 //! deadlines; `--workload` replays a JSONL file instead (one
-//! [`stencil_runtime::JobSpec`] per line). Either way the driver submits
-//! every job through the bounded admission queue, drains the runtime, and
-//! writes a [`stencil_runtime::ServeReport`] to `--out`.
+//! [`stencil_runtime::JobSpec`] per line). A replay file is checked whole
+//! before the runtime starts: the first line that does not parse, or that
+//! admission would refuse, exits 2 naming `file:line`, so no job runs.
+//! Either way the driver submits every job through the bounded admission
+//! queue, drains the runtime, and writes a
+//! [`stencil_runtime::ServeReport`] to `--out`.
 //!
 //! `--auto-plan` switches every job to [`stencil_runtime::PlanMode::Auto`]:
 //! the runtime's model-guided planner picks the backend and block
@@ -104,8 +107,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 use stencil_runtime::workload::{to_jsonl, ArrivalGaps, JsonlStream};
 use stencil_runtime::{
-    validate_report_json, validate_trace_file, DeviceProfile, LatencySummary, PlanMode,
-    ResultStream, Runtime, RuntimeConfig, ServeReport, SubmitError, SyntheticParams, TenantPolicy,
+    place_program, validate_report_json, validate_trace_file, DeviceProfile, JobSpec,
+    LatencySummary, PlanMode, ResultStream, Runtime, RuntimeConfig, ServeReport, SubmitError,
+    SyntheticParams, TenantPolicy,
 };
 
 #[derive(Debug)]
@@ -366,32 +370,21 @@ fn main() {
         params.mean_arrival_us = u;
     }
     let auto_plan = a.auto_plan;
-    let (kind, seed, specs): (
-        &str,
-        u64,
-        Box<dyn Iterator<Item = stencil_runtime::JobSpec>>,
-    ) = if let Some(file) = a.workload.clone() {
-        let f = std::fs::File::open(&file).unwrap_or_else(|e| {
-            eprintln!("stencil_serve: cannot read {file}: {e}");
-            std::process::exit(2);
-        });
-        let stream = JsonlStream::new(std::io::BufReader::new(f)).map(move |r| {
-            r.unwrap_or_else(|(line, msg)| {
-                eprintln!("stencil_serve: {file}:{line}: {msg}");
-                std::process::exit(2);
-            })
-        });
-        ("jsonl", 0, Box::new(stream))
-    } else {
-        let specs = stencil_runtime::synthetic_workload(&params);
-        ("synthetic", a.seed, Box::new(specs.into_iter()))
-    };
-    let mut specs = specs.map(move |mut spec| {
-        if auto_plan {
-            spec.plan = PlanMode::Auto;
-        }
-        spec
-    });
+    let (kind, seed, specs): (&str, u64, Box<dyn Iterator<Item = JobSpec>>) =
+        if let Some(file) = a.workload.clone() {
+            check_workload(&file, auto_plan, a.device);
+            let stream = workload_stream(&file).map(move |r| {
+                r.unwrap_or_else(|(line, msg)| {
+                    eprintln!("stencil_serve: {file}:{line}: {msg}");
+                    std::process::exit(2);
+                })
+            });
+            ("jsonl", 0, Box::new(stream))
+        } else {
+            let specs = stencil_runtime::synthetic_workload(&params);
+            ("synthetic", a.seed, Box::new(specs.into_iter()))
+        };
+    let mut specs = specs.map(move |spec| as_submitted(spec, auto_plan));
 
     if let Some(file) = &a.emit_workload {
         let all: Vec<_> = specs.collect();
@@ -480,7 +473,9 @@ fn main() {
         match submitted {
             Ok(_) | Err(SubmitError::QueueFull) | Err(SubmitError::QuotaExceeded { .. }) => {}
             Err(e) => {
+                // Stop submitting, but let the admitted jobs finish first.
                 eprintln!("stencil_serve: job {id}: unexpected refusal: {e}");
+                rt.drain();
                 std::process::exit(2);
             }
         }
@@ -579,6 +574,50 @@ fn main() {
             report.terminal_jobs(),
         );
         std::process::exit(1);
+    }
+}
+
+/// Opens a JSONL replay file as a line-buffered spec stream (exit 2 when
+/// it cannot be read).
+fn workload_stream(file: &str) -> JsonlStream<std::io::BufReader<std::fs::File>> {
+    let f = std::fs::File::open(file).unwrap_or_else(|e| {
+        eprintln!("stencil_serve: cannot read {file}: {e}");
+        std::process::exit(2);
+    });
+    JsonlStream::new(std::io::BufReader::new(f))
+}
+
+/// A spec as the driver submits it: `--auto-plan` hands every job to the
+/// planner.
+fn as_submitted(mut spec: JobSpec, auto_plan: bool) -> JobSpec {
+    if auto_plan {
+        spec.plan = PlanMode::Auto;
+    }
+    spec
+}
+
+/// Refuses a replay file whole, before the runtime starts: one streaming
+/// pass checks every line as it will be submitted with the checks
+/// `Runtime::submit` makes before queueing a job (`JobSpec::validate`,
+/// plus placement for program jobs), and exits 2 naming the first line
+/// that fails. A file refused halfway through a run would leave the jobs
+/// already admitted without a report.
+fn check_workload(file: &str, auto_plan: bool, device: DeviceProfile) {
+    let mut stream = workload_stream(file);
+    while let Some(parsed) = stream.next() {
+        let checked = parsed.and_then(|spec| {
+            let spec = as_submitted(spec, auto_plan);
+            spec.validate()
+                .and_then(|()| match &spec.program {
+                    Some(program) => place_program(device, &spec, program).map(drop),
+                    None => Ok(()),
+                })
+                .map_err(|e| (stream.line(), e.to_string()))
+        });
+        if let Err((line, msg)) = checked {
+            eprintln!("stencil_serve: {file}:{line}: {msg}");
+            std::process::exit(2);
+        }
     }
 }
 

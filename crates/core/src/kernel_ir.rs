@@ -38,7 +38,7 @@ use crate::error::StencilError;
 use crate::grid::{Grid2D, Grid3D};
 use crate::real::Real;
 use crate::stencil::{Stencil2D, Stencil3D};
-use crate::util::SplitMix64;
+use crate::util::{fnv1a64, SplitMix64};
 use std::fmt;
 
 /// Largest radius a [`KernelDesc`] may declare (matches the simulator's PE
@@ -269,30 +269,27 @@ impl KernelDesc {
     /// cache key. Stable across runs and platforms; collisions are guarded
     /// by a full-field compare at the cache (`StencilMemo`).
     pub fn stable_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(match self.dim {
+        let dim = match self.dim {
             Dim::D2 => 2,
             Dim::D3 => 3,
-        });
-        mix(match self.boundary {
+        };
+        let boundary = match self.boundary {
             BoundaryCond::Clamp => 0,
             BoundaryCond::Periodic => 1,
             BoundaryCond::Reflective => 2,
+        };
+        let taps = self.taps.iter().flat_map(|t| {
+            [
+                t.dx as u32 as u64,
+                t.dy as u32 as u64,
+                t.dz as u32 as u64,
+                t.coeff.to_bits(),
+            ]
         });
-        mix(self.taps.len() as u64);
-        for t in &self.taps {
-            mix(t.dx as u32 as u64);
-            mix(t.dy as u32 as u64);
-            mix(t.dz as u32 as u64);
-            mix(t.coeff.to_bits());
-        }
-        h
+        let words = [dim, boundary, self.taps.len() as u64]
+            .into_iter()
+            .chain(taps);
+        fnv1a64(words.flat_map(u64::to_le_bytes))
     }
 
     /// The desc of an existing 2D star stencil, taps in the canonical
@@ -738,6 +735,12 @@ mod tests {
             }
         }
         assert_eq!(a.stable_hash(), a.clone().stable_hash(), "deterministic");
+        // Pinned keys: the hash is FNV-1a over every field's little-endian
+        // bytes, in field order.
+        let box2 = KernelDesc::box_2d(2, 13, BoundaryCond::Periodic).unwrap();
+        assert_eq!(box2.stable_hash(), 0x4da7_2c0b_d954_a7cf);
+        let asym3 = KernelDesc::asymmetric_3d(2, 14, BoundaryCond::Reflective).unwrap();
+        assert_eq!(asym3.stable_hash(), 0x1bb9_82ed_919a_9b3a);
     }
 
     #[test]

@@ -60,6 +60,15 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a 64 over a byte stream — the workspace's stable byte hash: the
+/// planner-memory sidecar checksum, program node seeds and the
+/// compiled-kernel cache key. Stable across runs and platforms.
+pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Rounds `v` up to the next multiple of `m`.
 ///
 /// # Panics
@@ -109,6 +118,13 @@ mod tests {
         }
         // Pinned draw: a changed mixer would shift every seeded stream.
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64("foobar".bytes()), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -146,56 +146,9 @@ pub fn parallel_2d<T: Real>(st: &Stencil2D<T>, grid: &Grid2D<T>, iters: usize) -
     parallel_2d_kernel(&compile_star_2d(st, CPU_LANES), grid, iters)
 }
 
-/// [`parallel_2d`] writing the result into the caller-provided `out` grid,
-/// with `scratch` as the ping-pong buffer — the zero-allocation entry point
-/// for pooled serving. Both buffers must have `grid`'s shape; their prior
-/// contents are irrelevant (every sweep fully overwrites its destination),
-/// and `scratch` is written only when `iters ≥ 2`.
-///
-/// # Panics
-/// Panics when the buffer shapes do not match `grid`.
-pub fn parallel_2d_into<T: Real>(
-    st: &Stencil2D<T>,
-    grid: &Grid2D<T>,
-    iters: usize,
-    out: &mut Grid2D<T>,
-    scratch: &mut Grid2D<T>,
-) {
-    parallel_2d_kernel_into(
-        &compile_star_2d(st, CPU_LANES),
-        grid,
-        iters,
-        &|| false,
-        out,
-        scratch,
-    );
-}
-
 /// Rayon-parallel 3D engine (parallel over z-planes).
 pub fn parallel_3d<T: Real>(st: &Stencil3D<T>, grid: &Grid3D<T>, iters: usize) -> Grid3D<T> {
     parallel_3d_kernel(&compile_star_3d(st, CPU_LANES), grid, iters)
-}
-
-/// [`parallel_3d`] writing the result into the caller-provided `out` grid,
-/// with `scratch` as the ping-pong buffer (see [`parallel_2d_into`]).
-///
-/// # Panics
-/// Panics when the buffer shapes do not match `grid`.
-pub fn parallel_3d_into<T: Real>(
-    st: &Stencil3D<T>,
-    grid: &Grid3D<T>,
-    iters: usize,
-    out: &mut Grid3D<T>,
-    scratch: &mut Grid3D<T>,
-) {
-    parallel_3d_kernel_into(
-        &compile_star_3d(st, CPU_LANES),
-        grid,
-        iters,
-        &|| false,
-        out,
-        scratch,
-    );
 }
 
 /// Rayon-parallel execution of a compiled kernel into caller-provided
@@ -435,7 +388,9 @@ mod tests {
             reference_run_2d, reference_run_3d, BoundaryCond, KernelDesc,
         };
         let st = Stencil2D::<f32>::random(3, 21).unwrap();
+        let star = compile_star_2d(&st, CPU_LANES);
         let st3 = Stencil3D::<f32>::random(1, 22).unwrap();
+        let star3 = compile_star_3d(&st3, CPU_LANES);
         let desc = KernelDesc::box_2d(1, 3, BoundaryCond::Periodic).unwrap();
         let k = stencil_core::compile_2d::<f32>(&desc, 8).unwrap();
         let desc3 = KernelDesc::asymmetric_3d(2, 14, BoundaryCond::Reflective).unwrap();
@@ -443,55 +398,46 @@ mod tests {
         let nan_2d = || Grid2D::filled(41, 23, f32::NAN).unwrap();
         let nan_3d = || Grid3D::filled(17, 13, 11, f32::NAN).unwrap();
         for iters in 0..=3 {
-            let (mut out, mut scratch) = (nan_2d(), nan_2d());
-            parallel_2d_into(&st, &grid2(), iters, &mut out, &mut scratch);
-            let expect = exec::run_2d(&st, &grid2(), iters);
-            assert_eq!(
-                bits(out.as_slice()),
-                bits(expect.as_slice()),
-                "2d iters {iters}"
-            );
-
-            let (mut out, mut scratch) = (nan_3d(), nan_3d());
-            parallel_3d_into(&st3, &grid3(), iters, &mut out, &mut scratch);
-            let expect = exec::run_3d(&st3, &grid3(), iters);
-            assert_eq!(
-                bits(out.as_slice()),
-                bits(expect.as_slice()),
-                "3d iters {iters}"
-            );
-
-            let (mut out, mut scratch) = (nan_2d(), nan_2d());
-            assert!(parallel_2d_kernel_into(
-                &k,
-                &grid2(),
-                iters,
-                &|| false,
-                &mut out,
-                &mut scratch
-            ));
-            let expect = reference_run_2d::<f32>(&desc, &grid2(), iters);
-            assert_eq!(
-                bits(out.as_slice()),
-                bits(expect.as_slice()),
-                "2d kernel iters {iters}"
-            );
-
-            let (mut out, mut scratch) = (nan_3d(), nan_3d());
-            assert!(parallel_3d_kernel_into(
-                &k3,
-                &grid3(),
-                iters,
-                &|| false,
-                &mut out,
-                &mut scratch
-            ));
-            let expect = reference_run_3d::<f32>(&desc3, &grid3(), iters);
-            assert_eq!(
-                bits(out.as_slice()),
-                bits(expect.as_slice()),
-                "3d kernel iters {iters}"
-            );
+            let expect_2d = [
+                (&star, exec::run_2d(&st, &grid2(), iters)),
+                (&k, reference_run_2d::<f32>(&desc, &grid2(), iters)),
+            ];
+            for (kernel, expect) in expect_2d {
+                let (mut out, mut scratch) = (nan_2d(), nan_2d());
+                assert!(parallel_2d_kernel_into(
+                    kernel,
+                    &grid2(),
+                    iters,
+                    &|| false,
+                    &mut out,
+                    &mut scratch
+                ));
+                assert_eq!(
+                    bits(out.as_slice()),
+                    bits(expect.as_slice()),
+                    "2d iters {iters}"
+                );
+            }
+            let expect_3d = [
+                (&star3, exec::run_3d(&st3, &grid3(), iters)),
+                (&k3, reference_run_3d::<f32>(&desc3, &grid3(), iters)),
+            ];
+            for (kernel, expect) in expect_3d {
+                let (mut out, mut scratch) = (nan_3d(), nan_3d());
+                assert!(parallel_3d_kernel_into(
+                    kernel,
+                    &grid3(),
+                    iters,
+                    &|| false,
+                    &mut out,
+                    &mut scratch
+                ));
+                assert_eq!(
+                    bits(out.as_slice()),
+                    bits(expect.as_slice()),
+                    "3d iters {iters}"
+                );
+            }
         }
     }
 

@@ -175,70 +175,6 @@ pub fn folded_run_2d<T: Real>(st: &Stencil2D<T>, grid: &Grid2D<T>, iters: usize)
     cur.to_grid()
 }
 
-/// [`folded_run_2d`] writing the result into the caller-provided `out`
-/// grid, with `scratch` as the ping-pong buffer — the zero-allocation
-/// entry point for pooled serving. The fold-major [`FoldedGrid2D`] storage
-/// needs padded whole tiles and cannot alias a pooled row-major grid, so
-/// this variant keeps the YASK fold-ordered traversal (and therefore the
-/// exact per-cell arithmetic order — results are bit-exact with
-/// [`folded_run_2d`]) while ping-ponging between the caller's row-major
-/// buffers. Both buffers must have `grid`'s shape; their prior contents are
-/// irrelevant (every step fully overwrites its destination). The result
-/// lands in `out`.
-///
-/// # Panics
-/// Panics when the buffer shapes do not match `grid`.
-pub fn folded_run_2d_into<T: Real>(
-    st: &Stencil2D<T>,
-    grid: &Grid2D<T>,
-    iters: usize,
-    out: &mut Grid2D<T>,
-    scratch: &mut Grid2D<T>,
-) {
-    assert_eq!(
-        (out.nx(), out.ny()),
-        (grid.nx(), grid.ny()),
-        "out buffer shape mismatch"
-    );
-    assert_eq!(
-        (scratch.nx(), scratch.ny()),
-        (grid.nx(), grid.ny()),
-        "scratch buffer shape mismatch"
-    );
-    let (nx, ny) = (grid.nx(), grid.ny());
-    let (tiles_x, tiles_y) = (nx.div_ceil(FOLD_X), ny.div_ceil(FOLD_Y));
-    out.copy_from(grid);
-    for _ in 0..iters {
-        for ty in 0..tiles_y {
-            for tx in 0..tiles_x {
-                for fy in 0..FOLD_Y {
-                    let y = ty * FOLD_Y + fy;
-                    if y >= ny {
-                        continue;
-                    }
-                    for fx in 0..FOLD_X {
-                        let x = tx * FOLD_X + fx;
-                        if x >= nx {
-                            continue;
-                        }
-                        let (xi, yi) = (x as isize, y as isize);
-                        let mut acc = st.center() * out.get(x, y);
-                        for (k, a) in st.arms().iter().enumerate() {
-                            let d = (k + 1) as isize;
-                            acc += a.west * out.get_clamped(xi - d, yi);
-                            acc += a.east * out.get_clamped(xi + d, yi);
-                            acc += a.south * out.get_clamped(xi, yi - d);
-                            acc += a.north * out.get_clamped(xi, yi + d);
-                        }
-                        scratch.set(x, y, acc);
-                    }
-                }
-            }
-        }
-        out.swap(scratch);
-    }
-}
-
 /// Re-replicates border values into the padding cells of partial tiles.
 fn repair_padding<T: Real>(g: &mut FoldedGrid2D<T>) {
     let (nx, ny) = (g.nx, g.ny);
@@ -464,57 +400,6 @@ pub fn folded_run_3d<T: Real>(
         cur = FoldedGrid3D::from_grid(&scratch);
     }
     cur.to_grid()
-}
-
-/// [`folded_run_3d`] writing the result into the caller-provided `out`
-/// grid, with `scratch` as the ping-pong buffer (see [`folded_run_2d_into`]
-/// for the buffer contract and why the fold-major storage stays internal to
-/// the allocating variant). Bit-exact with [`folded_run_3d`]: the 3D folded
-/// engine already sweeps in plain z/y/x order with grid-clamped taps, which
-/// this variant reproduces over the caller's row-major buffers.
-///
-/// # Panics
-/// Panics when the buffer shapes do not match `grid`.
-pub fn folded_run_3d_into<T: Real>(
-    st: &stencil_core::Stencil3D<T>,
-    grid: &stencil_core::Grid3D<T>,
-    iters: usize,
-    out: &mut stencil_core::Grid3D<T>,
-    scratch: &mut stencil_core::Grid3D<T>,
-) {
-    assert_eq!(
-        (out.nx(), out.ny(), out.nz()),
-        (grid.nx(), grid.ny(), grid.nz()),
-        "out buffer shape mismatch"
-    );
-    assert_eq!(
-        (scratch.nx(), scratch.ny(), scratch.nz()),
-        (grid.nx(), grid.ny(), grid.nz()),
-        "scratch buffer shape mismatch"
-    );
-    let (nx, ny, nz) = (grid.nx(), grid.ny(), grid.nz());
-    out.copy_from(grid);
-    for _ in 0..iters {
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let (xi, yi, zi) = (x as isize, y as isize, z as isize);
-                    let mut acc = st.center() * out.get_clamped(xi, yi, zi);
-                    for (k, a) in st.arms().iter().enumerate() {
-                        let d = (k + 1) as isize;
-                        acc += a.west * out.get_clamped(xi - d, yi, zi);
-                        acc += a.east * out.get_clamped(xi + d, yi, zi);
-                        acc += a.south * out.get_clamped(xi, yi - d, zi);
-                        acc += a.north * out.get_clamped(xi, yi + d, zi);
-                        acc += a.below * out.get_clamped(xi, yi, zi - d);
-                        acc += a.above * out.get_clamped(xi, yi, zi + d);
-                    }
-                    scratch.set(x, y, z, acc);
-                }
-            }
-        }
-        out.swap(scratch);
-    }
 }
 
 #[cfg(test)]

@@ -34,8 +34,8 @@ pub use engines::{
     parallel_3d_kernel, parallel_3d_kernel_into, tiled_2d, tiled_3d, Tile,
 };
 pub use folded::{
-    distinct_blocks_touched, distinct_blocks_touched_3d, folded_run_2d, folded_run_2d_into,
-    folded_run_3d, folded_run_3d_into, FoldedGrid2D, FoldedGrid3D,
+    distinct_blocks_touched, distinct_blocks_touched_3d, folded_run_2d, folded_run_3d,
+    FoldedGrid2D, FoldedGrid3D,
 };
 pub use padded::{padded_run_2d, PaddedGrid2D};
-pub use wavefront::{wavefront_2d, wavefront_2d_into, wavefront_3d, wavefront_3d_into};
+pub use wavefront::{wavefront_2d, wavefront_3d};

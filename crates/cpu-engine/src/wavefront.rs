@@ -15,7 +15,9 @@
 use stencil_core::{Grid2D, Grid3D, Real, Stencil2D, Stencil3D};
 
 /// Runs `iters` steps with overlapped temporal blocking: x-blocks of
-/// `block_x` committed cells, `tsteps` time steps fused per sweep.
+/// `block_x` committed cells, `tsteps` time steps fused per sweep. Each
+/// block runs its fused steps in two `(block_x + 2·halo) × ny` buffers —
+/// the cache-resident footprint the technique is built around.
 ///
 /// # Panics
 /// Panics when `block_x == 0` or `tsteps == 0`.
@@ -26,50 +28,14 @@ pub fn wavefront_2d<T: Real>(
     block_x: usize,
     tsteps: usize,
 ) -> Grid2D<T> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    wavefront_2d_into(st, grid, iters, block_x, tsteps, &mut out, &mut scratch);
-    out
-}
-
-/// [`wavefront_2d`] writing the result into the caller-provided `out` grid,
-/// with `scratch` as the ping-pong buffer — the zero-allocation entry point
-/// for pooled serving. Both buffers must have `grid`'s shape; their prior
-/// contents are irrelevant (every sweep commits the full grid). The
-/// per-block in-cache working set (two `(block_x + 2·halo) × ny` buffers)
-/// remains the algorithm's own: it is the cache-resident footprint the
-/// technique is built around, not a grid-sized allocation. The result lands
-/// in `out`.
-///
-/// # Panics
-/// Panics when `block_x == 0`, `tsteps == 0`, or the buffer shapes do not
-/// match `grid`.
-pub fn wavefront_2d_into<T: Real>(
-    st: &Stencil2D<T>,
-    grid: &Grid2D<T>,
-    iters: usize,
-    block_x: usize,
-    tsteps: usize,
-    out: &mut Grid2D<T>,
-    scratch: &mut Grid2D<T>,
-) {
     assert!(block_x > 0, "block_x must be positive");
     assert!(tsteps > 0, "tsteps must be positive");
-    assert_eq!(
-        (out.nx(), out.ny()),
-        (grid.nx(), grid.ny()),
-        "out buffer shape mismatch"
-    );
-    assert_eq!(
-        (scratch.nx(), scratch.ny()),
-        (grid.nx(), grid.ny()),
-        "scratch buffer shape mismatch"
-    );
     let (nx, ny) = (grid.nx(), grid.ny());
     let rad = st.radius();
     // `out` always holds the latest completed sweep; `scratch` is the
     // in-flight destination, exchanged (Vec pointers only) per sweep.
-    out.copy_from(grid);
+    let mut out = grid.clone();
+    let mut scratch = grid.clone();
 
     let mut left = iters;
     while left > 0 {
@@ -105,9 +71,10 @@ pub fn wavefront_2d_into<T: Real>(
             }
             x0 = x1;
         }
-        out.swap(scratch);
+        out.swap(&mut scratch);
         left -= t;
     }
+    out
 }
 
 /// One time step over a scratch block whose column `j` is global
@@ -160,54 +127,11 @@ pub fn wavefront_3d<T: Real>(
     block_y: usize,
     tsteps: usize,
 ) -> Grid3D<T> {
-    let mut out = grid.clone();
-    let mut scratch = grid.clone();
-    wavefront_3d_into(
-        st,
-        grid,
-        iters,
-        block_x,
-        block_y,
-        tsteps,
-        &mut out,
-        &mut scratch,
-    );
-    out
-}
-
-/// [`wavefront_3d`] writing the result into the caller-provided `out` grid,
-/// with `scratch` as the ping-pong buffer (see [`wavefront_2d_into`] for
-/// the buffer contract; the per-block in-cache working set likewise remains
-/// internal).
-///
-/// # Panics
-/// Panics when any block extent or `tsteps` is zero, or the buffer shapes
-/// do not match `grid`.
-#[allow(clippy::too_many_arguments)]
-pub fn wavefront_3d_into<T: Real>(
-    st: &Stencil3D<T>,
-    grid: &Grid3D<T>,
-    iters: usize,
-    block_x: usize,
-    block_y: usize,
-    tsteps: usize,
-    out: &mut Grid3D<T>,
-    scratch: &mut Grid3D<T>,
-) {
     assert!(block_x > 0 && block_y > 0, "block extents must be positive");
     assert!(tsteps > 0, "tsteps must be positive");
-    assert_eq!(
-        (out.nx(), out.ny(), out.nz()),
-        (grid.nx(), grid.ny(), grid.nz()),
-        "out buffer shape mismatch"
-    );
-    assert_eq!(
-        (scratch.nx(), scratch.ny(), scratch.nz()),
-        (grid.nx(), grid.ny(), grid.nz()),
-        "scratch buffer shape mismatch"
-    );
     let (nx, ny, nz) = (grid.nx(), grid.ny(), grid.nz());
-    out.copy_from(grid);
+    let mut out = grid.clone();
+    let mut scratch = grid.clone();
 
     let mut left = iters;
     while left > 0 {
@@ -251,9 +175,10 @@ pub fn wavefront_3d_into<T: Real>(
             }
             y0 = y1;
         }
-        out.swap(scratch);
+        out.swap(&mut scratch);
         left -= t;
     }
+    out
 }
 
 /// One fused 3D step over a scratch block; taps clamp by global coordinate

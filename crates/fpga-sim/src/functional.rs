@@ -168,69 +168,44 @@ pub fn run_2d_instrumented_lanes<T: Real>(
     iters: usize,
     lanes: usize,
 ) -> (Grid2D<T>, SimCounters) {
-    run_2d_cancellable(stencil, grid, config, iters, lanes, &|| false)
-        .expect("never-cancelled run cannot be cancelled")
-}
-
-/// [`run_2d_instrumented_lanes`] with a cooperative cancellation hook.
-///
-/// `cancel` is polled at every block boundary — once before each chain pass
-/// and once before each spatial block — so a long run can be abandoned with
-/// at most one block of latency. The hook must be monotonic: once it returns
-/// `true` it keeps returning `true`. Returns `None` when the run was
-/// cancelled (the partially-written grids are discarded); a `Some` result is
-/// bit-identical to [`run_2d_instrumented_lanes`].
-///
-/// # Panics
-/// Panics when `config` is not a validated 2D configuration.
-pub fn run_2d_cancellable<T: Real>(
-    stencil: &Stencil2D<T>,
-    grid: &Grid2D<T>,
-    config: &BlockConfig,
-    iters: usize,
-    lanes: usize,
-    cancel: &(dyn Fn() -> bool + Sync),
-) -> Option<(Grid2D<T>, SimCounters)> {
     let mut out = Grid2D::zeros(grid.nx(), grid.ny()).expect("same shape as the input");
     let counters = run_2d_passes(
-        stencil, grid, config, iters, lanes, 1, cancel, &mut out, None,
-    )?;
-    Some((out, counters))
+        stencil,
+        grid,
+        config,
+        iters,
+        lanes,
+        1,
+        &|| false,
+        &mut out,
+        None,
+    )
+    .expect("never-cancelled run cannot be cancelled");
+    (out, counters)
 }
 
-/// [`run_2d_cancellable`] writing the result into the caller-provided `out`
-/// grid, with `scratch` as the ping-pong buffer — the zero-allocation entry
-/// point for pooled serving. The first pass reads `grid` in place and the
-/// last writes `out`; `scratch` is written only when the run has two or
-/// more passes. Both buffers must have `grid`'s shape; their prior contents
-/// are irrelevant (every pass fully overwrites its destination strip set).
-/// On cancellation (`None`) the buffers hold partial data and must be
-/// treated as dirty.
+/// The serving entry point: [`run_2d_instrumented`] with `replicas`
+/// independent chains, a cooperative cancellation hook, and
+/// caller-provided buffers.
 ///
-/// # Panics
-/// Panics when `config` is not a validated 2D configuration or the buffer
-/// shapes do not match `grid`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_2d_cancellable_into<T: Real>(
-    stencil: &Stencil2D<T>,
-    grid: &Grid2D<T>,
-    config: &BlockConfig,
-    iters: usize,
-    lanes: usize,
-    cancel: &(dyn Fn() -> bool + Sync),
-    out: &mut Grid2D<T>,
-    scratch: &mut Grid2D<T>,
-) -> Option<SimCounters> {
-    run_2d_replicated_cancellable_into(stencil, grid, config, iters, lanes, 1, cancel, out, scratch)
-}
-
-/// [`run_2d_cancellable_into`] with `replicas` independent chains over
-/// halo-overlapped spatial partitions of the x extent — the hybrid
-/// spatial/temporal execution path for many-channel (HBM-class) devices.
-/// Each replica runs the same `config` over its contiguous share of the
-/// grid (see [`replica_spans`]); all (replica, block) tasks of a pass
-/// dispatch over the same rayon pool and commit disjoint strips. The result
-/// is bit-exact with the single-chain path for every `replicas ≥ 1`.
+/// - **Replicas.** Each chain runs the same `config` over a contiguous,
+///   halo-overlapped share of the x extent (see [`replica_spans`]) — the
+///   hybrid spatial/temporal execution path for many-channel (HBM-class)
+///   devices. All (replica, block) tasks of a pass dispatch over the same
+///   rayon pool and commit disjoint strips, so the result is bit-exact
+///   with the single-chain path for every `replicas ≥ 1`.
+/// - **Cancellation.** `cancel` is polled once before each chain pass and
+///   once before each spatial block, so a long run can be abandoned with
+///   at most one block of latency. The hook must be monotonic: once it
+///   returns `true` it keeps returning `true`. Returns `None` when the run
+///   was cancelled; the buffers then hold partial data and must be treated
+///   as dirty.
+/// - **Buffers.** The first pass reads `grid` in place and the last writes
+///   `out`; `scratch` is the ping-pong buffer, written only when the run has
+///   two or more passes. Both must have `grid`'s shape; their prior contents
+///   are irrelevant (every pass fully overwrites its destination strip set).
+///
+/// The kernel is compiled at lane width `config.parvec`.
 ///
 /// # Panics
 /// Panics when `config` is not a validated 2D configuration, the buffer
@@ -241,7 +216,6 @@ pub fn run_2d_replicated_cancellable_into<T: Real>(
     grid: &Grid2D<T>,
     config: &BlockConfig,
     iters: usize,
-    lanes: usize,
     replicas: usize,
     cancel: &(dyn Fn() -> bool + Sync),
     out: &mut Grid2D<T>,
@@ -257,7 +231,7 @@ pub fn run_2d_replicated_cancellable_into<T: Real>(
         grid,
         config,
         iters,
-        lanes,
+        config.parvec,
         replicas,
         cancel,
         out,
@@ -371,36 +345,6 @@ fn run_block_2d<T: Real>(
     }
 }
 
-/// Runs the 2D accelerator with `replicas` spatially replicated chains over
-/// halo-overlapped partitions (see [`run_2d_replicated_cancellable_into`]).
-/// Bit-exact with [`run_2d`] for every `replicas ≥ 1`.
-///
-/// # Panics
-/// Panics when `config` is not a validated 2D configuration or `replicas`
-/// is zero.
-pub fn run_2d_replicated<T: Real>(
-    stencil: &Stencil2D<T>,
-    grid: &Grid2D<T>,
-    config: &BlockConfig,
-    iters: usize,
-    replicas: usize,
-) -> Grid2D<T> {
-    let mut out = Grid2D::zeros(grid.nx(), grid.ny()).expect("same shape as the input");
-    run_2d_passes(
-        stencil,
-        grid,
-        config,
-        iters,
-        config.parvec,
-        replicas,
-        &|| false,
-        &mut out,
-        None,
-    )
-    .expect("never-cancelled run cannot be cancelled");
-    out
-}
-
 pub use crate::serial_ref::run_2d_serial;
 
 /// Runs the 3D accelerator functionally, spatial blocks in parallel.
@@ -442,55 +386,27 @@ pub fn run_3d_instrumented_lanes<T: Real>(
     iters: usize,
     lanes: usize,
 ) -> (Grid3D<T>, SimCounters) {
-    run_3d_cancellable(stencil, grid, config, iters, lanes, &|| false)
-        .expect("never-cancelled run cannot be cancelled")
-}
-
-/// [`run_3d_instrumented_lanes`] with a cooperative cancellation hook (see
-/// [`run_2d_cancellable`] for the polling contract).
-///
-/// # Panics
-/// Panics when `config` is not a validated 3D configuration.
-pub fn run_3d_cancellable<T: Real>(
-    stencil: &Stencil3D<T>,
-    grid: &Grid3D<T>,
-    config: &BlockConfig,
-    iters: usize,
-    lanes: usize,
-    cancel: &(dyn Fn() -> bool + Sync),
-) -> Option<(Grid3D<T>, SimCounters)> {
     let mut out = Grid3D::zeros(grid.nx(), grid.ny(), grid.nz()).expect("same shape as the input");
     let counters = run_3d_passes(
-        stencil, grid, config, iters, lanes, 1, cancel, &mut out, None,
-    )?;
-    Some((out, counters))
+        stencil,
+        grid,
+        config,
+        iters,
+        lanes,
+        1,
+        &|| false,
+        &mut out,
+        None,
+    )
+    .expect("never-cancelled run cannot be cancelled");
+    (out, counters)
 }
 
-/// [`run_3d_cancellable`] writing the result into the caller-provided `out`
-/// grid, with `scratch` as the ping-pong buffer (see
-/// [`run_2d_cancellable_into`] for the buffer contract).
-///
-/// # Panics
-/// Panics when `config` is not a validated 3D configuration or the buffer
-/// shapes do not match `grid`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_3d_cancellable_into<T: Real>(
-    stencil: &Stencil3D<T>,
-    grid: &Grid3D<T>,
-    config: &BlockConfig,
-    iters: usize,
-    lanes: usize,
-    cancel: &(dyn Fn() -> bool + Sync),
-    out: &mut Grid3D<T>,
-    scratch: &mut Grid3D<T>,
-) -> Option<SimCounters> {
-    run_3d_replicated_cancellable_into(stencil, grid, config, iters, lanes, 1, cancel, out, scratch)
-}
-
-/// [`run_3d_cancellable_into`] with `replicas` independent chains over
-/// halo-overlapped spatial partitions of the x extent (see
-/// [`run_2d_replicated_cancellable_into`]; the y axis keeps the config's
-/// ordinary block spans in every replica).
+/// The 3D serving entry point (see [`run_2d_replicated_cancellable_into`]
+/// for the replica, cancellation and buffer contracts). Replicas partition
+/// the x extent; the y axis keeps the config's ordinary block spans in
+/// every replica. `cancel` is polled before each pass and each (x, y)
+/// block.
 ///
 /// # Panics
 /// Panics when `config` is not a validated 3D configuration, the buffer
@@ -501,7 +417,6 @@ pub fn run_3d_replicated_cancellable_into<T: Real>(
     grid: &Grid3D<T>,
     config: &BlockConfig,
     iters: usize,
-    lanes: usize,
     replicas: usize,
     cancel: &(dyn Fn() -> bool + Sync),
     out: &mut Grid3D<T>,
@@ -517,7 +432,7 @@ pub fn run_3d_replicated_cancellable_into<T: Real>(
         grid,
         config,
         iters,
-        lanes,
+        config.parvec,
         replicas,
         cancel,
         out,
@@ -640,36 +555,6 @@ fn run_block_3d<T: Real>(
     }
 }
 
-/// Runs the 3D accelerator with `replicas` spatially replicated chains over
-/// halo-overlapped x partitions (see [`run_3d_replicated_cancellable_into`]).
-/// Bit-exact with [`run_3d`] for every `replicas ≥ 1`.
-///
-/// # Panics
-/// Panics when `config` is not a validated 3D configuration or `replicas`
-/// is zero.
-pub fn run_3d_replicated<T: Real>(
-    stencil: &Stencil3D<T>,
-    grid: &Grid3D<T>,
-    config: &BlockConfig,
-    iters: usize,
-    replicas: usize,
-) -> Grid3D<T> {
-    let mut out = Grid3D::zeros(grid.nx(), grid.ny(), grid.nz()).expect("same shape as the input");
-    run_3d_passes(
-        stencil,
-        grid,
-        config,
-        iters,
-        config.parvec,
-        replicas,
-        &|| false,
-        &mut out,
-        None,
-    )
-    .expect("never-cancelled run cannot be cancelled");
-    out
-}
-
 pub use crate::serial_ref::run_3d_serial;
 
 #[cfg(test)]
@@ -753,6 +638,51 @@ mod tests {
         cells.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The serving entry point on fresh buffers.
+    fn serve_2d(
+        st: &Stencil2D<f32>,
+        grid: &Grid2D<f32>,
+        cfg: &BlockConfig,
+        iters: usize,
+        replicas: usize,
+        cancel: &(dyn Fn() -> bool + Sync),
+    ) -> Option<Grid2D<f32>> {
+        let (mut out, mut scratch) = (grid.clone(), grid.clone());
+        run_2d_replicated_cancellable_into(
+            st,
+            grid,
+            cfg,
+            iters,
+            replicas,
+            cancel,
+            &mut out,
+            &mut scratch,
+        )
+        .map(|_| out)
+    }
+
+    fn serve_3d(
+        st: &Stencil3D<f32>,
+        grid: &Grid3D<f32>,
+        cfg: &BlockConfig,
+        iters: usize,
+        replicas: usize,
+        cancel: &(dyn Fn() -> bool + Sync),
+    ) -> Option<Grid3D<f32>> {
+        let (mut out, mut scratch) = (grid.clone(), grid.clone());
+        run_3d_replicated_cancellable_into(
+            st,
+            grid,
+            cfg,
+            iters,
+            replicas,
+            cancel,
+            &mut out,
+            &mut scratch,
+        )
+        .map(|_| out)
+    }
+
     #[test]
     fn into_entry_points_overwrite_nan_buffers_for_every_pass_count() {
         // iters 0, 1, partime + 1 and 2·partime + 1 run 0, 1, 2 and 3
@@ -782,58 +712,30 @@ mod tests {
             for replicas in [1, 2] {
                 let what = format!("iters {iters}, replicas {replicas}");
                 let (mut out, mut scratch) = (nan_2d(), nan_2d());
-                let c = if replicas == 1 {
-                    run_2d_cancellable_into(
-                        &st,
-                        &grid,
-                        &cfg,
-                        iters,
-                        4,
-                        &|| false,
-                        &mut out,
-                        &mut scratch,
-                    )
-                } else {
-                    run_2d_replicated_cancellable_into(
-                        &st,
-                        &grid,
-                        &cfg,
-                        iters,
-                        4,
-                        replicas,
-                        &|| false,
-                        &mut out,
-                        &mut scratch,
-                    )
-                };
+                let c = run_2d_replicated_cancellable_into(
+                    &st,
+                    &grid,
+                    &cfg,
+                    iters,
+                    replicas,
+                    &|| false,
+                    &mut out,
+                    &mut scratch,
+                );
                 assert_eq!(c.unwrap().passes, passes, "2D {what}");
                 assert_eq!(bits(out.as_slice()), bits(expect.as_slice()), "2D {what}");
 
                 let (mut out3, mut scratch3) = (nan_3d(), nan_3d());
-                let c3 = if replicas == 1 {
-                    run_3d_cancellable_into(
-                        &st3,
-                        &grid3,
-                        &cfg3,
-                        iters,
-                        2,
-                        &|| false,
-                        &mut out3,
-                        &mut scratch3,
-                    )
-                } else {
-                    run_3d_replicated_cancellable_into(
-                        &st3,
-                        &grid3,
-                        &cfg3,
-                        iters,
-                        2,
-                        replicas,
-                        &|| false,
-                        &mut out3,
-                        &mut scratch3,
-                    )
-                };
+                let c3 = run_3d_replicated_cancellable_into(
+                    &st3,
+                    &grid3,
+                    &cfg3,
+                    iters,
+                    replicas,
+                    &|| false,
+                    &mut out3,
+                    &mut scratch3,
+                );
                 assert_eq!(c3.unwrap().passes, passes, "3D {what}");
                 assert_eq!(bits(out3.as_slice()), bits(expect3.as_slice()), "3D {what}");
             }
@@ -960,27 +862,16 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_never_cancelled_matches_plain_run() {
-        let st = Stencil2D::<f32>::random(2, 5).unwrap();
-        let cfg = BlockConfig::new_2d(2, 64, 4, 2).unwrap();
-        let grid = Grid2D::from_fn(90, 14, |x, y| ((x * 5 + y) % 11) as f32).unwrap();
-        let (plain, _) = run_2d_instrumented(&st, &grid, &cfg, 6);
-        let (cancellable, _) =
-            run_2d_cancellable(&st, &grid, &cfg, 6, cfg.parvec, &|| false).unwrap();
-        assert_eq!(plain, cancellable);
-    }
-
-    #[test]
     fn cancel_before_start_returns_none() {
         let st = Stencil2D::<f32>::random(1, 3).unwrap();
         let cfg = BlockConfig::new_2d(1, 32, 4, 4).unwrap();
         let grid = Grid2D::from_fn(40, 10, |x, y| (x + y) as f32).unwrap();
-        assert!(run_2d_cancellable(&st, &grid, &cfg, 8, 4, &|| true).is_none());
+        assert!(serve_2d(&st, &grid, &cfg, 8, 1, &|| true).is_none());
 
         let st3 = Stencil3D::<f32>::random(1, 3).unwrap();
         let cfg3 = BlockConfig::new_3d(1, 24, 24, 2, 4).unwrap();
         let grid3 = Grid3D::from_fn(12, 10, 6, |x, y, z| (x + y + z) as f32).unwrap();
-        assert!(run_3d_cancellable(&st3, &grid3, &cfg3, 8, 2, &|| true).is_none());
+        assert!(serve_3d(&st3, &grid3, &cfg3, 8, 1, &|| true).is_none());
     }
 
     #[test]
@@ -993,7 +884,7 @@ mod tests {
         let grid = Grid2D::from_fn(3 * cfg.csize_x(), 20, |x, y| (x * y % 13) as f32).unwrap();
         let polls = AtomicUsize::new(0);
         let cancel = || polls.fetch_add(1, Ordering::Relaxed) >= 4;
-        assert!(run_2d_cancellable(&st, &grid, &cfg, 12, 4, &cancel).is_none());
+        assert!(serve_2d(&st, &grid, &cfg, 12, 1, &cancel).is_none());
         assert!(polls.load(Ordering::Relaxed) >= 4);
     }
 
@@ -1033,7 +924,7 @@ mod tests {
         for r in [1usize, 2, 4] {
             // nx = 10, r = 4: partitions of width 2-3, narrower than halo 4.
             assert_eq!(
-                run_2d_replicated(&st, &grid, &cfg, 5, r),
+                serve_2d(&st, &grid, &cfg, 5, r, &|| false).unwrap(),
                 expect,
                 "replicas {r}"
             );
@@ -1044,7 +935,7 @@ mod tests {
         let expect3 = exec::run_3d(&st3, &grid3, 5);
         for r in [1usize, 2, 4] {
             assert_eq!(
-                run_3d_replicated(&st3, &grid3, &cfg3, 5, r),
+                serve_3d(&st3, &grid3, &cfg3, 5, r, &|| false).unwrap(),
                 expect3,
                 "replicas {r}"
             );
@@ -1057,7 +948,7 @@ mod tests {
         let st = Stencil2D::<f32>::uniform(1).unwrap();
         let cfg = BlockConfig::new_2d(1, 32, 4, 4).unwrap();
         let grid = Grid2D::from_fn(40, 10, |x, y| (x + y) as f32).unwrap();
-        let _ = run_2d_replicated(&st, &grid, &cfg, 1, 0);
+        let _ = serve_2d(&st, &grid, &cfg, 1, 0, &|| false);
     }
 
     #[test]

@@ -63,9 +63,7 @@ pub use counters::SimCounters;
 pub use device::FpgaDevice;
 pub use fmax::FmaxModel;
 pub use functional::{
-    replica_spans, run_2d_cancellable, run_2d_cancellable_into, run_2d_replicated,
-    run_2d_replicated_cancellable_into, run_3d_cancellable, run_3d_cancellable_into,
-    run_3d_replicated, run_3d_replicated_cancellable_into,
+    replica_spans, run_2d_replicated_cancellable_into, run_3d_replicated_cancellable_into,
 };
 pub use schedule::{CollapsedSchedule, LoopPoint};
 pub use serial_ref::{run_2d_serial, run_3d_serial};

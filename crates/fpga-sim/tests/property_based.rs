@@ -188,7 +188,11 @@ proptest! {
         let grid =
             Grid2D::from_fn(nx, ny, |x, y| ((x * 7 + y * 13 + seed as usize) % 31) as f32)
                 .unwrap();
-        let replicated = functional::run_2d_replicated(&st, &grid, &cfg, iters, replicas);
+        let (mut replicated, mut scratch) = (grid.clone(), grid.clone());
+        let counters = functional::run_2d_replicated_cancellable_into(
+            &st, &grid, &cfg, iters, replicas, &|| false, &mut replicated, &mut scratch,
+        );
+        prop_assert!(counters.is_some());
         prop_assert_eq!(&replicated, &functional::run_2d(&st, &grid, &cfg, iters));
         prop_assert_eq!(&replicated, &functional::run_2d_serial(&st, &grid, &cfg, iters));
     }
@@ -212,7 +216,11 @@ proptest! {
             ((x * 3 + y * 5 + z * 11 + seed as usize) % 29) as f32
         })
         .unwrap();
-        let replicated = functional::run_3d_replicated(&st, &grid, &cfg, iters, replicas);
+        let (mut replicated, mut scratch) = (grid.clone(), grid.clone());
+        let counters = functional::run_3d_replicated_cancellable_into(
+            &st, &grid, &cfg, iters, replicas, &|| false, &mut replicated, &mut scratch,
+        );
+        prop_assert!(counters.is_some());
         prop_assert_eq!(&replicated, &functional::run_3d(&st, &grid, &cfg, iters));
         prop_assert_eq!(&replicated, &functional::run_3d_serial(&st, &grid, &cfg, iters));
     }

@@ -2,10 +2,11 @@
 //!
 //! Every admitted job carries a [`CancelToken`]: a shared flag plus an
 //! optional absolute deadline. The token is *cooperative* — nothing is
-//! interrupted preemptively; the functional backend polls it at block
-//! boundaries (see `fpga_sim::functional::run_2d_cancellable`) and the
-//! worker polls it between attempts and batches. Once observed cancelled it
-//! stays cancelled (monotonic), which is the contract the block-loop hook
+//! interrupted preemptively; the executors poll it at block and row-band
+//! boundaries (see `fpga_sim::functional::run_2d_replicated_cancellable_into`
+//! and `cpu_engine::engines::parallel_2d_kernel_into`) and the worker polls
+//! it between attempts and batches. Once observed cancelled it stays
+//! cancelled (monotonic), which is the contract the block-loop hook
 //! requires.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -73,7 +73,6 @@ pub use report::{
     converged_at_fraction, validate_report_json, LatencySummary, PlannerReport, ServeReport,
     TraceReport,
 };
-pub use retry::RetryPolicy;
 pub use stream::{ResultSender, ResultStream};
 pub use tenant::{Tenant, TenantConfig, TenantPolicy, TenantRegistry, TenantSnapshot};
 pub use trace::{

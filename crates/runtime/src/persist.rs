@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
+use stencil_core::util::fnv1a64;
 
 /// Version stamped in the sidecar header. Bump whenever the header or
 /// shape-line schema changes; [`load_planner_memory`] rejects any other
@@ -200,17 +201,6 @@ struct Header {
     checksum: String,
 }
 
-/// FNV-1a 64 over bytes — the same hash the rest of the workspace uses
-/// for checksums.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Renders the sidecar to its exact on-disk bytes.
 fn render(memory: &PlannerMemory) -> String {
     let mut payload = String::new();
@@ -223,7 +213,7 @@ fn render(memory: &PlannerMemory) -> String {
         schema_version: PERSIST_SCHEMA_VERSION,
         device: memory.device.clone(),
         shapes: memory.shapes.len() as u64,
-        checksum: format!("{:016x}", fnv64(payload.as_bytes())),
+        checksum: format!("{:016x}", fnv1a64(payload.bytes())),
     };
     let mut out = serde_json::to_string(&header).expect("sidecar header serializes");
     out.push('\n');
@@ -270,7 +260,7 @@ pub fn parse_planner_memory(text: &str) -> Result<PlannerMemory, PersistError> {
         Some(i) => &text[i + 1..],
         None => "",
     };
-    let found = format!("{:016x}", fnv64(payload.as_bytes()));
+    let found = format!("{:016x}", fnv1a64(payload.bytes()));
     if found != header.checksum {
         // An empty payload with a non-matching checksum means the shape
         // lines were cut off, not corrupted.

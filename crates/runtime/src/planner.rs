@@ -1080,20 +1080,6 @@ pub fn place_program(
     })
 }
 
-impl Planner {
-    /// [`place_program`] against this planner's device profile.
-    ///
-    /// # Errors
-    /// See [`place_program`].
-    pub fn place_program(
-        &self,
-        spec: &JobSpec,
-        program: &StencilProgram,
-    ) -> Result<ProgramPlacement, PlanError> {
-        place_program(self.profile, spec, program)
-    }
-}
-
 /// Whether a candidate with estimated throughput `est_cells_per_sec` is
 /// predicted to finish `spec` inside its deadline (jobs without deadlines
 /// always fit). Half the deadline is budgeted for the run; the rest

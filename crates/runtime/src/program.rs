@@ -29,7 +29,7 @@
 
 use serde::{Deserialize, Serialize};
 use stencil_core::exec;
-use stencil_core::util::splitmix64;
+use stencil_core::util::{fnv1a64, splitmix64};
 use stencil_core::{Grid2D, Grid3D, Stencil2D, Stencil3D};
 
 /// Upper bound on program size: the serve report aggregates per-stage
@@ -389,7 +389,7 @@ impl StencilProgram {
     /// operator but two jobs with equal seed and program are bit-identical
     /// work.
     pub fn node_seed(&self, seed: u64, i: usize) -> u64 {
-        splitmix64(seed ^ fnv64(self.nodes[i].name.as_bytes()))
+        splitmix64(seed ^ fnv1a64(self.nodes[i].name.bytes()))
     }
 
     /// Fill seed for frame `frame` of source node `i`.
@@ -554,15 +554,6 @@ pub fn interpret_3d(
         }
         on_frame(frame, &combined);
     }
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

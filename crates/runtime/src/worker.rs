@@ -21,8 +21,8 @@
 //!    queued (they never run);
 //! 2. executes the spec on its backend inside `catch_unwind` — a worker
 //!    panic is a *transient job failure* absorbed at the shard boundary,
-//!    retried under the [`RetryPolicy`] with capped backoff, never a dead
-//!    worker;
+//!    retried on the [`crate::retry`] schedule with capped backoff, never
+//!    a dead worker;
 //! 3. polls the job's [`CancelToken`] (the functional block schedule and
 //!    the grid-resident executor additionally poll it at every block or
 //!    row band through their cancellation hooks);
@@ -53,7 +53,7 @@ use crate::pool::{GridLease2D, GridLease3D, GridPool, StencilMemo};
 use crate::program::{self, StencilProgram};
 use crate::queue::{AdmissionQueue, PushError, QueuedJob};
 use crate::report::StealTotals;
-use crate::retry::RetryPolicy;
+use crate::retry;
 use crate::stream::ResultSender;
 use crate::tenant::{Tenant, TenantPolicy, TenantRegistry, TenantSnapshot};
 use crate::trace::{outcome_label, AttemptSpan, TraceRecord, TraceWriter, TRACE_SCHEMA_VERSION};
@@ -69,9 +69,9 @@ use std::time::{Duration, Instant};
 use stencil_core::util::splitmix64;
 use stencil_core::{compile_star_2d, compile_star_3d, kernel_ir, Grid2D, Grid3D, KernelDesc};
 
-/// Everything tunable about a [`Runtime`]. Retries always run at
-/// [`RetryPolicy::serving_default`]; the planner and the grid pool take
-/// no configuration.
+/// Everything tunable about a [`Runtime`]. Retries always follow the fixed
+/// [`crate::retry`] schedule; the planner and the grid pool take no
+/// configuration.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Admission queue capacity (shared across all shards).
@@ -247,7 +247,6 @@ struct ShardCtx {
     /// The runtime's start instant — the origin every trace timestamp is
     /// measured from.
     epoch: Instant,
-    retry: RetryPolicy,
     batch: BatchPolicy,
     shadow_percent: u8,
     env: ExecEnv,
@@ -347,7 +346,6 @@ impl Runtime {
                     planner: Arc::clone(&planner),
                     tracer: Arc::clone(&tracer),
                     epoch: started,
-                    retry: RetryPolicy::serving_default(),
                     batch: config.batch,
                     shadow_percent: config.shadow_percent,
                     env: env.clone(),
@@ -661,15 +659,14 @@ fn process_job(ctx: &ShardCtx, job: QueuedJob) {
                 Ok(Err(Interrupted)) => break terminal_for_token(&token),
                 Err(_panic) => {
                     // Transient failure absorbed at the shard boundary.
-                    if ctx.retry.should_retry(attempts) && !token.is_cancelled() {
+                    if retry::should_retry(attempts) && !token.is_cancelled() {
                         ctx.metrics.counter("retries").inc();
                         // Decorrelated jitter keyed on job identity: a burst
                         // of simultaneous failures fans out instead of
                         // re-colliding, and a replayed workload sleeps the
                         // exact same schedule.
-                        let backoff = ctx
-                            .retry
-                            .backoff_jittered(spec.id ^ spec.seed.rotate_left(16), attempts);
+                        let backoff =
+                            retry::backoff_jittered(spec.id ^ spec.seed.rotate_left(16), attempts);
                         std::thread::sleep(backoff);
                         attempt_spans
                             .last_mut()
@@ -930,20 +927,16 @@ fn run_2d(
     let star = || env.stencils.stencil_2d(spec.rad, spec.seed);
     let cfg = || spec.block_config().expect("spec validated at admission");
     match (spec.backend, spec.kernel.is_some()) {
-        (Backend::Functional, false) => {
-            let cfg = cfg();
-            functional::run_2d_replicated_cancellable_into(
-                &star(),
-                input,
-                &cfg,
-                spec.iters,
-                cfg.parvec,
-                spec.replicas.get(),
-                &cancel,
-                out,
-                scratch,
-            )
-        }
+        (Backend::Functional, false) => functional::run_2d_replicated_cancellable_into(
+            &star(),
+            input,
+            &cfg(),
+            spec.iters,
+            spec.replicas.get(),
+            &cancel,
+            out,
+            scratch,
+        ),
         (Backend::Functional | Backend::CpuEngine, _) => {
             let kernel = match spec.kernel {
                 Some(_) => env
@@ -980,20 +973,16 @@ fn run_3d(
     let star = || env.stencils.stencil_3d(spec.rad, spec.seed);
     let cfg = || spec.block_config().expect("spec validated at admission");
     match (spec.backend, spec.kernel.is_some()) {
-        (Backend::Functional, false) => {
-            let cfg = cfg();
-            functional::run_3d_replicated_cancellable_into(
-                &star(),
-                input,
-                &cfg,
-                spec.iters,
-                cfg.parvec,
-                spec.replicas.get(),
-                &cancel,
-                out,
-                scratch,
-            )
-        }
+        (Backend::Functional, false) => functional::run_3d_replicated_cancellable_into(
+            &star(),
+            input,
+            &cfg(),
+            spec.iters,
+            spec.replicas.get(),
+            &cancel,
+            out,
+            scratch,
+        ),
         (Backend::Functional | Backend::CpuEngine, _) => {
             let kernel = match spec.kernel {
                 Some(_) => env
@@ -1185,7 +1174,6 @@ fn execute_program(
                     input,
                     &stage.config,
                     node.iters,
-                    stage.config.parvec,
                     stage.replicas,
                     &cancel,
                     out,
@@ -1210,7 +1198,6 @@ fn execute_program(
                     input,
                     &stage.config,
                     node.iters,
-                    stage.config.parvec,
                     stage.replicas,
                     &cancel,
                     out,

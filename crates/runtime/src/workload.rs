@@ -384,6 +384,11 @@ impl<R: BufRead> JsonlStream<R> {
     pub fn new(reader: R) -> JsonlStream<R> {
         JsonlStream { reader, lineno: 0 }
     }
+
+    /// The 1-based line number of the last item yielded.
+    pub fn line(&self) -> usize {
+        self.lineno
+    }
 }
 
 impl<R: BufRead> Iterator for JsonlStream<R> {

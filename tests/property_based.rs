@@ -48,17 +48,19 @@ proptest! {
     }
 
     /// The wavefront CPU engine equals the oracle for arbitrary fusion
-    /// depths and block widths.
+    /// depths, block widths and grid shapes (down to one cell per axis).
     #[test]
     fn wavefront_equals_oracle(
         rad in 1usize..=4,
-        block_x in 3usize..40,
+        block_x in 1usize..40,
         tsteps in 1usize..6,
-        iters in 1usize..9,
+        nx in 1usize..=48,
+        ny in 1usize..=17,
+        iters in 0usize..9,
         seed in 0u64..1000,
     ) {
         let st = Stencil2D::<f32>::random(rad, seed).unwrap();
-        let grid = Grid2D::from_fn(45, 17, |x, y| ((x * 13 + y * 7) % 31) as f32).unwrap();
+        let grid = Grid2D::from_fn(nx, ny, |x, y| ((x * 13 + y * 7) % 31) as f32).unwrap();
         let got = cpu_engine::wavefront_2d(&st, &grid, iters, block_x, tsteps);
         let want = exec::run_2d(&st, &grid, iters);
         prop_assert_eq!(got, want);
@@ -153,12 +155,12 @@ proptest! {
     }
 
     /// The vector-folded CPU engine equals the oracle for arbitrary grid
-    /// shapes (partial tiles included).
+    /// shapes (partial tiles and single-cell axes included).
     #[test]
     fn folded_engine_equals_oracle(
         rad in 1usize..=4,
-        nx in 5usize..40,
-        ny in 5usize..40,
+        nx in 1usize..40,
+        ny in 1usize..40,
         iters in 0usize..6,
         seed in 0u64..500,
     ) {
@@ -193,5 +195,34 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The 3D vector-folded and wavefront CPU engines equal the oracle for
+    /// arbitrary grid shapes (down to one cell per axis), block extents and
+    /// fusion depths.
+    #[test]
+    fn folded_and_wavefront_3d_equal_oracle(
+        rad in 1usize..=3,
+        block_x in 1usize..=16,
+        block_y in 1usize..=12,
+        tsteps in 1usize..=3,
+        nx in 1usize..=18,
+        ny in 1usize..=12,
+        nz in 1usize..=7,
+        iters in 0usize..=4,
+        seed in 0u64..1_000,
+    ) {
+        let st = Stencil3D::<f32>::random(rad, seed).unwrap();
+        let grid = Grid3D::from_fn(nx, ny, nz, |x, y, z| {
+            ((x * 3 + y * 5 + z * 11 + seed as usize) % 29) as f32
+        }).unwrap();
+        let want = exec::run_3d(&st, &grid, iters);
+        prop_assert_eq!(&cpu_engine::folded_run_3d(&st, &grid, iters), &want);
+        let got = cpu_engine::wavefront_3d(&st, &grid, iters, block_x, block_y, tsteps);
+        prop_assert_eq!(&got, &want);
     }
 }

@@ -42,7 +42,6 @@ pub mod real;
 pub mod specialize;
 pub mod stats;
 pub mod stencil;
-pub mod symmetric;
 pub mod util;
 pub mod wave;
 
@@ -58,5 +57,4 @@ pub use specialize::{
 };
 pub use stats::FieldStats;
 pub use stencil::{Arm2, Arm3, Direction, Stencil2D, Stencil3D};
-pub use symmetric::{SymmetricStencil2D, SymmetricStencil3D};
 pub use wave::WaveKernel;

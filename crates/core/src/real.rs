@@ -99,20 +99,6 @@ macro_rules! impl_real {
 impl_real!(f32);
 impl_real!(f64);
 
-/// Relative-or-absolute closeness test used by tests and validators.
-///
-/// Returns `true` when `|a - b| <= atol + rtol * max(|a|, |b|)`.
-pub fn approx_eq<T: Real>(a: T, b: T, rtol: f64, atol: f64) -> bool {
-    let (a, b) = (a.to_f64(), b.to_f64());
-    if !a.is_finite() || !b.is_finite() {
-        return false;
-    }
-    if a == b {
-        return true;
-    }
-    (a - b).abs() <= atol + rtol * a.abs().max(b.abs())
-}
-
 /// Maximum absolute difference between two equally-long slices.
 ///
 /// # Panics
@@ -147,23 +133,6 @@ mod tests {
     fn from_usize_is_exact_for_small_integers() {
         assert_eq!(<f32 as Real>::from_usize(42), 42.0);
         assert_eq!(<f64 as Real>::from_usize(1 << 20), (1u64 << 20) as f64);
-    }
-
-    #[test]
-    fn approx_eq_exact() {
-        assert!(approx_eq(1.0f32, 1.0f32, 0.0, 0.0));
-    }
-
-    #[test]
-    fn approx_eq_within_rtol() {
-        assert!(approx_eq(100.0f64, 100.0 + 1e-9, 1e-10, 0.0));
-        assert!(!approx_eq(100.0f64, 100.1, 1e-10, 0.0));
-    }
-
-    #[test]
-    fn approx_eq_rejects_nan_and_inf() {
-        assert!(!approx_eq(f32::NAN, f32::NAN, 1.0, 1.0));
-        assert!(!approx_eq(f32::INFINITY, f32::INFINITY, 1.0, 1.0));
     }
 
     #[test]

@@ -60,13 +60,27 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The FNV-1a 64 offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The FNV-1a 64 prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64 over a byte stream — the workspace's stable byte hash: the
 /// planner-memory sidecar checksum, program node seeds and the
 /// compiled-kernel cache key. Stable across runs and platforms.
 pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    fnv1a64_lanes(bytes.into_iter().map(u64::from))
+}
+
+/// The FNV-1a fold over whole 64-bit lanes: each lane is XORed in, then
+/// one multiply. A byte XORed in as a lane gives [`fnv1a64`]'s value, so
+/// the same fold also hashes wide data at one multiply per lane (output
+/// checksums, frame-checksum folds, candidate-table fingerprints).
+pub fn fnv1a64_lanes(lanes: impl IntoIterator<Item = u64>) -> u64 {
+    lanes
+        .into_iter()
+        .fold(FNV_OFFSET, |h, v| (h ^ v).wrapping_mul(FNV_PRIME))
 }
 
 /// Rounds `v` up to the next multiple of `m`.

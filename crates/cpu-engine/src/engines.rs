@@ -28,11 +28,9 @@ pub const CPU_LANES: usize = 8;
 pub const ROW_BAND: usize = 32;
 
 /// Spatial tile sizes for the cache-blocked engines. A dimension of 0 means
-/// "unblocked".
+/// "unblocked"; x is never blocked, so rows always stream whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tile {
-    /// Tile width along x (0 = full row).
-    pub tx: usize,
     /// Tile height along y.
     pub ty: usize,
     /// Tile depth along z (3D only).
@@ -41,20 +39,12 @@ pub struct Tile {
 
 impl Tile {
     /// An unblocked tile (degenerates to the naive loop order).
-    pub const NONE: Tile = Tile {
-        tx: 0,
-        ty: 0,
-        tz: 0,
-    };
+    pub const NONE: Tile = Tile { ty: 0, tz: 0 };
 
     /// YASK-flavoured default: block y (and z) to keep the working set in
     /// L2, leave x unblocked for streamy vector access.
     pub fn yask_default() -> Tile {
-        Tile {
-            tx: 0,
-            ty: 32,
-            tz: 32,
-        }
+        Tile { ty: 32, tz: 32 }
     }
 
     fn eff(v: usize, n: usize) -> usize {
@@ -76,8 +66,9 @@ pub fn naive_3d<T: Real>(st: &Stencil3D<T>, grid: &Grid3D<T>, iters: usize) -> G
     compile_star_3d(st, CPU_LANES).run(grid, iters)
 }
 
-/// Cache-tiled engine: iterates y (and z) in tiles so the stencil's
-/// working set stays cache-resident; within a tile, rows stream along x.
+/// Cache-tiled engine: iterates y in tiles of `tile.ty` rows; within a
+/// tile, rows stream whole along x. With whole rows the tiles cover y in
+/// order, so it visits rows in [`naive_2d`]'s order.
 pub fn tiled_2d<T: Real>(
     st: &Stencil2D<T>,
     grid: &Grid2D<T>,
@@ -103,7 +94,8 @@ pub fn tiled_2d<T: Real>(
     cur
 }
 
-/// Cache-tiled 3D engine.
+/// Cache-tiled 3D engine: iterates z and y in tiles so the stencil's
+/// working set stays cache-resident; within a tile, rows stream along x.
 pub fn tiled_3d<T: Real>(
     st: &Stencil3D<T>,
     grid: &Grid3D<T>,
@@ -351,13 +343,13 @@ mod tests {
         let st = Stencil2D::<f32>::random(2, 3).unwrap();
         let oracle = exec::run_2d(&st, &grid2(), 4);
         for ty in [1, 5, 23, 100] {
-            let tile = Tile { tx: 0, ty, tz: 0 };
+            let tile = Tile { ty, tz: 0 };
             assert_eq!(tiled_2d(&st, &grid2(), 4, tile), oracle, "ty {ty}");
         }
         let st3 = Stencil3D::<f32>::random(3, 4).unwrap();
         let oracle3 = exec::run_3d(&st3, &grid3(), 2);
         for (ty, tz) in [(4, 4), (13, 3), (1, 1)] {
-            let tile = Tile { tx: 0, ty, tz };
+            let tile = Tile { ty, tz };
             assert_eq!(tiled_3d(&st3, &grid3(), 2, tile), oracle3, "tile {ty}x{tz}");
         }
     }

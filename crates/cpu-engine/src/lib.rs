@@ -3,8 +3,8 @@
 //! CPU stencil engines standing in for the paper's YASK baseline on Xeon /
 //! Xeon Phi: a naive sweep, a cache-tiled sweep, a rayon-parallel engine
 //! (all bit-exact with the `stencil-core` oracle), temporal wave-front
-//! blocking (to reproduce §V.B's "temporal blocking is ineffective on
-//! cache-based architectures"), and throughput measurement helpers.
+//! blocking (§V.B's experiment; see [`wavefront`] for why it does not yet
+//! reproduce the claim), and throughput measurement helpers.
 //!
 //! ```
 //! use cpu_engine::engines;
@@ -26,7 +26,6 @@
 pub mod engines;
 pub mod folded;
 pub mod measure;
-pub mod padded;
 pub mod wavefront;
 
 pub use engines::{
@@ -37,5 +36,4 @@ pub use folded::{
     distinct_blocks_touched, distinct_blocks_touched_3d, folded_run_2d, folded_run_3d,
     FoldedGrid2D, FoldedGrid3D,
 };
-pub use padded::{padded_run_2d, PaddedGrid2D};
 pub use wavefront::{wavefront_2d, wavefront_3d};

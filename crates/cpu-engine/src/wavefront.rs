@@ -6,8 +6,10 @@
 //! module implements overlapped temporal blocking for the CPU (the same
 //! scheme the FPGA uses: per-block halo of `tsteps · rad`, redundant halo
 //! computation, `tsteps` in-cache time steps per sweep) so the claim can be
-//! reproduced: the redundant computation and extra cache traffic eat the
-//! bandwidth savings on cache-based architectures.
+//! tested. It does not test it yet: the fused steps run a scalar per-cell
+//! loop (`step_scratch`), while the flat sweeps it is compared with run the
+//! 8-lane compiled row kernel, so a measured gap is mostly the row loops
+//! (EXPERIMENTS.md §V.B).
 //!
 //! Results are bit-exact with the oracle: taps clamp by *global* coordinate
 //! exactly like the FPGA PE, so committed cells never see halo garbage.

@@ -65,11 +65,6 @@ impl Channel {
         self
     }
 
-    /// The channel's timing parameters.
-    pub fn timings(&self) -> &DdrTimings {
-        &self.timings
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &ChannelStats {
         &self.stats

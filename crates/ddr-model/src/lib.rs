@@ -74,14 +74,14 @@ mod proptests {
         fn cycles_bounded(
             reqs in prop::collection::vec((0u64..1 << 22, 1u64..256), 1..100)
         ) {
-            let mut ch = Channel::new(DdrTimings::ddr4_2133());
+            let t = DdrTimings::ddr4_2133();
+            let mut ch = Channel::new(t);
             let mut total = 0u64;
             for (addr, bytes) in &reqs {
                 total += ch.service(&Request::read(*addr, *bytes));
             }
             let s = *ch.stats();
             prop_assert_eq!(s.busy_cycles, total);
-            let t = *ch.timings();
             let min_lines = s.useful_bytes.div_ceil(t.burst_bytes());
             prop_assert!(s.lines_charged >= min_lines.saturating_sub(s.requests),
                 "coalescing can merge at most one line per request");

@@ -61,12 +61,6 @@ impl Request {
     pub fn lines_touched(&self, line_bytes: u64) -> u64 {
         self.last_line(line_bytes) - self.first_line(line_bytes) + 1
     }
-
-    /// `true` when the request fits in a single burst line.
-    #[inline]
-    pub fn is_line_aligned(&self, line_bytes: u64) -> bool {
-        self.lines_touched(line_bytes) == 1
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +71,6 @@ mod tests {
     fn aligned_request_touches_one_line() {
         let r = Request::read(0, 64);
         assert_eq!(r.lines_touched(64), 1);
-        assert!(r.is_line_aligned(64));
         let r = Request::read(64, 64);
         assert_eq!(r.lines_touched(64), 1);
     }
@@ -87,7 +80,6 @@ mod tests {
         // 64 B at offset 16 spans two lines — the paper's 3D parvec=16 case.
         let r = Request::read(16, 64);
         assert_eq!(r.lines_touched(64), 2);
-        assert!(!r.is_line_aligned(64));
     }
 
     #[test]

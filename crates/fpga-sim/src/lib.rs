@@ -49,11 +49,9 @@ pub mod fmax;
 pub mod functional;
 pub mod pe;
 pub mod power;
-pub mod schedule;
 pub mod serial_ref;
 pub mod shift_register;
 pub mod timing;
-pub mod transfer;
 pub mod unblocked;
 
 pub use accelerator::Accelerator;
@@ -65,8 +63,6 @@ pub use fmax::FmaxModel;
 pub use functional::{
     replica_spans, run_2d_replicated_cancellable_into, run_3d_replicated_cancellable_into,
 };
-pub use schedule::{CollapsedSchedule, LoopPoint};
 pub use serial_ref::{run_2d_serial, run_3d_serial};
 pub use shift_register::ShiftRegister;
 pub use timing::{GridDims, TimingOptions, TimingReport};
-pub use transfer::HostLink;

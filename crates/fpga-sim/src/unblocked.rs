@@ -5,30 +5,19 @@
 //! there is no halo and no redundant computation — speedup is linear in the
 //! chain depth — but the input row/plane size is capped by on-chip memory,
 //! "even more limiting for high-order stencils, due to higher on-chip memory
-//! requirement". This module models that architecture so the paper's §II
-//! argument is quantitative:
-//!
-//! * [`max_width_2d`] / [`max_plane_3d`] — the largest input the BRAM budget
-//!   admits for a given radius and chain depth;
-//! * [`run_2d`] — functional execution (a single full-width block, zero
-//!   halo), bit-exact with the oracle whenever the input fits;
-//! * `speedup_is_linear`-style accounting lives in the tests: without halo
-//!   the committed throughput is exactly `parvec × partime` per cycle.
+//! requirement". This module sizes that cap so the paper's §II argument is
+//! quantitative: [`max_width_2d`] / [`max_plane_3d`] give the largest input
+//! the BRAM budget admits for a given radius and chain depth (`tables
+//! priorwork` prints them).
 
 use crate::device::FpgaDevice;
-use stencil_core::{BlockConfig, Grid2D, Real, Result, Stencil2D, StencilError};
-
-/// Cell-level shift-register size of the unblocked design (the whole row
-/// is the "block"): `2·rad·nx + parvec` per PE.
-pub fn shift_register_cells_2d(rad: usize, nx: usize, parvec: usize) -> usize {
-    2 * rad * nx + parvec
-}
 
 /// Largest grid width a 2D unblocked design supports on `device` for the
 /// given radius and chain depth (same physical-BRAM model as the blocked
 /// design: replication factor and channel FIFOs included).
 pub fn max_width_2d(device: &FpgaDevice, rad: usize, partime: usize, parvec: usize) -> usize {
-    // Physical bits ≈ partime · sr_cells · 32 · repl + fifo; solve for nx.
+    // Physical bits ≈ partime · sr_cells · 32 · repl + fifo, where the
+    // whole row is the block (sr_cells = 2·rad·nx + parvec); solve for nx.
     let repl = 1.9; // 2D replication factor (see `area`)
     let fifo = (partime * parvec * 32 * 256) as f64;
     let budget = device.m20k_bits as f64 - fifo;
@@ -61,62 +50,9 @@ pub fn max_plane_3d(device: &FpgaDevice, rad: usize, partime: usize, parvec: usi
     }
 }
 
-/// Functionally executes the unblocked design: the whole grid is one block
-/// with zero halo (no redundant computation). Fails when the grid does not
-/// fit the device.
-///
-/// # Errors
-/// Returns [`StencilError::Mismatch`] when `grid.nx()` exceeds
-/// [`max_width_2d`].
-pub fn run_2d<T: Real>(
-    device: &FpgaDevice,
-    stencil: &Stencil2D<T>,
-    grid: &Grid2D<T>,
-    partime: usize,
-    parvec: usize,
-    iters: usize,
-) -> Result<Grid2D<T>> {
-    let rad = stencil.radius();
-    let limit = max_width_2d(device, rad, partime, parvec);
-    if grid.nx() > limit {
-        return Err(StencilError::Mismatch {
-            reason: format!(
-                "unblocked design: width {} exceeds the on-chip limit {} (rad {rad}, partime {partime})",
-                grid.nx(),
-                limit
-            ),
-        });
-    }
-    // One full-width block: bsize covers the whole grid including the halo
-    // region the geometry requires; with csize >= nx the schedule has a
-    // single block and the write region is the whole grid.
-    let need = grid.nx() + 2 * partime * rad;
-    let bsize = need.div_ceil(parvec) * parvec;
-    let cfg = BlockConfig::new_2d(rad, bsize, parvec, partime)?;
-    Ok(crate::functional::run_2d(stencil, grid, &cfg, iters))
-}
-
-/// The committed-throughput advantage of the unblocked design: cells per
-/// cycle with no redundancy (`parvec × partime`) versus the overlapped
-/// design's `parvec × partime / redundancy`.
-pub fn linear_speedup_factor(config: &BlockConfig) -> f64 {
-    config.redundancy()
-}
-
-/// Area check used by the comparison experiment: whether the unblocked
-/// design fits at all.
-pub fn fits_2d(device: &FpgaDevice, rad: usize, nx: usize, partime: usize, parvec: usize) -> bool {
-    let sr_bits = (shift_register_cells_2d(rad, nx, parvec) * 32) as u64;
-    let logical = sr_bits * partime as u64;
-    let physical = (logical as f64 * 1.9) as u64 + (partime * parvec * 32 * 256) as u64;
-    // DSP budget is identical to the blocked design's (Eq. 4).
-    physical <= device.m20k_bits && (partime * parvec * (4 * rad + 1)) as u64 <= device.dsps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::exec;
 
     fn arria() -> FpgaDevice {
         FpgaDevice::arria10_gx1150()
@@ -153,36 +89,7 @@ mod tests {
                 limit < 15680,
                 "rad {rad}: unblocked limit {limit} would fit the paper's grids"
             );
-            assert!(!fits_2d(&d, rad, 15680, 42 / rad, 4), "rad {rad}");
         }
-    }
-
-    #[test]
-    fn small_grids_run_and_match_oracle() {
-        let d = arria();
-        let st = Stencil2D::<f32>::random(2, 44).unwrap();
-        let grid = Grid2D::from_fn(96, 40, |x, y| ((x * 3 + y) % 17) as f32).unwrap();
-        let out = run_2d(&d, &st, &grid, 4, 4, 9).unwrap();
-        assert_eq!(out, exec::run_2d(&st, &grid, 9));
-    }
-
-    #[test]
-    fn oversized_grid_rejected() {
-        let d = arria();
-        let st = Stencil2D::<f32>::random(4, 44).unwrap();
-        let grid = Grid2D::from_fn(60_000, 4, |x, y| (x + y) as f32).unwrap();
-        let err = run_2d(&d, &st, &grid, 8, 4, 1).unwrap_err();
-        assert!(err.to_string().contains("on-chip limit"));
-    }
-
-    #[test]
-    fn no_redundancy_means_linear_scaling() {
-        // The overlapped design pays `redundancy`; the unblocked one pays 1.
-        let cfg = BlockConfig::new_2d(2, 4096, 4, 42).unwrap();
-        assert!(linear_speedup_factor(&cfg) > 1.0);
-        // A one-block whole-grid "unblocked" schedule commits every cell it
-        // reads except the geometric halo; for the real unblocked design the
-        // factor is 1 by construction (no spatial halo at all).
     }
 
     #[test]

@@ -8,22 +8,14 @@
 //!
 //! This module is that generator: for every direction and distance it emits
 //! straight-line OpenCL that computes the shift-register tap index for each
-//! vector lane, with the boundary condition folded into a ternary select
-//! (which the HLS compiler maps to a mux rather than a branch).
-//!
-//! The boundary condition itself is *not* this crate's type: it is
-//! [`stencil_core::BoundaryCond`], the kernel IR's shared enumeration, so
-//! OpenCL emission and host execution resolve out-of-range taps through the
-//! same three formulas ([`BoundaryCond::resolve`]). Clamp is the paper's
-//! condition; periodic and reflective are emitted for the runtime's
-//! open-ended kernel space. Non-clamp conditions are only valid in the
-//! *blocked* dimensions — a streaming design cannot wrap or reflect in the
-//! streamed dimension, because the forward taps it would need are rows that
-//! have not been streamed in yet; the host layer enforces that restriction
-//! (the simulator's PEs reject non-clamp descs the same way).
+//! vector lane, with the clamp folded into a ternary select (which the HLS
+//! compiler maps to a mux rather than a branch). Clamp is the paper's
+//! condition and the only one emitted; the selects implement the same
+//! formula the host executors resolve taps through
+//! ([`stencil_core::BoundaryCond::Clamp`]), which the tests check position
+//! by position.
 
 use std::fmt::Write;
-use stencil_core::BoundaryCond;
 
 /// One generated tap: variable name plus the code that computes it.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,44 +27,27 @@ pub struct Tap {
 }
 
 /// The select expression for a *backward* tap offset (west / south / below)
-/// of distance `d` at position expression `pos` on an axis of extent macro
+/// of distance `d` at position expression `pos` on an axis of any extent
 /// `len`: the emitted value `off` satisfies
-/// `pos - off == BoundaryCond::resolve(pos - d, len)`.
-fn lo_offset_expr(bc: BoundaryCond, d: usize, pos: &str, len: &str) -> String {
-    match bc {
-        BoundaryCond::Clamp => format!("({pos} >= {d}) ? {d} : {pos}"),
-        BoundaryCond::Periodic => format!("({pos} >= {d}) ? {d} : ({d} - {len})"),
-        BoundaryCond::Reflective => {
-            format!("({pos} >= {d}) ? {d} : (2 * {pos} - {d} + 1)")
-        }
-    }
+/// `pos - off == BoundaryCond::Clamp.resolve(pos - d, len)`.
+fn lo_offset_expr(d: usize, pos: &str) -> String {
+    format!("({pos} >= {d}) ? {d} : {pos}")
 }
 
-/// The select expression for a *forward* tap offset (east / north / above):
-/// the emitted value `off` satisfies
-/// `pos + off == BoundaryCond::resolve(pos + d, len)`.
-fn hi_offset_expr(bc: BoundaryCond, d: usize, pos: &str, len: &str) -> String {
-    match bc {
-        BoundaryCond::Clamp => {
-            format!("({pos} < {len} - {d}) ? {d} : ({len} - 1 - {pos})")
-        }
-        BoundaryCond::Periodic => {
-            format!("({pos} < {len} - {d}) ? {d} : ({d} - {len})")
-        }
-        BoundaryCond::Reflective => {
-            format!("({pos} < {len} - {d}) ? {d} : (2 * {len} - 1 - 2 * {pos} - {d})")
-        }
-    }
+/// The select expression for a *forward* tap offset (east / north / above)
+/// on an axis of extent macro `len`: the emitted value `off` satisfies
+/// `pos + off == BoundaryCond::Clamp.resolve(pos + d, len)`.
+fn hi_offset_expr(d: usize, pos: &str, len: &str) -> String {
+    format!("({pos} < {len} - {d}) ? {d} : ({len} - 1 - {pos})")
 }
 
-/// Generates the x-direction taps (west/east) for one vector lane under a
-/// boundary condition.
+/// Generates the x-direction taps (west/east) for one vector lane.
 ///
 /// `gx<lane>` is the lane's global x expression, `NX` the grid-width macro,
 /// `sr` the shift-register array and `sr_center_l<lane>` the lane's
 /// shift-register index expression. West taps subtract from the index, east
 /// taps add.
-pub fn x_taps_bc(rad: usize, lane: usize, bc: BoundaryCond) -> Vec<Tap> {
+pub fn x_taps(rad: usize, lane: usize) -> Vec<Tap> {
     let mut out = Vec::with_capacity(2 * rad);
     let pos = format!("gx{lane}");
     for d in 1..=rad {
@@ -80,9 +55,8 @@ pub fn x_taps_bc(rad: usize, lane: usize, bc: BoundaryCond) -> Vec<Tap> {
         let mut code = String::new();
         writeln!(
             code,
-            "    const int {name}_off = {}; // {}: out-of-bound index select",
-            lo_offset_expr(bc, d, &pos, "NX"),
-            bc.name()
+            "    const int {name}_off = {}; // clamp: out-of-bound index select",
+            lo_offset_expr(d, &pos)
         )
         .unwrap();
         writeln!(
@@ -97,7 +71,7 @@ pub fn x_taps_bc(rad: usize, lane: usize, bc: BoundaryCond) -> Vec<Tap> {
         writeln!(
             code,
             "    const int {name}_off = {};",
-            hi_offset_expr(bc, d, &pos, "NX")
+            hi_offset_expr(d, &pos, "NX")
         )
         .unwrap();
         writeln!(
@@ -110,20 +84,10 @@ pub fn x_taps_bc(rad: usize, lane: usize, bc: BoundaryCond) -> Vec<Tap> {
     out
 }
 
-/// Clamp-boundary x taps — the paper's condition (see [`x_taps_bc`]).
-pub fn x_taps(rad: usize, lane: usize) -> Vec<Tap> {
-    x_taps_bc(rad, lane, BoundaryCond::Clamp)
-}
-
 /// Generates the streamed-dimension taps (south/north for 2D, below/above
-/// for 3D) under a boundary condition: whole-row offsets of
-/// `±d · row_stride`, index-selected against the stream position.
-///
-/// Streamed dimensions must use [`BoundaryCond::Clamp`] in a real streaming
-/// design (see the module docs); the generator still emits the other two so
-/// the full select table is covered by one code path.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_taps_bc(
+/// for 3D): whole-row offsets of `±d · row_stride`, index-selected against
+/// the stream position.
+pub fn stream_taps(
     rad: usize,
     lane: usize,
     dim_len_macro: &str,
@@ -131,7 +95,6 @@ pub fn stream_taps_bc(
     stride_macro: &str,
     lo_name: &str,
     hi_name: &str,
-    bc: BoundaryCond,
 ) -> Vec<Tap> {
     let mut out = Vec::with_capacity(2 * rad);
     for d in 1..=rad {
@@ -140,7 +103,7 @@ pub fn stream_taps_bc(
         writeln!(
             code,
             "    const int {name}_off = {};",
-            lo_offset_expr(bc, d, pos_var, dim_len_macro)
+            lo_offset_expr(d, pos_var)
         )
         .unwrap();
         writeln!(
@@ -155,7 +118,7 @@ pub fn stream_taps_bc(
         writeln!(
             code,
             "    const int {name}_off = {};",
-            hi_offset_expr(bc, d, pos_var, dim_len_macro)
+            hi_offset_expr(d, pos_var, dim_len_macro)
         )
         .unwrap();
         writeln!(
@@ -168,52 +131,22 @@ pub fn stream_taps_bc(
     out
 }
 
-/// Clamp-boundary streamed-dimension taps (see [`stream_taps_bc`]).
-pub fn stream_taps(
-    rad: usize,
-    lane: usize,
-    dim_len_macro: &str,
-    pos_var: &str,
-    stride_macro: &str,
-    lo_name: &str,
-    hi_name: &str,
-) -> Vec<Tap> {
-    stream_taps_bc(
-        rad,
-        lane,
-        dim_len_macro,
-        pos_var,
-        stride_macro,
-        lo_name,
-        hi_name,
-        BoundaryCond::Clamp,
-    )
-}
-
 /// Generates the y-direction taps for a 3D kernel (blocked dimension inside
-/// the plane) under a boundary condition: `±d · BSIZE_X` index selects
-/// against the global y.
-pub fn y_taps_3d_bc(rad: usize, lane: usize, bc: BoundaryCond) -> Vec<Tap> {
-    stream_taps_bc(rad, lane, "NY", "gy", "BSIZE_X", "south", "north", bc)
-}
-
-/// Clamp-boundary 3D y taps (see [`y_taps_3d_bc`]).
+/// the plane): `±d · BSIZE_X` index selects against the global y.
 pub fn y_taps_3d(rad: usize, lane: usize) -> Vec<Tap> {
-    y_taps_3d_bc(rad, lane, BoundaryCond::Clamp)
+    stream_taps(rad, lane, "NY", "gy", "BSIZE_X", "south", "north")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stencil_core::BoundaryCond;
 
     #[test]
     fn tap_count_is_two_per_distance() {
         for rad in 1..=4 {
             assert_eq!(x_taps(rad, 0).len(), 2 * rad);
             assert_eq!(y_taps_3d(rad, 0).len(), 2 * rad);
-            for bc in BoundaryCond::ALL {
-                assert_eq!(x_taps_bc(rad, 0, bc).len(), 2 * rad);
-            }
         }
     }
 
@@ -233,92 +166,31 @@ mod tests {
         assert!(east3.code.contains("(gx1 < NX - 3) ? 3 : (NX - 1 - gx1)"));
     }
 
-    #[test]
-    fn periodic_and_reflective_emit_their_selects() {
-        let taps = x_taps_bc(2, 0, BoundaryCond::Periodic);
-        assert!(taps[0].code.contains("(gx0 >= 1) ? 1 : (1 - NX)"));
-        assert!(taps[1].code.contains("(gx0 < NX - 1) ? 1 : (1 - NX)"));
-        let taps = x_taps_bc(2, 0, BoundaryCond::Reflective);
-        assert!(taps[0].code.contains("(gx0 >= 1) ? 1 : (2 * gx0 - 1 + 1)"));
-        assert!(taps[3]
-            .code
-            .contains("(gx0 < NX - 2) ? 2 : (2 * NX - 1 - 2 * gx0 - 2)"));
-    }
-
     /// The emitted select expressions must implement the exact
-    /// [`BoundaryCond::resolve`] arithmetic — this evaluates each formula
-    /// (as emitted, branch for branch) over every in-range position and
-    /// compares with the shared IR, so OpenCL emission and host execution
-    /// provably agree. Out-of-range wrap taps stay within one period, the
-    /// same domain `resolve` serves.
+    /// [`BoundaryCond::Clamp`] resolve arithmetic — this evaluates each
+    /// formula (as emitted, branch for branch) over every in-range position
+    /// and compares with the shared IR, so OpenCL emission and host
+    /// execution provably agree.
     #[test]
     fn offset_selects_match_shared_resolve() {
-        for bc in BoundaryCond::ALL {
-            for n in [1i64, 2, 5, 9] {
-                for d in 1..=4i64 {
-                    if bc != BoundaryCond::Clamp && d > n {
-                        continue; // wrap/reflect past one period needs iteration
-                    }
-                    for pos in 0..n {
-                        // lo (west/south/below): emitted `pos - off`.
-                        let off = match bc {
-                            BoundaryCond::Clamp => {
-                                if pos >= d {
-                                    d
-                                } else {
-                                    pos
-                                }
-                            }
-                            BoundaryCond::Periodic => {
-                                if pos >= d {
-                                    d
-                                } else {
-                                    d - n
-                                }
-                            }
-                            BoundaryCond::Reflective => {
-                                if pos >= d {
-                                    d
-                                } else {
-                                    2 * pos - d + 1
-                                }
-                            }
-                        };
-                        assert_eq!(
-                            (pos - off) as usize,
-                            bc.resolve(pos - d, n),
-                            "{bc} lo n={n} d={d} pos={pos}"
-                        );
-                        // hi (east/north/above): emitted `pos + off`.
-                        let off = match bc {
-                            BoundaryCond::Clamp => {
-                                if pos < n - d {
-                                    d
-                                } else {
-                                    n - 1 - pos
-                                }
-                            }
-                            BoundaryCond::Periodic => {
-                                if pos < n - d {
-                                    d
-                                } else {
-                                    d - n
-                                }
-                            }
-                            BoundaryCond::Reflective => {
-                                if pos < n - d {
-                                    d
-                                } else {
-                                    2 * n - 1 - 2 * pos - d
-                                }
-                            }
-                        };
-                        assert_eq!(
-                            (pos + off) as usize,
-                            bc.resolve(pos + d, n),
-                            "{bc} hi n={n} d={d} pos={pos}"
-                        );
-                    }
+        let bc = BoundaryCond::Clamp;
+        for n in [1i64, 2, 5, 9] {
+            for d in 1..=4i64 {
+                for pos in 0..n {
+                    // lo (west/south/below): emitted `pos - off`.
+                    let off = if pos >= d { d } else { pos };
+                    assert_eq!(
+                        (pos - off) as usize,
+                        bc.resolve(pos - d, n),
+                        "lo n={n} d={d} pos={pos}"
+                    );
+                    // hi (east/north/above): emitted `pos + off`.
+                    let off = if pos < n - d { d } else { n - 1 - pos };
+                    assert_eq!(
+                        (pos + off) as usize,
+                        bc.resolve(pos + d, n),
+                        "hi n={n} d={d} pos={pos}"
+                    );
                 }
             }
         }
@@ -346,9 +218,5 @@ mod tests {
     #[test]
     fn generated_code_is_deterministic() {
         assert_eq!(x_taps(3, 2), x_taps(3, 2));
-        assert_eq!(
-            x_taps_bc(3, 2, BoundaryCond::Reflective),
-            x_taps_bc(3, 2, BoundaryCond::Reflective)
-        );
     }
 }

@@ -46,6 +46,7 @@ use perf_model::tuner;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+use stencil_core::util::fnv1a64_lanes;
 use stencil_core::{BlockConfig, Dim, KernelClass, StencilError};
 
 /// Why a job spec cannot be validated or planned. The typed replacement
@@ -1098,24 +1099,17 @@ fn deadline_fits(est_cells_per_sec: f64, spec: &JobSpec) -> bool {
 /// they index hashes to the same value — any change to the tuner, the
 /// device model, or the served-backend set shows up here as drift.
 fn candidate_fingerprint(candidates: &[PlanCandidate]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        // Hash whole 64-bit lanes (same folding trick as checksum_f32):
-        // one multiply per field, order-sensitive.
-        h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for c in candidates {
-        for b in c.backend.name().bytes() {
-            mix(b as u64);
-        }
-        mix(c.config.bsize_x as u64);
-        mix(c.config.bsize_y as u64);
-        mix(c.config.parvec as u64);
-        mix(c.config.partime as u64);
-        mix(c.replicas as u64);
-        mix(c.score.to_bits());
-    }
-    h
+    // One lane per name byte and per field: order-sensitive.
+    fnv1a64_lanes(candidates.iter().flat_map(|c| {
+        c.backend.name().bytes().map(u64::from).chain([
+            c.config.bsize_x as u64,
+            c.config.bsize_y as u64,
+            c.config.parvec as u64,
+            c.config.partime as u64,
+            c.replicas as u64,
+            c.score.to_bits(),
+        ])
+    }))
 }
 
 #[cfg(test)]
@@ -1126,6 +1120,17 @@ mod tests {
         let mut s = JobSpec::new_2d(id, rad, nx, ny, 2);
         s.plan = PlanMode::Auto;
         s
+    }
+
+    #[test]
+    fn candidate_fingerprint_is_pinned() {
+        // Pinned: a changed fingerprint silently cold-starts every sidecar
+        // written before the change (`planner_warm_rejected`).
+        let planner = Planner::new(DeviceProfile::Ddr);
+        let key = ShapeKey::of(&auto_spec(1, 2, 96, 32));
+        let candidates = planner.build_candidates(&key, &Backend::ALL);
+        assert_eq!(candidates.len(), 6);
+        assert_eq!(candidate_fingerprint(&candidates), 0x69f6_47d4_cbca_dd57);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use stencil_core::util::splitmix64;
+use stencil_core::util::{fnv1a64_lanes, splitmix64};
 use stencil_core::{compile_star_2d, compile_star_3d, kernel_ir, Grid2D, Grid3D, KernelDesc};
 
 /// Everything tunable about a [`Runtime`]. Retries always follow the fixed
@@ -1216,14 +1216,11 @@ fn execute_program(
         frames: prog.frames,
         seed: spec.seed,
     });
-    let frame_sums: Vec<u64> = match &output {
-        OutputGrid::P2(frames) => frames.iter().map(|f| checksum_f32(f.as_slice())).collect(),
-        OutputGrid::P3(frames) => frames.iter().map(|f| checksum_f32(f.as_slice())).collect(),
+    let checksum = match &output {
+        OutputGrid::P2(frames) => fnv1a64_lanes(frames.iter().map(|f| checksum_f32(f.as_slice()))),
+        OutputGrid::P3(frames) => fnv1a64_lanes(frames.iter().map(|f| checksum_f32(f.as_slice()))),
         _ => unreachable!("program output is always P2/P3"),
     };
-    let checksum = frame_sums.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &sum| {
-        (h ^ sum).wrapping_mul(0x0000_0100_0000_01b3)
-    });
     let cells = (spec.nx * spec.ny * if spec.dim == 3 { spec.nz } else { 1 }) as u64;
     let stats = ProgramRunStats {
         nodes: shape.cnodes.len() as u64,
@@ -1411,23 +1408,19 @@ fn fill_grid_3d(spec: &JobSpec, g: &mut Grid3D<f32>) {
 }
 
 /// FNV-1a over the bit patterns of a float slice, folded in 64-bit lanes
-/// (two cells per step). Hashing is on the per-job hot path and output
-/// grids run to megabytes, so the walk is lane-wide rather than byte-wide —
-/// 8× fewer multiplies for the same deterministic fingerprint contract
-/// (bit-identical grids hash equal, any differing cell perturbs the hash).
+/// (two cells per step, an odd tail cell alone). Hashing is on the per-job
+/// hot path and output grids run to megabytes, so the walk is lane-wide
+/// rather than byte-wide — 8× fewer multiplies for the same deterministic
+/// fingerprint contract (bit-identical grids hash equal, any differing cell
+/// perturbs the hash).
 fn checksum_f32(vals: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut chunks = vals.chunks_exact(2);
-    for pair in &mut chunks {
-        let lane = (pair[0].to_bits() as u64) | ((pair[1].to_bits() as u64) << 32);
-        h ^= lane;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    if let [v] = chunks.remainder() {
-        h ^= v.to_bits() as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let pairs = vals.chunks_exact(2);
+    let tail = pairs.remainder().iter().map(|v| u64::from(v.to_bits()));
+    fnv1a64_lanes(
+        pairs
+            .map(|p| u64::from(p[0].to_bits()) | (u64::from(p[1].to_bits()) << 32))
+            .chain(tail),
+    )
 }
 
 /// Suppresses panic-hook output for the load test's *injected* transient
@@ -1696,6 +1689,20 @@ mod tests {
     fn checksum_distinguishes_grids() {
         assert_ne!(checksum_f32(&[1.0, 2.0]), checksum_f32(&[2.0, 1.0]));
         assert_eq!(checksum_f32(&[1.0, 2.0]), checksum_f32(&[1.0, 2.0]));
+    }
+
+    #[test]
+    fn checksum_f32_is_pinned() {
+        // Pinned: bit-identical outputs must keep the checksums earlier
+        // runs recorded, odd tail cell included.
+        let cells: Vec<f32> = (0..7).map(|i| i as f32 * 0.75 - 2.0).collect();
+        assert_eq!(checksum_f32(&cells), 0x3fde_4c53_9dae_13f5, "odd length");
+        assert_eq!(
+            checksum_f32(&cells[..6]),
+            0x6752_3421_fc8f_2fb7,
+            "even length"
+        );
+        assert_eq!(checksum_f32(&[]), 0xcbf2_9ce4_8422_2325, "offset basis");
     }
 
     #[test]

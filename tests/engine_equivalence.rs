@@ -35,16 +35,7 @@ fn all_2d_engines_bit_exact() {
             "naive rad {rad}"
         );
         assert_eq!(
-            cpu_engine::tiled_2d(
-                &st,
-                &g,
-                iters,
-                Tile {
-                    tx: 0,
-                    ty: 7,
-                    tz: 0
-                }
-            ),
+            cpu_engine::tiled_2d(&st, &g, iters, Tile { ty: 7, tz: 0 }),
             oracle,
             "tiled rad {rad}"
         );
@@ -82,16 +73,7 @@ fn all_3d_engines_bit_exact() {
             "naive rad {rad}"
         );
         assert_eq!(
-            cpu_engine::tiled_3d(
-                &st,
-                &g,
-                iters,
-                Tile {
-                    tx: 0,
-                    ty: 8,
-                    tz: 4
-                }
-            ),
+            cpu_engine::tiled_3d(&st, &g, iters, Tile { ty: 8, tz: 4 }),
             oracle,
             "tiled rad {rad}"
         );

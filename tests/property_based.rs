@@ -170,32 +170,6 @@ proptest! {
         let want = exec::run_2d(&st, &grid, iters);
         prop_assert_eq!(got, want);
     }
-
-    /// Shared-coefficient stencils agree with their unshared expansion
-    /// within a tight relative tolerance in f64 (not bit-exactly — the
-    /// association order differs by design).
-    #[test]
-    fn symmetric_matches_unshared_within_tolerance(
-        rad in 1usize..=4,
-        seed in 0u64..500,
-    ) {
-        use stencil_core::SymmetricStencil2D;
-        let mut rng = stencil_core::util::SplitMix64::new(seed);
-        let rings: Vec<f64> = (0..rad).map(|_| rng.next_f64() - 0.5).collect();
-        let s = SymmetricStencil2D::new(rng.next_f64() - 0.5, rings).unwrap();
-        let u = s.to_unshared();
-        let grid = Grid2D::from_fn(16, 16, |x, y| ((x * 5 + y * 3) % 17) as f64 / 3.0).unwrap();
-        for y in 0..16 {
-            for x in 0..16 {
-                let a = s.apply_clamped(&grid, x, y);
-                let b = u.apply_clamped(&grid, x, y);
-                prop_assert!(
-                    stencil_core::real::approx_eq(a, b, 1e-12, 1e-12),
-                    "({}, {}): {} vs {}", x, y, a, b
-                );
-            }
-        }
-    }
 }
 
 proptest! {

@@ -5,16 +5,18 @@
 //! ```text
 //! stencil_bench [--dim 2|3] [--rad R] [--nx N] [--ny N] [--nz N]
 //!               [--iters I]
-//!               [--engine naive|tiled|parallel|folded|wavefront|functional|fpga]
+//!               [--engine naive|parallel|folded|functional|fpga|tiled]
 //!               [--validate]
 //! stencil_bench --simulator-matrix [--quick] [--out BENCH_simulator.json]
 //! stencil_bench --check-matrix FILE
 //! ```
 //!
 //! Prints GCell/s and GFLOP/s for the chosen engine; `--validate` checks the
-//! result bit-exactly against the reference executor first. The `functional`
-//! engine runs the block-parallel FPGA simulator and prints its
-//! [`SimCounters`] as a one-line JSON record (`counters: {...}`).
+//! result bit-exactly against the reference executor first. Every engine
+//! runs in both dimensions except `tiled`, which is 3D only. The
+//! `functional` engine runs the block-parallel FPGA simulator (overlapped
+//! blocks, fused time steps) and prints its [`SimCounters`] as a one-line
+//! JSON record (`counters: {...}`).
 //!
 //! `--simulator-matrix` sweeps a fixed configuration matrix (2D radius 1–4
 //! and 3D radius 1–4) over the functional simulator, timing three data
@@ -110,7 +112,7 @@ fn parse_args() -> Args {
 fn usage() -> ! {
     eprintln!(
         "usage: stencil_bench [--dim 2|3] [--rad R] [--nx N] [--ny N] [--nz N] \
-         [--iters I] [--engine naive|tiled|parallel|folded|wavefront|functional|fpga] \
+         [--iters I] [--engine naive|parallel|folded|functional|fpga|tiled (3D only)] \
          [--validate]\n       stencil_bench --simulator-matrix [--quick] [--out FILE]\
          \n       stencil_bench --check-matrix FILE"
     );
@@ -154,10 +156,8 @@ fn run_2d(a: &Args) {
     let grid = Grid2D::from_fn(a.nx, a.ny, |x, y| ((x * 31 + y * 17) % 103) as f32).unwrap();
     let (out, secs) = match a.engine.as_str() {
         "naive" => measure::time(|| engines::naive_2d(&st, &grid, a.iters)),
-        "tiled" => measure::time(|| engines::tiled_2d(&st, &grid, a.iters, Tile::yask_default())),
         "parallel" => measure::time(|| engines::parallel_2d(&st, &grid, a.iters)),
         "folded" => measure::time(|| cpu_engine::folded_run_2d(&st, &grid, a.iters)),
-        "wavefront" => measure::time(|| cpu_engine::wavefront_2d(&st, &grid, a.iters, 128, 4)),
         "functional" => {
             let cfg = BlockConfig::new_2d(a.rad, 128, 4, 4 / gcd(a.rad, 4)).unwrap();
             let ((out, counters), secs) =
@@ -194,7 +194,7 @@ fn run_3d(a: &Args) {
         "naive" => measure::time(|| engines::naive_3d(&st, &grid, a.iters)),
         "tiled" => measure::time(|| engines::tiled_3d(&st, &grid, a.iters, Tile::yask_default())),
         "parallel" => measure::time(|| engines::parallel_3d(&st, &grid, a.iters)),
-        "wavefront" => measure::time(|| cpu_engine::wavefront_3d(&st, &grid, a.iters, 64, 64, 2)),
+        "folded" => measure::time(|| cpu_engine::folded_run_3d(&st, &grid, a.iters)),
         "functional" => {
             let cfg = BlockConfig::new_3d(a.rad, 48, 48, 2, 4 / gcd(a.rad, 4)).unwrap();
             let ((out, counters), secs) =

@@ -99,18 +99,6 @@ macro_rules! impl_real {
 impl_real!(f32);
 impl_real!(f64);
 
-/// Maximum absolute difference between two equally-long slices.
-///
-/// # Panics
-/// Panics when the slices differ in length.
-pub fn max_abs_diff<T: Real>(a: &[T], b: &[T]) -> f64 {
-    assert_eq!(a.len(), b.len(), "slice length mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x.to_f64() - y.to_f64()).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,19 +121,6 @@ mod tests {
     fn from_usize_is_exact_for_small_integers() {
         assert_eq!(<f32 as Real>::from_usize(42), 42.0);
         assert_eq!(<f64 as Real>::from_usize(1 << 20), (1u64 << 20) as f64);
-    }
-
-    #[test]
-    fn max_abs_diff_basic() {
-        let a = [1.0f32, 2.0, 3.0];
-        let b = [1.0f32, 2.5, 3.0];
-        assert!((max_abs_diff(&a, &b) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn max_abs_diff_length_mismatch_panics() {
-        let _ = max_abs_diff(&[1.0f32], &[1.0f32, 2.0]);
     }
 
     #[test]

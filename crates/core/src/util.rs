@@ -32,16 +32,6 @@ impl SplitMix64 {
         // 53 high bits -> [0,1) with full double precision.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Uniform integer in `[0, bound)` via rejection-free multiply-shift.
-    ///
-    /// # Panics
-    /// Panics when `bound == 0`.
-    #[inline]
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
 }
 
 /// The SplitMix64 state increment (2^64 / golden ratio).
@@ -81,32 +71,6 @@ pub fn fnv1a64_lanes(lanes: impl IntoIterator<Item = u64>) -> u64 {
     lanes
         .into_iter()
         .fold(FNV_OFFSET, |h, v| (h ^ v).wrapping_mul(FNV_PRIME))
-}
-
-/// Rounds `v` up to the next multiple of `m`.
-///
-/// # Panics
-/// Panics when `m == 0`.
-#[inline]
-pub fn round_up(v: usize, m: usize) -> usize {
-    assert!(m > 0, "modulus must be positive");
-    v.div_ceil(m) * m
-}
-
-/// Rounds `v` down to the previous multiple of `m`.
-///
-/// # Panics
-/// Panics when `m == 0`.
-#[inline]
-pub fn round_down(v: usize, m: usize) -> usize {
-    assert!(m > 0, "modulus must be positive");
-    (v / m) * m
-}
-
-/// Integer ceiling division.
-#[inline]
-pub fn ceil_div(a: usize, b: usize) -> usize {
-    a.div_ceil(b)
 }
 
 #[cfg(test)]
@@ -156,31 +120,5 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| r.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn next_below_in_range() {
-        let mut r = SplitMix64::new(9);
-        for _ in 0..10_000 {
-            assert!(r.next_below(7) < 7);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bound must be positive")]
-    fn next_below_zero_panics() {
-        SplitMix64::new(1).next_below(0);
-    }
-
-    #[test]
-    fn rounding_helpers() {
-        assert_eq!(round_up(0, 4), 0);
-        assert_eq!(round_up(1, 4), 4);
-        assert_eq!(round_up(4, 4), 4);
-        assert_eq!(round_up(5, 4), 8);
-        assert_eq!(round_down(7, 4), 4);
-        assert_eq!(round_down(8, 4), 8);
-        assert_eq!(ceil_div(9, 4), 3);
-        assert_eq!(ceil_div(8, 4), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! The CPU stencil engines: naive, cache-tiled, and rayon-parallel.
+//! The CPU stencil engines: naive, 3D cache-tiled, and rayon-parallel.
 //!
 //! Every engine runs the one compiled row kernel
 //! ([`stencil_core::specialize`]): a star stencil is lowered to its
@@ -27,20 +27,17 @@ pub const CPU_LANES: usize = 8;
 /// 3D tasks are whole z-planes.
 pub const ROW_BAND: usize = 32;
 
-/// Spatial tile sizes for the cache-blocked engines. A dimension of 0 means
-/// "unblocked"; x is never blocked, so rows always stream whole.
+/// Spatial tile sizes for the cache-blocked 3D engine. A dimension of 0
+/// means "unblocked"; x is never blocked, so rows always stream whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tile {
     /// Tile height along y.
     pub ty: usize,
-    /// Tile depth along z (3D only).
+    /// Tile depth along z.
     pub tz: usize,
 }
 
 impl Tile {
-    /// An unblocked tile (degenerates to the naive loop order).
-    pub const NONE: Tile = Tile { ty: 0, tz: 0 };
-
     /// YASK-flavoured default: block y (and z) to keep the working set in
     /// L2, leave x unblocked for streamy vector access.
     pub fn yask_default() -> Tile {
@@ -64,34 +61,6 @@ pub fn naive_2d<T: Real>(st: &Stencil2D<T>, grid: &Grid2D<T>, iters: usize) -> G
 /// Naive 3D engine.
 pub fn naive_3d<T: Real>(st: &Stencil3D<T>, grid: &Grid3D<T>, iters: usize) -> Grid3D<T> {
     compile_star_3d(st, CPU_LANES).run(grid, iters)
-}
-
-/// Cache-tiled engine: iterates y in tiles of `tile.ty` rows; within a
-/// tile, rows stream whole along x. With whole rows the tiles cover y in
-/// order, so it visits rows in [`naive_2d`]'s order.
-pub fn tiled_2d<T: Real>(
-    st: &Stencil2D<T>,
-    grid: &Grid2D<T>,
-    iters: usize,
-    tile: Tile,
-) -> Grid2D<T> {
-    let kernel = compile_star_2d(st, CPU_LANES);
-    let ny = grid.ny();
-    let ty = Tile::eff(tile.ty, ny);
-    let mut cur = grid.clone();
-    let mut next = grid.clone();
-    for _ in 0..iters {
-        let mut y0 = 0;
-        while y0 < ny {
-            let y1 = (y0 + ty).min(ny);
-            for y in y0..y1 {
-                kernel.step_row(&cur, y, next.row_mut(y));
-            }
-            y0 = y1;
-        }
-        cur.swap(&mut next);
-    }
-    cur
 }
 
 /// Cache-tiled 3D engine: iterates z and y in tiles so the stencil's
@@ -340,12 +309,6 @@ mod tests {
 
     #[test]
     fn tiled_matches_oracle_various_tiles() {
-        let st = Stencil2D::<f32>::random(2, 3).unwrap();
-        let oracle = exec::run_2d(&st, &grid2(), 4);
-        for ty in [1, 5, 23, 100] {
-            let tile = Tile { ty, tz: 0 };
-            assert_eq!(tiled_2d(&st, &grid2(), 4, tile), oracle, "ty {ty}");
-        }
         let st3 = Stencil3D::<f32>::random(3, 4).unwrap();
         let oracle3 = exec::run_3d(&st3, &grid3(), 2);
         for (ty, tz) in [(4, 4), (13, 3), (1, 1)] {
@@ -516,14 +479,5 @@ mod tests {
         let st = Stencil2D::<f32>::uniform(1).unwrap();
         assert_eq!(naive_2d(&st, &grid2(), 0), grid2());
         assert_eq!(parallel_2d(&st, &grid2(), 0), grid2());
-    }
-
-    #[test]
-    fn unblocked_tile_equals_naive() {
-        let st = Stencil2D::<f32>::random(2, 30).unwrap();
-        assert_eq!(
-            tiled_2d(&st, &grid2(), 3, Tile::NONE),
-            naive_2d(&st, &grid2(), 3)
-        );
     }
 }

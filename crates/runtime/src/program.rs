@@ -410,9 +410,10 @@ impl StencilProgram {
     }
 }
 
-/// Writes the deterministic source frame for `(seed)` into `g` — the
-/// program-source analogue of the single-kernel job fill, shared by the
-/// worker's frame loop and the serial interpreter.
+/// Writes the deterministic grid for `seed` into `g` (already shaped)
+/// without allocating: the input of every single-kernel job with that
+/// seed, and each program source frame, shared by the worker and the
+/// serial interpreter.
 pub fn fill_source_2d(g: &mut Grid2D<f32>, seed: u64) {
     let s = seed as usize;
     let (nx, ny) = (g.nx(), g.ny());

@@ -841,14 +841,14 @@ fn execute(
     }
     let (counters, checksum, output) = if spec.dim == 2 {
         let mut input = env.pool.lease_2d(spec.nx, spec.ny);
-        fill_grid_2d(spec, &mut input);
+        program::fill_source_2d(&mut input, spec.seed);
         let mut out = env.pool.lease_2d(spec.nx, spec.ny);
         let mut scratch = env.pool.lease_2d(spec.nx, spec.ny);
         let counters = run_2d(spec, token, env, &input, &mut out, &mut scratch);
         (counters, checksum_f32(out.as_slice()), OutputGrid::G2(out))
     } else {
         let mut input = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
-        fill_grid_3d(spec, &mut input);
+        program::fill_source_3d(&mut input, spec.seed);
         let mut out = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
         let mut scratch = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
         let counters = run_3d(spec, token, env, &input, &mut out, &mut scratch);
@@ -1261,20 +1261,20 @@ fn shadow_verify(spec: &JobSpec, output: &OutputGrid, env: &ExecEnv) -> bool {
         OutputGrid::G2(out) if spec.kernel.is_some() => {
             let desc = kernel_desc_for(spec);
             let mut input = env.pool.lease_2d(spec.nx, spec.ny);
-            fill_grid_2d(spec, &mut input);
+            program::fill_source_2d(&mut input, spec.seed);
             **out == kernel_ir::reference_run_2d(&desc, &input, spec.iters)
         }
         OutputGrid::G3(out) if spec.kernel.is_some() => {
             let desc = kernel_desc_for(spec);
             let mut input = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
-            fill_grid_3d(spec, &mut input);
+            program::fill_source_3d(&mut input, spec.seed);
             **out == kernel_ir::reference_run_3d(&desc, &input, spec.iters)
         }
         OutputGrid::G2(out) => {
             let cfg = spec.block_config().expect("spec validated at admission");
             let st = env.stencils.stencil_2d(spec.rad, spec.seed);
             let mut input = env.pool.lease_2d(spec.nx, spec.ny);
-            fill_grid_2d(spec, &mut input);
+            program::fill_source_2d(&mut input, spec.seed);
             let oracle = serial_ref::run_2d_serial(&st, &input, &cfg, spec.iters);
             **out == oracle
         }
@@ -1282,7 +1282,7 @@ fn shadow_verify(spec: &JobSpec, output: &OutputGrid, env: &ExecEnv) -> bool {
             let cfg = spec.block_config().expect("spec validated at admission");
             let st = env.stencils.stencil_3d(spec.rad, spec.seed);
             let mut input = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
-            fill_grid_3d(spec, &mut input);
+            program::fill_source_3d(&mut input, spec.seed);
             let oracle = serial_ref::run_3d_serial(&st, &input, &cfg, spec.iters);
             **out == oracle
         }
@@ -1378,35 +1378,6 @@ fn aggregate_dataflow(metrics: &MetricsRegistry, s: &ProgramRunStats) {
     }
 }
 
-/// Writes the deterministic contents every 2D job with this spec starts
-/// from into `g` (already shaped `nx × ny`) without allocating.
-fn fill_grid_2d(spec: &JobSpec, g: &mut Grid2D<f32>) {
-    let s = spec.seed as usize;
-    let (nx, ny) = (g.nx(), g.ny());
-    let data = g.as_mut_slice();
-    for y in 0..ny {
-        for (x, v) in data[y * nx..(y + 1) * nx].iter_mut().enumerate() {
-            *v = ((x * 31 + y * 17 + s) % 103) as f32;
-        }
-    }
-}
-
-/// Writes the deterministic contents every 3D job with this spec starts
-/// from into `g` (already shaped `nx × ny × nz`) without allocating.
-fn fill_grid_3d(spec: &JobSpec, g: &mut Grid3D<f32>) {
-    let s = spec.seed as usize;
-    let (nx, ny, nz) = (g.nx(), g.ny(), g.nz());
-    let data = g.as_mut_slice();
-    for z in 0..nz {
-        for y in 0..ny {
-            let base = (z * ny + y) * nx;
-            for (x, v) in data[base..base + nx].iter_mut().enumerate() {
-                *v = ((x + 3 * y + 7 * z + s) % 53) as f32;
-            }
-        }
-    }
-}
-
 /// FNV-1a over the bit patterns of a float slice, folded in 64-bit lanes
 /// (two cells per step, an odd tail cell alone). Hashing is on the per-job
 /// hot path and output grids run to megabytes, so the walk is lane-wide
@@ -1461,17 +1432,18 @@ mod tests {
         (env, metrics)
     }
 
-    /// The allocating twin of [`fill_grid_2d`], for oracle inputs in tests.
+    /// The input grid a 2D job with this spec starts from, for oracle
+    /// inputs in tests.
     fn grid_2d(spec: &JobSpec) -> Grid2D<f32> {
         let mut g = Grid2D::zeros(spec.nx, spec.ny).unwrap();
-        fill_grid_2d(spec, &mut g);
+        program::fill_source_2d(&mut g, spec.seed);
         g
     }
 
-    /// The allocating twin of [`fill_grid_3d`].
+    /// The input grid a 3D job with this spec starts from.
     fn grid_3d(spec: &JobSpec) -> Grid3D<f32> {
         let mut g = Grid3D::zeros(spec.nx, spec.ny, spec.nz).unwrap();
-        fill_grid_3d(spec, &mut g);
+        program::fill_source_3d(&mut g, spec.seed);
         g
     }
 

@@ -174,14 +174,6 @@ impl Iterator for ArrivalGaps {
     }
 }
 
-/// Open-loop inter-arrival gaps (µs) for the workload: the first
-/// `params.jobs` draws of [`ArrivalGaps`].
-pub fn arrival_gaps_us(params: &SyntheticParams) -> Vec<u64> {
-    ArrivalGaps::new(params.seed, params.mean_arrival_us)
-        .take(params.jobs)
-        .collect()
-}
-
 fn synthesize_job(id: u64, rng: &mut XorShift64, quick: bool) -> JobSpec {
     let backend = Backend::ALL[(rng.next_u64() % Backend::ALL.len() as u64) as usize];
     let dim3 = rng.gen_f64() < 0.3;
@@ -431,7 +423,6 @@ mod tests {
     fn same_seed_same_workload() {
         let p = SyntheticParams::new(40, 7, true);
         assert_eq!(synthetic_workload(&p), synthetic_workload(&p));
-        assert_eq!(arrival_gaps_us(&p), arrival_gaps_us(&p));
         let q = SyntheticParams::new(40, 8, true);
         assert_ne!(synthetic_workload(&p), synthetic_workload(&q));
     }
@@ -491,16 +482,6 @@ mod tests {
         let a: Vec<u64> = ArrivalGaps::new(9, 500).take(1000).collect();
         let b: Vec<u64> = ArrivalGaps::new(9, 500).take(1000).collect();
         assert_eq!(a, b, "same seed, same gap sequence");
-        let p = SyntheticParams {
-            jobs: 1000,
-            seed: 9,
-            quick: false,
-            mean_arrival_us: 500,
-            tenants: 1,
-            programs: false,
-            kernels: false,
-        };
-        assert_eq!(arrival_gaps_us(&p), a, "eager form is the same stream");
         assert!(a.iter().all(|&g| g <= 50_000), "gaps are clamped");
         let mean = a.iter().sum::<u64>() as f64 / a.len() as f64;
         assert!((300.0..700.0).contains(&mean), "mean near 500: {mean}");

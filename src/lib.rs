@@ -15,7 +15,7 @@
 //! | [`fpga_sim`] | the accelerator: functional (bit-exact) + cycle-level simulators, area/fmax/power models |
 //! | [`perf_model`] | the paper's performance model, §V.A auto-tuner, roofline, extrapolation |
 //! | [`opencl_codegen`] | the parameterised OpenCL kernel generator (incl. boundary-condition codegen) |
-//! | [`cpu_engine`] | the YASK-style CPU baselines (naive/tiled/parallel/wave-front) |
+//! | [`cpu_engine`] | the YASK-style CPU baselines (naive/3D-tiled/parallel/folded flat sweeps) |
 //! | [`stencil_runtime`] | job-serving layer: bounded queue, backend shards, deadlines, shadow verification, metrics |
 //!
 //! ## Quickstart

@@ -332,10 +332,9 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
 /// Sweeps the kernel-IR shapes — box/asymmetric/star tap families under
 /// non-clamp boundaries — timing the frozen generic-reference interpreter,
 /// the compiled kernel at lane width 1 (scalar generic), and the compiled
-/// kernel at full lane width (specialized). Every path is verified
+/// kernel at `engines::CPU_LANES` (specialized). Every path is verified
 /// bit-exact against the reference before its timing is recorded.
 fn kernel_matrix(quick: bool, reps: usize) -> Vec<KernelMatrixEntry> {
-    const KERNEL_LANES: usize = 8;
     let shapes: &[(usize, KernelClass, BoundaryCond, usize)] = &[
         (2, KernelClass::Box, BoundaryCond::Periodic, 2),
         (2, KernelClass::Box, BoundaryCond::Clamp, 4),
@@ -359,7 +358,7 @@ fn kernel_matrix(quick: bool, reps: usize) -> Vec<KernelMatrixEntry> {
                 time_best(reps, || kernel_ir::reference_run_2d(&desc, &grid, iters));
             let scalar_kernel = compile_2d::<f32>(&desc, 1).unwrap();
             let (scalar, scalar_secs) = time_best(reps, || scalar_kernel.run(&grid, iters));
-            let specialized_kernel = compile_2d::<f32>(&desc, KERNEL_LANES).unwrap();
+            let specialized_kernel = compile_2d::<f32>(&desc, engines::CPU_LANES).unwrap();
             let (specialized, specialized_secs) =
                 time_best(reps, || specialized_kernel.run(&grid, iters));
             assert_eq!(
@@ -409,7 +408,7 @@ fn kernel_matrix(quick: bool, reps: usize) -> Vec<KernelMatrixEntry> {
                 time_best(reps, || kernel_ir::reference_run_3d(&desc, &grid, iters));
             let scalar_kernel = compile_3d::<f32>(&desc, 1).unwrap();
             let (scalar, scalar_secs) = time_best(reps, || scalar_kernel.run(&grid, iters));
-            let specialized_kernel = compile_3d::<f32>(&desc, KERNEL_LANES).unwrap();
+            let specialized_kernel = compile_3d::<f32>(&desc, engines::CPU_LANES).unwrap();
             let (specialized, specialized_secs) =
                 time_best(reps, || specialized_kernel.run(&grid, iters));
             assert_eq!(

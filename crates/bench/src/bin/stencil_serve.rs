@@ -11,7 +11,6 @@
 //! stencil_serve --workload FILE.jsonl [--out FILE]
 //! stencil_serve --synthetic --emit-workload FILE.jsonl [--jobs N] [--seed S]
 //! stencil_serve --check-report FILE [--min-pool-hit-rate F] [--min-warm-convergence F]
-//!               [--min-kernel-cache-hit-rate F]
 //! stencil_serve --diff-winners A.json B.json
 //! stencil_serve --check-trace FILE.jsonl
 //! stencil_serve --trace-summary FILE.jsonl
@@ -67,12 +66,9 @@
 //! `--kernels` mixes declarative *kernel-desc* jobs into the synthetic
 //! stream (a quarter of the ids, disjoint from the `--programs` slice):
 //! star/box/asymmetric tap families under clamp/periodic/reflective
-//! boundaries, lowered at runtime by the kernel specializer, cached in the
-//! compiled-kernel memo, and every one bit-verified against the frozen
-//! generic-reference interpreter. `--check-report
-//! --min-kernel-cache-hit-rate F` then gates on the report's
-//! `memory.kernel_memo_hit_rate` — the CI assertion that repeated kernel
-//! shapes actually reuse compiled kernels instead of re-specializing.
+//! boundaries, lowered by the kernel specializer when each job runs, and
+//! every one bit-verified against the frozen generic-reference
+//! interpreter.
 //!
 //! `--trace-out FILE` makes the runtime emit one JSONL
 //! [`stencil_runtime::TraceRecord`] per terminal job — span timestamps for
@@ -142,7 +138,6 @@ struct Args {
     check_trace: Option<String>,
     trace_summary: Option<String>,
     min_warm_convergence: Option<f64>,
-    min_kernel_cache_hit_rate: Option<f64>,
 }
 
 fn parse_args() -> Args {
@@ -175,7 +170,6 @@ fn parse_args() -> Args {
         check_trace: None,
         trace_summary: None,
         min_warm_convergence: None,
-        min_kernel_cache_hit_rate: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -254,13 +248,6 @@ fn parse_args() -> Args {
                 }
                 a.min_warm_convergence = Some(v);
             }
-            "--min-kernel-cache-hit-rate" => {
-                let v: f64 = take(&mut i).parse().unwrap_or_else(|_| usage());
-                if !(0.0..=1.0).contains(&v) {
-                    usage();
-                }
-                a.min_kernel_cache_hit_rate = Some(v);
-            }
             "--trace-out" => a.trace_out = Some(take(&mut i)),
             "--planner-memory" => a.planner_memory = Some(take(&mut i)),
             "--check-trace" => a.check_trace = Some(take(&mut i)),
@@ -288,11 +275,7 @@ fn parse_args() -> Args {
     {
         usage();
     }
-    if (a.min_pool_hit_rate.is_some()
-        || a.min_warm_convergence.is_some()
-        || a.min_kernel_cache_hit_rate.is_some())
-        && a.check.is_none()
-    {
+    if (a.min_pool_hit_rate.is_some() || a.min_warm_convergence.is_some()) && a.check.is_none() {
         usage();
     }
     // Trace emission and planner persistence only make sense on a run.
@@ -327,7 +310,7 @@ fn usage() -> ! {
          \n       stencil_serve --workload FILE.jsonl [--auto-plan] [--out FILE]\
          \n       stencil_serve --synthetic --emit-workload FILE.jsonl [--jobs N] [--seed S]\
          \n       stencil_serve --check-report FILE [--min-pool-hit-rate F] \
-         [--min-warm-convergence F] [--min-kernel-cache-hit-rate F]\
+         [--min-warm-convergence F]\
          \n       stencil_serve --diff-winners A.json B.json\
          \n       stencil_serve --check-trace FILE.jsonl\
          \n       stencil_serve --trace-summary FILE.jsonl"
@@ -338,12 +321,7 @@ fn usage() -> ! {
 fn main() {
     let a = parse_args();
     if let Some(file) = &a.check {
-        check_report(
-            file,
-            a.min_pool_hit_rate,
-            a.min_warm_convergence,
-            a.min_kernel_cache_hit_rate,
-        );
+        check_report(file, a.min_pool_hit_rate, a.min_warm_convergence);
         return;
     }
     if let Some((left, right)) = &a.diff_winners {
@@ -659,9 +637,8 @@ fn print_summary(r: &ServeReport) {
         r.jobs_submitted, r.jobs_admitted, r.jobs_rejected, r.jobs_quota_rejected, r.jobs_invalid
     );
     println!(
-        "  outcomes: {} completed, {} failed, {} timed out, {} cancelled \
-         ({} retries, {} batches)",
-        r.jobs_completed, r.jobs_failed, r.jobs_timed_out, r.jobs_cancelled, r.retries, r.batches
+        "  outcomes: {} completed, {} failed, {} timed out, {} cancelled ({} retries)",
+        r.jobs_completed, r.jobs_failed, r.jobs_timed_out, r.jobs_cancelled, r.retries
     );
     println!(
         "  shadow: {} runs, {} mismatches; max queue depth {}; {} wedged workers",
@@ -684,24 +661,13 @@ fn print_summary(r: &ServeReport) {
     let m = &r.memory;
     println!(
         "  memory: pool {:.0}% hit ({} hits / {} misses), {} allocations avoided, \
-         {:.1} MiB recycled, memo {} hits / {} misses",
+         {:.1} MiB recycled",
         m.pool_hit_rate * 100.0,
         m.pool_hits,
         m.pool_misses,
         m.allocations_avoided,
         m.bytes_pooled as f64 / (1024.0 * 1024.0),
-        m.stencil_memo_hits,
-        m.stencil_memo_misses,
     );
-    if m.kernel_memo_hits + m.kernel_memo_misses > 0 {
-        println!(
-            "  kernel cache: {:.0}% hit ({} hits / {} misses, {} evicted)",
-            m.kernel_memo_hit_rate * 100.0,
-            m.kernel_memo_hits,
-            m.kernel_memo_misses,
-            m.kernel_memo_evictions,
-        );
-    }
     for t in &r.tenants {
         println!(
             "    tenant {:>10} (w{}): {} admitted, {} quota-rejected, \
@@ -798,16 +764,8 @@ fn print_plan_tables(shapes: &[stencil_runtime::planner::ShapeSnapshot]) {
 /// actually pooled. With `--min-warm-convergence F`, requires the run to
 /// have warm-started from a planner-memory sidecar and reached its final
 /// cache hit rate within the first `F` fraction of plan requests — the CI
-/// gate that keeps the sidecar actually useful. With
-/// `--min-kernel-cache-hit-rate F`, requires the compiled-kernel cache's
-/// hit rate to reach `F` — the CI gate that keeps repeated kernel shapes
-/// reusing compiled kernels instead of re-specializing.
-fn check_report(
-    path: &str,
-    min_pool_hit_rate: Option<f64>,
-    min_warm_convergence: Option<f64>,
-    min_kernel_cache_hit_rate: Option<f64>,
-) {
+/// gate that keeps the sidecar actually useful.
+fn check_report(path: &str, min_pool_hit_rate: Option<f64>, min_warm_convergence: Option<f64>) {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -862,28 +820,6 @@ fn check_report(
             t.warm_shapes_loaded,
             t.converged_at_fraction * 100.0,
             max_fraction * 100.0
-        );
-    }
-    if let Some(min) = min_kernel_cache_hit_rate {
-        let report: ServeReport = serde_json::from_str(&text).expect("validated above");
-        let m = &report.memory;
-        if m.kernel_memo_hits + m.kernel_memo_misses == 0 {
-            eprintln!(
-                "stencil_serve: {path}: no compiled-kernel cache activity — \
-                 the run never executed a kernel-desc job"
-            );
-            std::process::exit(2);
-        }
-        if m.kernel_memo_hit_rate < min {
-            eprintln!(
-                "stencil_serve: {path}: kernel cache hit rate {:.3} below required {min:.3}",
-                m.kernel_memo_hit_rate
-            );
-            std::process::exit(2);
-        }
-        println!(
-            "{path}: kernel cache hit rate {:.3} >= {min:.3}",
-            m.kernel_memo_hit_rate
         );
     }
 }

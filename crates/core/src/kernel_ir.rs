@@ -38,7 +38,7 @@ use crate::error::StencilError;
 use crate::grid::{Grid2D, Grid3D};
 use crate::real::Real;
 use crate::stencil::{Stencil2D, Stencil3D};
-use crate::util::{fnv1a64, SplitMix64};
+use crate::util::SplitMix64;
 use std::fmt;
 
 /// Largest radius a [`KernelDesc`] may declare (matches the simulator's PE
@@ -263,33 +263,6 @@ impl KernelDesc {
         } else {
             KernelClass::Asymmetric
         }
-    }
-
-    /// Stable FNV-1a hash over every field, used as the compiled-kernel
-    /// cache key. Stable across runs and platforms; collisions are guarded
-    /// by a full-field compare at the cache (`StencilMemo`).
-    pub fn stable_hash(&self) -> u64 {
-        let dim = match self.dim {
-            Dim::D2 => 2,
-            Dim::D3 => 3,
-        };
-        let boundary = match self.boundary {
-            BoundaryCond::Clamp => 0,
-            BoundaryCond::Periodic => 1,
-            BoundaryCond::Reflective => 2,
-        };
-        let taps = self.taps.iter().flat_map(|t| {
-            [
-                t.dx as u32 as u64,
-                t.dy as u32 as u64,
-                t.dz as u32 as u64,
-                t.coeff.to_bits(),
-            ]
-        });
-        let words = [dim, boundary, self.taps.len() as u64]
-            .into_iter()
-            .chain(taps);
-        fnv1a64(words.flat_map(u64::to_le_bytes))
     }
 
     /// The desc of an existing 2D star stencil, taps in the canonical
@@ -713,34 +686,6 @@ mod tests {
         assert!(center_only.validate().is_err(), "radius 0 rejected");
         assert!(KernelDesc::box_2d(0, 1, BoundaryCond::Clamp).is_err());
         assert!(KernelDesc::box_2d(MAX_KERNEL_RADIUS + 1, 1, BoundaryCond::Clamp).is_err());
-    }
-
-    #[test]
-    fn stable_hash_separates_fields() {
-        let a = KernelDesc::box_2d(2, 1, BoundaryCond::Clamp).unwrap();
-        let mut b = a.clone();
-        b.boundary = BoundaryCond::Periodic;
-        let mut c = a.clone();
-        c.taps[3].coeff += 1e-9;
-        let d = KernelDesc::box_2d(2, 2, BoundaryCond::Clamp).unwrap();
-        let hashes = [
-            a.stable_hash(),
-            b.stable_hash(),
-            c.stable_hash(),
-            d.stable_hash(),
-        ];
-        for i in 0..hashes.len() {
-            for j in (i + 1)..hashes.len() {
-                assert_ne!(hashes[i], hashes[j], "{i} vs {j}");
-            }
-        }
-        assert_eq!(a.stable_hash(), a.clone().stable_hash(), "deterministic");
-        // Pinned keys: the hash is FNV-1a over every field's little-endian
-        // bytes, in field order.
-        let box2 = KernelDesc::box_2d(2, 13, BoundaryCond::Periodic).unwrap();
-        assert_eq!(box2.stable_hash(), 0x4da7_2c0b_d954_a7cf);
-        let asym3 = KernelDesc::asymmetric_3d(2, 14, BoundaryCond::Reflective).unwrap();
-        assert_eq!(asym3.stable_hash(), 0x1bb9_82ed_919a_9b3a);
     }
 
     #[test]

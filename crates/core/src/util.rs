@@ -57,8 +57,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64 over a byte stream — the workspace's stable byte hash: the
-/// planner-memory sidecar checksum, program node seeds and the
-/// compiled-kernel cache key. Stable across runs and platforms.
+/// planner-memory sidecar checksum and program node seeds. Stable across
+/// runs and platforms.
 pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     fnv1a64_lanes(bytes.into_iter().map(u64::from))
 }

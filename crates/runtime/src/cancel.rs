@@ -5,7 +5,7 @@
 //! interrupted preemptively; the executors poll it at block and row-band
 //! boundaries (see `fpga_sim::functional::run_2d_replicated_cancellable_into`
 //! and `cpu_engine::engines::parallel_2d_kernel_into`) and the worker polls
-//! it between attempts and batches. Once observed cancelled it stays
+//! it between attempts. Once observed cancelled it stays
 //! cancelled (monotonic), which is the contract the block-loop hook
 //! requires.
 

@@ -5,8 +5,8 @@
 //! [`job::JobSpec`] names a stencil problem (dims, radius, time steps,
 //! block config, backend, deadline, priority) and enters a bounded
 //! [`queue::AdmissionQueue`]; a sharded worker pool — one shard per
-//! [`job::Backend`] — drains it with small-job batching, per-job
-//! deadline/cancellation via a cooperative [`cancel::CancelToken`], and
+//! [`job::Backend`] — drains it one job per pop, with per-job
+//! deadline/cancellation via a cooperative [`cancel::CancelToken`] and
 //! capped-backoff retry for transient failures. A configurable fraction of
 //! completed jobs is *shadow verified*: re-executed on the frozen
 //! `serial_ref` oracle and bit-compared, which the repo-wide bit-exactness
@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod batch;
 pub mod cancel;
 pub mod job;
 pub mod metrics;
@@ -55,7 +54,6 @@ pub mod trace;
 pub mod worker;
 pub mod workload;
 
-pub use batch::BatchPolicy;
 pub use cancel::CancelToken;
 pub use job::{Backend, JobResult, JobSpec, Outcome, Priority, Replicas};
 pub use metrics::MetricsRegistry;
@@ -66,7 +64,7 @@ pub use planner::{
     place_program, DeviceProfile, PlanChoice, PlanError, PlanEvent, PlanMode, Planner,
     ProgramPlacement, ShapeKey, StagePlacement,
 };
-pub use pool::{GridLease2D, GridLease3D, GridPool, PoolStats, StencilMemo};
+pub use pool::{GridLease2D, GridLease3D, GridPool, PoolStats};
 pub use program::{ProgramEdge, ProgramError, ProgramNode, StencilProgram};
 pub use queue::{AdmissionQueue, PushError};
 pub use report::{

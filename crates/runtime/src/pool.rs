@@ -1,6 +1,5 @@
-//! Shape-class-keyed grid buffer pooling and memoized stencil construction
-//! — the host-side analogue of the paper's "touch external memory once"
-//! discipline.
+//! Shape-class-keyed grid buffer pooling — the host-side analogue of the
+//! paper's "touch external memory once" discipline.
 //!
 //! The serving hot path needs three grids per job (input, output, ping-pong
 //! scratch) plus one more per shadow verification. Before this module,
@@ -23,25 +22,20 @@
 //!   a lease either fills it (job inputs) or fully overwrites it (the
 //!   `_into` executor variants). Property tests prove the overwrite.
 //!
-//! [`StencilMemo`] memoizes stencil coefficient construction keyed by
-//! `(dim, rad, seed)` so retries and shadow runs of the same job stop
-//! regenerating coefficients (a `random(rad, seed)` stencil is a pure
-//! function of its key). The memo is FIFO-bounded.
+//! Stencils and compiled kernels are not cached: a job builds them when it
+//! runs, which took under a microsecond on a 2 vCPU Xeon, about what a
+//! cache lookup cost.
 //!
 //! All counters are threaded through the shared [`MetricsRegistry`] —
 //! `pool_hits`, `pool_misses`, `pool_returns`, `pool_discards`,
-//! `pool_bytes_pooled`, the `pool_resident_bytes` gauge, and
-//! `stencil_memo_hits`/`stencil_memo_misses` — and surface in the
-//! `memory` section of the serve report.
+//! `pool_bytes_pooled` and the `pool_resident_bytes` gauge — and surface
+//! in the `memory` section of the serve report.
 
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
-use stencil_core::{
-    compile_2d, compile_3d, CompiledKernel2D, CompiledKernel3D, Grid2D, Grid3D, KernelDesc,
-    Stencil2D, Stencil3D, StencilError,
-};
+use stencil_core::{Grid2D, Grid3D};
 
 /// Buffers retained per shape class; returns beyond this are dropped.
 /// Sized so one free list can absorb every lease the worker fleet can hold
@@ -283,263 +277,6 @@ impl std::fmt::Debug for GridLease3D {
     }
 }
 
-/// FIFO-bounded memo of one stencil family keyed by `(rad, seed)`.
-struct MemoMap<V> {
-    map: BTreeMap<(usize, u64), V>,
-    order: VecDeque<(usize, u64)>,
-}
-
-impl<V> MemoMap<V> {
-    fn new() -> MemoMap<V> {
-        MemoMap {
-            map: BTreeMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-}
-
-/// FIFO-bounded cache of compiled desc kernels keyed by the desc's stable
-/// hash (plus the compile-time lane width). Unlike [`MemoMap`], entries are
-/// `Arc`s that execution paths (and streaming PEs) may hold across job
-/// lifetimes, so eviction skips in-use entries — see
-/// [`StencilMemo::kernel_2d`].
-struct KernelMap<K> {
-    map: BTreeMap<(u64, usize), (KernelDesc, Arc<K>)>,
-    order: VecDeque<(u64, usize)>,
-}
-
-impl<K> KernelMap<K> {
-    fn new() -> KernelMap<K> {
-        KernelMap {
-            map: BTreeMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    /// Inserts under FIFO eviction that never drops an entry whose `Arc` is
-    /// still shared outside the cache (`strong_count > 1`): in-use keys are
-    /// requeued, each scanned at most once per insert. When every resident
-    /// entry is in use the cache grows past `capacity` instead of evicting
-    /// — a live kernel must stay reachable for hit accounting.
-    fn insert(
-        &mut self,
-        key: (u64, usize),
-        desc: KernelDesc,
-        value: Arc<K>,
-        capacity: usize,
-        evictions: &Counter,
-    ) {
-        if self.order.len() >= capacity {
-            let n = self.order.len();
-            for _ in 0..n {
-                let front = self.order.pop_front().expect("order tracks map");
-                let in_use = self
-                    .map
-                    .get(&front)
-                    .is_some_and(|(_, a)| Arc::strong_count(a) > 1);
-                if in_use {
-                    self.order.push_back(front);
-                } else {
-                    self.map.remove(&front);
-                    evictions.inc();
-                    break;
-                }
-            }
-        }
-        self.map.insert(key, (desc, value));
-        self.order.push_back(key);
-    }
-}
-
-/// Memoized stencil construction keyed by `(dim, rad, seed)`, plus a cache
-/// of runtime-specialized desc kernels keyed by stable desc hash.
-///
-/// `Stencil2D::random(rad, seed)` is a pure function of its arguments, so
-/// retries and shadow runs of the same job can share one `Arc` instead of
-/// regenerating coefficients. FIFO eviction bounds the memo under
-/// workloads where every job carries a distinct seed.
-pub struct StencilMemo {
-    two: Mutex<MemoMap<Arc<Stencil2D<f32>>>>,
-    three: Mutex<MemoMap<Arc<Stencil3D<f32>>>>,
-    k2: Mutex<KernelMap<CompiledKernel2D<f32>>>,
-    k3: Mutex<KernelMap<CompiledKernel3D<f32>>>,
-    capacity: usize,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    kernel_hits: Arc<Counter>,
-    kernel_misses: Arc<Counter>,
-    kernel_evictions: Arc<Counter>,
-}
-
-impl StencilMemo {
-    /// Entries retained per dimensionality before FIFO eviction.
-    pub const DEFAULT_CAPACITY: usize = 512;
-
-    /// Creates a memo whose counters live in `metrics`.
-    pub fn new(metrics: &MetricsRegistry, capacity: usize) -> StencilMemo {
-        assert!(capacity > 0, "memo capacity must be positive");
-        StencilMemo {
-            two: Mutex::new(MemoMap::new()),
-            three: Mutex::new(MemoMap::new()),
-            k2: Mutex::new(KernelMap::new()),
-            k3: Mutex::new(KernelMap::new()),
-            capacity,
-            hits: metrics.counter("stencil_memo_hits"),
-            misses: metrics.counter("stencil_memo_misses"),
-            kernel_hits: metrics.counter("kernel_memo_hits"),
-            kernel_misses: metrics.counter("kernel_memo_misses"),
-            kernel_evictions: metrics.counter("kernel_memo_evictions"),
-        }
-    }
-
-    /// The memoized 2D stencil for `(rad, seed)`.
-    ///
-    /// # Panics
-    /// Panics when `rad` is not a valid stencil radius.
-    pub fn stencil_2d(&self, rad: usize, seed: u64) -> Arc<Stencil2D<f32>> {
-        let mut memo = self.two.lock().unwrap();
-        if let Some(st) = memo.map.get(&(rad, seed)) {
-            self.hits.inc();
-            return Arc::clone(st);
-        }
-        self.misses.inc();
-        let st = Arc::new(Stencil2D::<f32>::random(rad, seed).expect("valid radius"));
-        Self::insert(&mut memo, (rad, seed), Arc::clone(&st), self.capacity);
-        st
-    }
-
-    /// The memoized 3D stencil for `(rad, seed)`.
-    ///
-    /// # Panics
-    /// Panics when `rad` is not a valid stencil radius.
-    pub fn stencil_3d(&self, rad: usize, seed: u64) -> Arc<Stencil3D<f32>> {
-        let mut memo = self.three.lock().unwrap();
-        if let Some(st) = memo.map.get(&(rad, seed)) {
-            self.hits.inc();
-            return Arc::clone(st);
-        }
-        self.misses.inc();
-        let st = Arc::new(Stencil3D::<f32>::random(rad, seed).expect("valid radius"));
-        Self::insert(&mut memo, (rad, seed), Arc::clone(&st), self.capacity);
-        st
-    }
-
-    /// The cached (or freshly specialized) 2D kernel for `desc` at `lanes`.
-    ///
-    /// Entries are keyed by [`KernelDesc::stable_hash`] plus the lane width;
-    /// on a hash hit the stored desc is compared field-for-field with the
-    /// requested one and a mismatch is rejected as
-    /// [`StencilError::Mismatch`] — a silent collision would hand a job
-    /// someone else's coefficients. Eviction is in-use-skipping FIFO (see
-    /// `KernelMap::insert`); hits, misses and evictions surface as
-    /// `kernel_memo_*` in the serve report.
-    pub fn kernel_2d(
-        &self,
-        desc: &KernelDesc,
-        lanes: usize,
-    ) -> Result<Arc<CompiledKernel2D<f32>>, StencilError> {
-        let key = (desc.stable_hash(), lanes);
-        let mut memo = self.k2.lock().unwrap();
-        if let Some((stored, k)) = memo.map.get(&key) {
-            if stored != desc {
-                return Err(StencilError::Mismatch {
-                    reason: format!(
-                        "kernel desc hash collision at {:#018x}: cached desc differs",
-                        key.0
-                    ),
-                });
-            }
-            self.kernel_hits.inc();
-            return Ok(Arc::clone(k));
-        }
-        self.kernel_misses.inc();
-        let k = Arc::new(compile_2d::<f32>(desc, lanes)?);
-        memo.insert(
-            key,
-            desc.clone(),
-            Arc::clone(&k),
-            self.capacity,
-            &self.kernel_evictions,
-        );
-        Ok(k)
-    }
-
-    /// The cached (or freshly specialized) 3D kernel for `desc` at `lanes`
-    /// (see [`Self::kernel_2d`]).
-    pub fn kernel_3d(
-        &self,
-        desc: &KernelDesc,
-        lanes: usize,
-    ) -> Result<Arc<CompiledKernel3D<f32>>, StencilError> {
-        let key = (desc.stable_hash(), lanes);
-        let mut memo = self.k3.lock().unwrap();
-        if let Some((stored, k)) = memo.map.get(&key) {
-            if stored != desc {
-                return Err(StencilError::Mismatch {
-                    reason: format!(
-                        "kernel desc hash collision at {:#018x}: cached desc differs",
-                        key.0
-                    ),
-                });
-            }
-            self.kernel_hits.inc();
-            return Ok(Arc::clone(k));
-        }
-        self.kernel_misses.inc();
-        let k = Arc::new(compile_3d::<f32>(desc, lanes)?);
-        memo.insert(
-            key,
-            desc.clone(),
-            Arc::clone(&k),
-            self.capacity,
-            &self.kernel_evictions,
-        );
-        Ok(k)
-    }
-
-    /// Compiled kernels currently cached (2D + 3D).
-    pub fn kernel_len(&self) -> usize {
-        self.k2.lock().unwrap().map.len() + self.k3.lock().unwrap().map.len()
-    }
-
-    /// Plants a cache entry under an arbitrary hash key, bypassing
-    /// compilation — test hook for the collision guard, which cannot be
-    /// reached through `kernel_2d` without an actual FNV collision.
-    #[cfg(test)]
-    fn plant_2d(&self, hash: u64, lanes: usize, desc: KernelDesc, k: Arc<CompiledKernel2D<f32>>) {
-        self.k2.lock().unwrap().map.insert((hash, lanes), (desc, k));
-    }
-
-    fn insert<V>(memo: &mut MemoMap<V>, key: (usize, u64), value: V, capacity: usize) {
-        if memo.order.len() == capacity {
-            if let Some(evict) = memo.order.pop_front() {
-                memo.map.remove(&evict);
-            }
-        }
-        memo.map.insert(key, value);
-        memo.order.push_back(key);
-    }
-
-    /// Entries currently memoized (2D + 3D).
-    pub fn len(&self) -> usize {
-        self.two.lock().unwrap().map.len() + self.three.lock().unwrap().map.len()
-    }
-
-    /// `true` when nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl std::fmt::Debug for StencilMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StencilMemo")
-            .field("capacity", &self.capacity)
-            .field("entries", &self.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,116 +384,5 @@ mod tests {
         assert_eq!(p.stats().returns, 1, "unwind returned the buffer");
         assert_eq!(p.lease_2d(32, 32).len(), 32 * 32);
         assert_eq!(p.stats().hits, 1);
-    }
-
-    #[test]
-    fn stencil_memo_hits_on_repeat_and_is_pure() {
-        let metrics = MetricsRegistry::new();
-        let memo = StencilMemo::new(&metrics, 8);
-        let a = memo.stencil_2d(2, 42);
-        let b = memo.stencil_2d(2, 42);
-        assert!(Arc::ptr_eq(&a, &b), "same key shares one stencil");
-        assert_eq!(*a, Stencil2D::<f32>::random(2, 42).unwrap());
-        let c = memo.stencil_3d(2, 42);
-        assert_eq!(*c, Stencil3D::<f32>::random(2, 42).unwrap());
-        assert_eq!(metrics.counter("stencil_memo_hits").get(), 1);
-        assert_eq!(metrics.counter("stencil_memo_misses").get(), 2);
-    }
-
-    #[test]
-    fn kernel_memo_hits_on_repeat_and_counters_reconcile() {
-        use stencil_core::kernel_ir::BoundaryCond;
-        let metrics = MetricsRegistry::new();
-        let memo = StencilMemo::new(&metrics, 8);
-        let d = KernelDesc::box_2d(2, 7, BoundaryCond::Periodic).unwrap();
-        let a = memo.kernel_2d(&d, 8).unwrap();
-        let b = memo.kernel_2d(&d, 8).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same desc shares one compiled kernel");
-        // A different lane width is a distinct specialization, not a hit.
-        let c = memo.kernel_2d(&d, 1).unwrap();
-        assert_eq!(c.lanes(), 1);
-        let d3 = KernelDesc::box_3d(1, 7, BoundaryCond::Clamp).unwrap();
-        memo.kernel_3d(&d3, 4).unwrap();
-        assert_eq!(metrics.counter("kernel_memo_hits").get(), 1);
-        assert_eq!(metrics.counter("kernel_memo_misses").get(), 3);
-        assert_eq!(metrics.counter("kernel_memo_evictions").get(), 0);
-        assert_eq!(memo.kernel_len(), 3);
-        // hits + misses == lookups, entries == misses - evictions.
-        assert_eq!(
-            memo.kernel_len() as u64,
-            metrics.counter("kernel_memo_misses").get()
-                - metrics.counter("kernel_memo_evictions").get()
-        );
-    }
-
-    #[test]
-    fn kernel_memo_fifo_skips_in_use_arcs() {
-        use stencil_core::kernel_ir::BoundaryCond;
-        let metrics = MetricsRegistry::new();
-        let memo = StencilMemo::new(&metrics, 2);
-        let d1 = KernelDesc::box_2d(1, 1, BoundaryCond::Clamp).unwrap();
-        let d2 = KernelDesc::box_2d(1, 2, BoundaryCond::Clamp).unwrap();
-        let d3 = KernelDesc::box_2d(1, 3, BoundaryCond::Clamp).unwrap();
-        // Hold the oldest entry's Arc as a live execution would.
-        let held = memo.kernel_2d(&d1, 8).unwrap();
-        drop(memo.kernel_2d(&d2, 8).unwrap());
-        // Capacity reached; FIFO would evict d1, but it is in use, so d2
-        // (idle) goes instead.
-        drop(memo.kernel_2d(&d3, 8).unwrap());
-        assert_eq!(metrics.counter("kernel_memo_evictions").get(), 1);
-        let again = memo.kernel_2d(&d1, 8).unwrap();
-        assert!(Arc::ptr_eq(&held, &again), "in-use entry survived eviction");
-        assert_eq!(
-            metrics.counter("kernel_memo_hits").get(),
-            1,
-            "d1 lookup after eviction round is still a hit"
-        );
-        // d2 was evicted: looking it up again is a miss.
-        drop(memo.kernel_2d(&d2, 8).unwrap());
-        assert_eq!(metrics.counter("kernel_memo_misses").get(), 4);
-        // When *every* resident entry is in use, the cache grows rather
-        // than evicting a live kernel.
-        let held3 = memo.kernel_2d(&d3, 8).unwrap();
-        let d4 = KernelDesc::box_2d(1, 4, BoundaryCond::Clamp).unwrap();
-        let held4 = memo.kernel_2d(&d4, 8).unwrap();
-        let before = metrics.counter("kernel_memo_evictions").get();
-        let d5 = KernelDesc::box_2d(1, 5, BoundaryCond::Clamp).unwrap();
-        let _held5 = memo.kernel_2d(&d5, 8).unwrap();
-        drop((held3, held4));
-        assert_eq!(
-            metrics.counter("kernel_memo_evictions").get(),
-            before,
-            "no eviction while all entries were held"
-        );
-    }
-
-    #[test]
-    fn kernel_memo_rejects_hash_collisions() {
-        use stencil_core::kernel_ir::BoundaryCond;
-        let metrics = MetricsRegistry::new();
-        let memo = StencilMemo::new(&metrics, 8);
-        let real = KernelDesc::box_2d(2, 9, BoundaryCond::Clamp).unwrap();
-        let impostor = KernelDesc::box_2d(2, 10, BoundaryCond::Reflective).unwrap();
-        let k = Arc::new(stencil_core::compile_2d::<f32>(&impostor, 8).unwrap());
-        // Plant the impostor under `real`'s hash: an FNV collision in
-        // miniature. The lookup must refuse to serve it.
-        memo.plant_2d(real.stable_hash(), 8, impostor, k);
-        let err = memo.kernel_2d(&real, 8).unwrap_err();
-        assert!(
-            matches!(err, StencilError::Mismatch { ref reason } if reason.contains("collision")),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn stencil_memo_evicts_fifo_at_capacity() {
-        let metrics = MetricsRegistry::new();
-        let memo = StencilMemo::new(&metrics, 2);
-        memo.stencil_2d(1, 1);
-        memo.stencil_2d(1, 2);
-        memo.stencil_2d(1, 3); // evicts (1, 1)
-        assert_eq!(memo.len(), 2);
-        memo.stencil_2d(1, 1); // miss again
-        assert_eq!(metrics.counter("stencil_memo_misses").get(), 4);
     }
 }

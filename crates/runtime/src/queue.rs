@@ -1,7 +1,7 @@
 //! The bounded multi-tenant admission queue.
 //!
-//! One queue fronts the whole runtime: [`AdmissionQueue::push`] either
-//! admits a job or fails fast with [`PushError::Full`] — explicit
+//! One queue fronts the whole runtime: [`AdmissionQueue::push_traced`]
+//! either admits a job or fails fast with [`PushError::Full`] — explicit
 //! backpressure instead of unbounded memory, exactly like the bounded
 //! on-chip FIFOs in the simulated accelerator. Internally the queue keeps
 //! one *lane* per [`Tenant`] and schedules between lanes with
@@ -14,17 +14,15 @@
 //! classic DWRR O(1) fairness bound. Within a lane, order is priority then
 //! FIFO, per backend, as before.
 //!
-//! Shards drain the queue with [`AdmissionQueue::pop_batch`], which
-//! respects the DWRR schedule and opportunistically batches consecutive
-//! *small* jobs from the same lane so cheap work amortizes the scheduling
-//! overhead. A shard with nothing to do for its backend sleeps on the
-//! queue's condvar until a push or the close wakes it.
+//! Shards drain the queue with [`AdmissionQueue::pop`], which hands out
+//! one job at a time in DWRR order. A shard with nothing to do for its
+//! backend sleeps on the queue's condvar until a push or the close wakes
+//! it.
 //!
 //! Shutdown is a graceful drain: [`AdmissionQueue::close`] stops new
 //! admissions but pops keep returning queued jobs until every lane is
 //! empty, so nothing admitted is ever dropped.
 
-use crate::batch::BatchPolicy;
 use crate::cancel::CancelToken;
 use crate::job::{Backend, JobSpec};
 use crate::planner::PlanAssignment;
@@ -147,13 +145,8 @@ pub struct AdmissionQueue {
 }
 
 impl AdmissionQueue {
-    /// A queue admitting at most `capacity` jobs at once, with every tenant
-    /// at the default weight.
-    pub fn new(capacity: usize) -> AdmissionQueue {
-        AdmissionQueue::with_policy(capacity, TenantPolicy::default())
-    }
-
-    /// A queue whose DWRR weights come from `policy`.
+    /// A queue admitting at most `capacity` jobs at once, whose DWRR
+    /// weights come from `policy`.
     pub fn with_policy(capacity: usize, policy: TenantPolicy) -> AdmissionQueue {
         assert!(capacity > 0, "queue capacity must be positive");
         AdmissionQueue {
@@ -176,23 +169,8 @@ impl AdmissionQueue {
     }
 
     /// Admits a job into its tenant's lane, assigning its sequence number.
-    ///
-    /// # Errors
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`AdmissionQueue::close`].
-    pub fn push(
-        &self,
-        spec: JobSpec,
-        token: CancelToken,
-        plan: Option<PlanAssignment>,
-        reply: Option<ResultSender>,
-    ) -> Result<(), PushError> {
-        self.push_traced(spec, token, plan, reply, Instant::now(), 0.0)
-    }
-
-    /// [`AdmissionQueue::push`] with the submitter's trace origin: when
-    /// the job arrived at submission (before planning) and how long
-    /// planning took. The plain `push` records both as "now"/zero.
+    /// `submitted` is when the job arrived at submission (before planning)
+    /// and `plan_ms` how long planning took: the trace record's origin.
     ///
     /// # Errors
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
@@ -240,12 +218,10 @@ impl AdmissionQueue {
     }
 
     /// Blocks until a job for `backend` is queued, then removes and returns
-    /// the next batch under the DWRR schedule: the lane rotation resumes
+    /// the next job under the DWRR schedule: the lane rotation resumes
     /// after the last-served tenant, each visited lane's deficit is
     /// refilled by `quantum × weight`, and the first lane whose deficit
-    /// covers its best job's cost dispatches it (plus, when that job is
-    /// *small* under `batch`, up to `batch.max_batch - 1` further small
-    /// same-backend jobs from the *same lane*, each also charged). When no
+    /// covers its best job's cost dispatches it, charged. When no
     /// lane can afford its head job after one full rotation, every
     /// contending lane is granted the same number of extra rounds at once —
     /// arithmetically identical to spinning more rotations, without holding
@@ -253,10 +229,10 @@ impl AdmissionQueue {
     /// weighted shares hold over time.
     ///
     /// With nothing queued for `backend`, the caller sleeps on the queue's
-    /// condvar; [`AdmissionQueue::push`] and [`AdmissionQueue::close`] wake
-    /// it. Returns `None` once the queue is closed *and* holds no work for
-    /// `backend` (graceful drain).
-    pub fn pop_batch(&self, backend: Backend, batch: &BatchPolicy) -> Option<Vec<QueuedJob>> {
+    /// condvar; [`AdmissionQueue::push_traced`] and
+    /// [`AdmissionQueue::close`] wake it. Returns `None` once the queue is
+    /// closed *and* holds no work for `backend` (graceful drain).
+    pub fn pop(&self, backend: Backend) -> Option<QueuedJob> {
         let bi = backend_index(backend);
         let mut st = self.state.lock().unwrap();
         loop {
@@ -322,26 +298,9 @@ impl AdmissionQueue {
             }
             let tenant = winner.expect("grant unblocks a lane");
             let lane = st.lanes.get_mut(&tenant).expect("winner exists");
-            let first_idx = lane.best_index(backend).expect("winner has a job");
-            let first = lane.jobs.remove(first_idx).expect("index in range");
-            lane.deficit[bi] = lane.deficit[bi].saturating_sub(cost(&first.spec));
-            let mut out = vec![first];
-            if batch.is_small(&out[0].spec) {
-                while out.len() < batch.max_batch {
-                    let next = lane
-                        .best_index(backend)
-                        .filter(|&i| batch.is_small(&lane.jobs[i].spec))
-                        .filter(|&i| lane.deficit[bi] >= cost(&lane.jobs[i].spec));
-                    match next {
-                        Some(i) => {
-                            let j = lane.jobs.remove(i).expect("index in range");
-                            lane.deficit[bi] = lane.deficit[bi].saturating_sub(cost(&j.spec));
-                            out.push(j);
-                        }
-                        None => break,
-                    }
-                }
-            }
+            let idx = lane.best_index(backend).expect("winner has a job");
+            let job = lane.jobs.remove(idx).expect("index in range");
+            lane.deficit[bi] = lane.deficit[bi].saturating_sub(cost(&job.spec));
             // Classic DWRR: an emptied lane forfeits its credit, so an idle
             // tenant cannot hoard service for a later burst.
             if lane.best_index(backend).is_none() {
@@ -351,8 +310,8 @@ impl AdmissionQueue {
                 lane.deficit = [0; Backend::ALL.len()];
             }
             st.last_served[bi] = Some(tenant);
-            st.total -= out.len();
-            return Some(out);
+            st.total -= 1;
+            return Some(job);
         }
     }
 
@@ -390,18 +349,17 @@ mod tests {
         s
     }
 
-    fn push(q: &AdmissionQueue, s: JobSpec) -> Result<(), PushError> {
-        q.push(s, CancelToken::new(), None, None)
+    fn queue(capacity: usize) -> AdmissionQueue {
+        AdmissionQueue::with_policy(capacity, TenantPolicy::default())
     }
 
-    const ONE: BatchPolicy = BatchPolicy {
-        max_batch: 1,
-        small_cells: 0,
-    };
+    fn push(q: &AdmissionQueue, s: JobSpec) -> Result<(), PushError> {
+        q.push_traced(s, CancelToken::new(), None, None, Instant::now(), 0.0)
+    }
 
     #[test]
     fn bounded_push_rejects_overflow() {
-        let q = AdmissionQueue::new(2);
+        let q = queue(2);
         push(&q, spec(1, Backend::SerialRef, Priority::Normal)).unwrap();
         push(&q, spec(2, Backend::SerialRef, Priority::Normal)).unwrap();
         assert_eq!(
@@ -413,7 +371,7 @@ mod tests {
 
     #[test]
     fn capacity_is_global_across_tenants() {
-        let q = AdmissionQueue::new(2);
+        let q = queue(2);
         push(&q, tenant_spec(1, "a", Backend::SerialRef)).unwrap();
         push(&q, tenant_spec(2, "b", Backend::SerialRef)).unwrap();
         assert_eq!(
@@ -424,58 +382,44 @@ mod tests {
 
     #[test]
     fn pop_respects_priority_then_fifo_per_backend() {
-        let q = AdmissionQueue::new(8);
+        let q = queue(8);
         push(&q, spec(1, Backend::CpuEngine, Priority::Normal)).unwrap();
         push(&q, spec(2, Backend::Functional, Priority::Low)).unwrap();
         push(&q, spec(3, Backend::Functional, Priority::High)).unwrap();
         push(&q, spec(4, Backend::Functional, Priority::High)).unwrap();
 
         let ids: Vec<u64> = (0..3)
-            .map(|_| q.pop_batch(Backend::Functional, &ONE).unwrap()[0].spec.id)
+            .map(|_| q.pop(Backend::Functional).unwrap().spec.id)
             .collect();
         assert_eq!(ids, vec![3, 4, 2], "High FIFO, then Low");
         // The CPU-engine job is untouched by the functional shard.
-        assert_eq!(q.pop_batch(Backend::CpuEngine, &ONE).unwrap()[0].spec.id, 1);
+        assert_eq!(q.pop(Backend::CpuEngine).unwrap().spec.id, 1);
     }
 
     #[test]
-    fn small_jobs_batch_up_to_limit() {
-        let q = AdmissionQueue::new(8);
-        // Every 64x16x1-iter job is "small" under a generous threshold.
-        let batchy = BatchPolicy {
-            max_batch: 3,
-            small_cells: 1 << 20,
-        };
-        for id in 1..=5 {
-            push(&q, spec(id, Backend::CpuEngine, Priority::Normal)).unwrap();
+    fn every_pop_claims_one_job() {
+        // Five small jobs of one lane and backend: each pop hands out
+        // exactly one of them, in priority-then-FIFO order.
+        let q = queue(8);
+        for (id, priority) in [
+            (1, Priority::Normal),
+            (2, Priority::High),
+            (3, Priority::Normal),
+            (4, Priority::Low),
+            (5, Priority::High),
+        ] {
+            push(&q, spec(id, Backend::CpuEngine, priority)).unwrap();
         }
-        let first = q.pop_batch(Backend::CpuEngine, &batchy).unwrap();
-        assert_eq!(
-            first.iter().map(|j| j.spec.id).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
-        let second = q.pop_batch(Backend::CpuEngine, &batchy).unwrap();
-        assert_eq!(
-            second.iter().map(|j| j.spec.id).collect::<Vec<_>>(),
-            vec![4, 5]
-        );
-    }
-
-    #[test]
-    fn big_jobs_never_batch() {
-        let q = AdmissionQueue::new(8);
-        let batchy = BatchPolicy {
-            max_batch: 4,
-            small_cells: 10, // everything is "big"
-        };
-        push(&q, spec(1, Backend::CpuEngine, Priority::Normal)).unwrap();
-        push(&q, spec(2, Backend::CpuEngine, Priority::Normal)).unwrap();
-        assert_eq!(q.pop_batch(Backend::CpuEngine, &batchy).unwrap().len(), 1);
+        let ids: Vec<u64> = (0..5)
+            .map(|_| q.pop(Backend::CpuEngine).unwrap().spec.id)
+            .collect();
+        assert_eq!(ids, vec![2, 5, 1, 3, 4]);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn close_drains_then_ends() {
-        let q = AdmissionQueue::new(4);
+        let q = queue(4);
         push(&q, spec(1, Backend::SerialRef, Priority::Normal)).unwrap();
         q.close();
         assert_eq!(
@@ -483,10 +427,10 @@ mod tests {
             PushError::Closed
         );
         // The queued job still drains...
-        assert_eq!(q.pop_batch(Backend::SerialRef, &ONE).unwrap()[0].spec.id, 1);
+        assert_eq!(q.pop(Backend::SerialRef).unwrap().spec.id, 1);
         // ...then the shard is released.
-        assert!(q.pop_batch(Backend::SerialRef, &ONE).is_none());
-        assert!(q.pop_batch(Backend::Functional, &ONE).is_none());
+        assert!(q.pop(Backend::SerialRef).is_none());
+        assert!(q.pop(Backend::Functional).is_none());
     }
 
     /// How long a woken pop may take to report back before a test calls
@@ -496,25 +440,24 @@ mod tests {
     /// How long a pop must stay blocked to count as blocked.
     const STILL: Duration = Duration::from_millis(50);
 
-    /// Runs one `pop_batch` for `backend` on its own thread; the receiver
-    /// yields the popped ids, or `None` for a closed, drained queue.
-    fn pop_on_thread(q: &Arc<AdmissionQueue>, backend: Backend) -> Receiver<Option<Vec<u64>>> {
+    /// Runs one `pop` for `backend` on its own thread; the receiver yields
+    /// the popped id, or `None` for a closed, drained queue.
+    fn pop_on_thread(q: &Arc<AdmissionQueue>, backend: Backend) -> Receiver<Option<u64>> {
         let (tx, rx) = mpsc::channel();
         let q = Arc::clone(q);
         std::thread::spawn(move || {
-            let popped = q.pop_batch(backend, &ONE);
-            let _ = tx.send(popped.map(|b| b.iter().map(|j| j.spec.id).collect()));
+            let _ = tx.send(q.pop(backend).map(|j| j.spec.id));
         });
         rx
     }
 
-    fn still_blocked(rx: &Receiver<Option<Vec<u64>>>) -> bool {
+    fn still_blocked(rx: &Receiver<Option<u64>>) -> bool {
         matches!(rx.recv_timeout(STILL), Err(RecvTimeoutError::Timeout))
     }
 
     #[test]
     fn blocked_pop_returns_none_after_close() {
-        let q = Arc::new(AdmissionQueue::new(4));
+        let q = Arc::new(queue(4));
         let rx = pop_on_thread(&q, Backend::SerialRef);
         assert!(
             still_blocked(&rx),
@@ -526,7 +469,7 @@ mod tests {
 
     #[test]
     fn blocked_pop_sleeps_through_other_backends_pushes() {
-        let q = Arc::new(AdmissionQueue::new(4));
+        let q = Arc::new(queue(4));
         let rx = pop_on_thread(&q, Backend::SerialRef);
         assert!(still_blocked(&rx));
         push(&q, spec(1, Backend::Functional, Priority::Normal)).unwrap();
@@ -537,14 +480,14 @@ mod tests {
         push(&q, spec(2, Backend::SerialRef, Priority::Normal)).unwrap();
         assert_eq!(
             rx.recv_timeout(WAKE).expect("its own job wakes the pop"),
-            Some(vec![2])
+            Some(2)
         );
         assert_eq!(q.depth(), 1, "the functional job is still queued");
     }
 
     #[test]
     fn dwrr_interleaves_equal_weight_tenants() {
-        let q = AdmissionQueue::new(16);
+        let q = queue(16);
         // Tenant "a" floods first; "b" trickles in after. Equal weights
         // mean the rotation alternates between them regardless.
         for id in 0..4 {
@@ -554,7 +497,7 @@ mod tests {
             push(&q, tenant_spec(id, "b", Backend::SerialRef)).unwrap();
         }
         let ids: Vec<u64> = (0..6)
-            .map(|_| q.pop_batch(Backend::SerialRef, &ONE).unwrap()[0].spec.id)
+            .map(|_| q.pop(Backend::SerialRef).unwrap().spec.id)
             .collect();
         // Rotation starts at "a" (BTreeMap order), then alternates while
         // both lanes hold work; "a" finishes its backlog after "b" drains.
@@ -593,7 +536,7 @@ mod tests {
             push(&q, s).unwrap();
         }
         let order: Vec<u64> = (0..9)
-            .map(|_| q.pop_batch(Backend::SerialRef, &ONE).unwrap()[0].spec.id)
+            .map(|_| q.pop(Backend::SerialRef).unwrap().spec.id)
             .collect();
         // First 4 pops: vip gets 3 for std's 1 (3x weight, equal cost).
         let vip_in_first_4 = order.iter().take(4).filter(|&&id| id < 100).count();
@@ -606,7 +549,7 @@ mod tests {
 
     #[test]
     fn big_job_from_light_tenant_is_not_starved() {
-        let q = AdmissionQueue::new(64);
+        let q = queue(64);
         // One huge job for tenant "big" amid a stream of small "small"
         // jobs. The multi-round grant must eventually serve it.
         let mut huge = tenant_spec(1, "big", Backend::SerialRef);
@@ -618,7 +561,7 @@ mod tests {
             push(&q, tenant_spec(id, "small", Backend::SerialRef)).unwrap();
         }
         let ids: Vec<u64> = (0..11)
-            .map(|_| q.pop_batch(Backend::SerialRef, &ONE).unwrap()[0].spec.id)
+            .map(|_| q.pop(Backend::SerialRef).unwrap().spec.id)
             .collect();
         assert!(ids.contains(&1), "huge job served: {ids:?}");
         assert_eq!(q.depth(), 0);
@@ -626,9 +569,9 @@ mod tests {
 
     #[test]
     fn emptied_lane_forfeits_credit() {
-        let q = AdmissionQueue::new(8);
+        let q = queue(8);
         push(&q, tenant_spec(1, "a", Backend::SerialRef)).unwrap();
-        q.pop_batch(Backend::SerialRef, &ONE).unwrap();
+        q.pop(Backend::SerialRef).unwrap();
         // Lane "a" drained; its deficit must reset so a later burst gets
         // no banked head start. Observable via interleave order: a fresh
         // burst from "a" and "b" still alternates from the rotation point.
@@ -639,7 +582,7 @@ mod tests {
             push(&q, tenant_spec(id, "b", Backend::SerialRef)).unwrap();
         }
         let ids: Vec<u64> = (0..4)
-            .map(|_| q.pop_batch(Backend::SerialRef, &ONE).unwrap()[0].spec.id)
+            .map(|_| q.pop(Backend::SerialRef).unwrap().spec.id)
             .collect();
         // last_served = "a", so rotation starts at "b".
         assert_eq!(ids, vec![10, 2, 11, 3]);

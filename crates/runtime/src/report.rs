@@ -226,7 +226,10 @@ impl PlannerReport {
 
 /// The `memory` section: how much allocation work the pooled data path
 /// avoided. All counts come straight from the runtime's [`MetricsRegistry`]
-/// — the same counters the `GridPool` and `StencilMemo` maintain.
+/// — the same counters the `GridPool` maintains. The runtime caches no
+/// stencils or compiled kernels, so nothing writes the `stencil_memo_*`
+/// and `kernel_memo_*` counters and those fields always read 0; they stay
+/// until the schema v11 bump so committed reports remain valid.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MemoryReport {
     /// Grid leases served from a pool free list.
@@ -246,20 +249,21 @@ pub struct MemoryReport {
     pub bytes_pooled: u64,
     /// Most bytes ever parked in the free lists at once.
     pub pool_resident_bytes_high_water: u64,
-    /// Stencil constructions answered from the memo.
+    /// Stencil constructions answered from a memo. Always 0: there is no
+    /// stencil memo.
     pub stencil_memo_hits: u64,
-    /// Stencil constructions that had to build coefficients.
+    /// Stencil constructions that missed a memo. Always 0.
     pub stencil_memo_misses: u64,
-    /// Compiled-kernel requests answered from the specializer cache.
+    /// Compiled-kernel requests answered from a cache. Always 0: every
+    /// job compiles its kernel when it runs.
     pub kernel_memo_hits: u64,
-    /// Compiled-kernel requests that ran the runtime specializer.
+    /// Compiled-kernel requests that missed a cache. Always 0.
     pub kernel_memo_misses: u64,
-    /// Compiled kernels dropped by the cache's FIFO bound (each eviction
-    /// follows an insert, and every insert follows a miss, so evictions
-    /// can never exceed misses).
+    /// Compiled kernels evicted from a cache. Always 0. The validator
+    /// still requires evictions never to exceed misses.
     pub kernel_memo_evictions: u64,
-    /// `kernel_memo_hits / (kernel_memo_hits + kernel_memo_misses)` (0 when
-    /// no kernel was ever requested).
+    /// `kernel_memo_hits / (kernel_memo_hits + kernel_memo_misses)`, 0
+    /// when there were no lookups — so always 0.
     pub kernel_memo_hit_rate: f64,
 }
 
@@ -335,7 +339,7 @@ pub struct TenantReport {
 }
 
 /// The `scheduler` section: the DWRR quantum and three steal counters.
-/// Shards run the batches they pop and never steal, so the runtime writes
+/// Shards run the jobs they pop and never steal, so the runtime writes
 /// the counters as 0. They stay in schema v8 so the committed reports
 /// remain valid, and the validator still checks
 /// `steals == steal_hits + steal_misses`.
@@ -588,7 +592,8 @@ pub struct ServeReport {
     pub jobs_cancelled: u64,
     /// Retry attempts across all jobs.
     pub retries: u64,
-    /// Multi-job batches popped by shards.
+    /// Multi-job batches popped by shards. Always 0: every pop hands one
+    /// job to one worker. The field stays until the schema v11 bump.
     pub batches: u64,
     /// Deepest the admission queue ever got.
     pub max_queue_depth: u64,
@@ -616,7 +621,8 @@ pub struct ServeReport {
     pub backends: Vec<BackendReport>,
     /// Auto-planning decisions and plan-cache statistics.
     pub planner: PlannerReport,
-    /// Grid-pool and stencil-memo statistics (the zero-allocation path).
+    /// Grid-pool statistics (the zero-allocation path), plus the memo
+    /// fields that always read 0.
     pub memory: MemoryReport,
     /// Per-tenant fairness accounting (one entry per tenant seen).
     pub tenants: Vec<TenantReport>,

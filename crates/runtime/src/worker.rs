@@ -7,11 +7,10 @@
 //! point, one capacity) but service is sharded, mirroring how the paper's
 //! host dispatches work onto whatever compute is attached.
 //!
-//! Every worker in a shard runs the same loop: pop the next DWRR batch for
-//! its backend, run each job in it, and sleep on the queue when there is
-//! nothing for its backend. The queue is the only scheduler. A worker
-//! holds only the batch it is running (under the serving default, at most
-//! four small jobs), so little work can wait behind a busy sibling.
+//! Every worker in a shard runs the same loop: pop the next DWRR job for
+//! its backend, run it, and sleep on the queue when there is nothing for
+//! its backend. The queue is the only scheduler. A worker holds only the
+//! job it is running, so no queued work waits behind a busy sibling.
 //! Submission is non-blocking ([`Runtime::submit`] returns a [`Ticket`]
 //! immediately) and results can stream back per client over a bounded
 //! [`crate::stream::ResultStream`] instead of waiting for drain.
@@ -31,25 +30,25 @@
 //! 5. records counters, and builds the [`JobResult`] and the job's
 //!    [`TraceRecord`] from the same instants.
 //!
-//! The execution data path is zero-allocation in steady state: input,
-//! output, and ping-pong scratch grids are leased from a shared
-//! [`GridPool`] (returned automatically on drop, even across retry
-//! panics), stencil coefficients come from a [`StencilMemo`], and the
-//! backends run through their `_into` variants that write into the leased
-//! buffers. Pool hit/miss counters surface in the serve report's `memory`
+//! The execution data path recycles its grids: input, output, and
+//! ping-pong scratch grids are leased from a shared [`GridPool`] (returned
+//! automatically on drop, even across retry panics), and the backends run
+//! through their `_into` variants that write into the leased buffers. Each
+//! run builds its stencil and compiles its row kernel in place: on a
+//! 2 vCPU Xeon that takes under a microsecond, no more than a cache lookup
+//! did. Pool hit/miss counters surface in the serve report's `memory`
 //! section.
 //!
 //! Shutdown ([`Runtime::drain`]) closes the queue, lets every shard finish
 //! what is queued, and joins all workers — graceful drain, nothing admitted
 //! is dropped.
 
-use crate::batch::BatchPolicy;
 use crate::cancel::CancelToken;
 use crate::job::{Backend, JobResult, JobSpec, Outcome};
 use crate::metrics::MetricsRegistry;
 use crate::persist::{load_planner_memory, save_planner_memory};
 use crate::planner::{place_program, DeviceProfile, PlanError, PlanMode, Planner};
-use crate::pool::{GridLease2D, GridLease3D, GridPool, StencilMemo};
+use crate::pool::{GridLease2D, GridLease3D, GridPool};
 use crate::program::{self, StencilProgram};
 use crate::queue::{AdmissionQueue, PushError, QueuedJob};
 use crate::report::StealTotals;
@@ -67,7 +66,10 @@ use std::sync::{Arc, Condvar, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stencil_core::util::{fnv1a64_lanes, splitmix64};
-use stencil_core::{compile_star_2d, compile_star_3d, kernel_ir, Grid2D, Grid3D, KernelDesc};
+use stencil_core::{
+    compile_2d, compile_3d, compile_star_2d, compile_star_3d, kernel_ir, Grid2D, Grid3D,
+    KernelDesc, Stencil2D, Stencil3D,
+};
 
 /// Everything tunable about a [`Runtime`]. Retries always follow the fixed
 /// [`crate::retry`] schedule; the planner and the grid pool take no
@@ -85,8 +87,6 @@ pub struct RuntimeConfig {
     /// `serial_ref` oracle and bit-compared. Jobs with `shadow: true` are
     /// always verified.
     pub shadow_percent: u8,
-    /// Small-job batching policy.
-    pub batch: BatchPolicy,
     /// Device profile the planner ranks candidates against. The HBM
     /// profile opens the hybrid `replicas x partime` axis, so auto-planned
     /// jobs can land on spatially replicated functional chains.
@@ -112,7 +112,6 @@ impl Default for RuntimeConfig {
             workers_per_shard: 2,
             backends: Backend::ALL.to_vec(),
             shadow_percent: 10,
-            batch: BatchPolicy::serving_default(),
             device: DeviceProfile::default(),
             tenants: TenantPolicy::default(),
             planner_memory: None,
@@ -195,7 +194,7 @@ pub struct DrainOutcome {
     /// Final per-tenant admission accounting, sorted by tenant name.
     pub tenants: Vec<TenantSnapshot>,
     /// Steal counters for the serve report's `scheduler` section. Always
-    /// zero: shards run the batches they pop and never steal.
+    /// zero: shards run the jobs they pop and never steal.
     pub steals: StealTotals,
     /// Trace records the writer wrote (one per terminal job; the
     /// lossless-writer invariant makes this equal `results.len()`).
@@ -247,17 +246,15 @@ struct ShardCtx {
     /// The runtime's start instant — the origin every trace timestamp is
     /// measured from.
     epoch: Instant,
-    batch: BatchPolicy,
     shadow_percent: u8,
     env: ExecEnv,
 }
 
-/// Pooled execution resources shared by every shard: the grid buffer pool
-/// and the stencil memo.
+/// Execution resources shared by every shard: the grid buffer pool and
+/// the device profile.
 #[derive(Clone)]
 struct ExecEnv {
     pool: Arc<GridPool>,
-    stencils: Arc<StencilMemo>,
     /// Device profile program placement ranks candidates against — the
     /// same profile the planner plans single-kernel jobs for.
     profile: DeviceProfile,
@@ -267,7 +264,6 @@ impl ExecEnv {
     fn new(metrics: &MetricsRegistry, profile: DeviceProfile) -> ExecEnv {
         ExecEnv {
             pool: Arc::new(GridPool::new(metrics)),
-            stencils: Arc::new(StencilMemo::new(metrics, StencilMemo::DEFAULT_CAPACITY)),
             profile,
         }
     }
@@ -346,7 +342,6 @@ impl Runtime {
                     planner: Arc::clone(&planner),
                     tracer: Arc::clone(&tracer),
                     epoch: started,
-                    batch: config.batch,
                     shadow_percent: config.shadow_percent,
                     env: env.clone(),
                 };
@@ -563,23 +558,15 @@ impl Runtime {
     }
 }
 
-/// One shard worker: pop the next DWRR batch for this backend, run every
-/// job in it, repeat. The pop sleeps while the queue holds nothing for
-/// this backend and returns `None` once the queue is closed and drained
-/// for it, so close-then-drain loses nothing.
+/// One shard worker: pop the next DWRR job for this backend, run it,
+/// repeat. The pop sleeps while the queue holds nothing for this backend
+/// and returns `None` once the queue is closed and drained for it, so
+/// close-then-drain loses nothing.
 fn shard_loop(ctx: &ShardCtx) {
     let depth_gauge = ctx.metrics.gauge("queue_depth");
-    let batches = ctx.metrics.counter("batches");
-    let batched_jobs = ctx.metrics.counter("batched_jobs");
-    while let Some(batch) = ctx.queue.pop_batch(ctx.backend, &ctx.batch) {
+    while let Some(job) = ctx.queue.pop(ctx.backend) {
         depth_gauge.set(ctx.queue.depth() as i64);
-        if batch.len() > 1 {
-            batches.inc();
-            batched_jobs.add(batch.len() as u64);
-        }
-        for job in batch {
-            process_job(ctx, job);
-        }
+        process_job(ctx, job);
     }
 }
 
@@ -818,10 +805,10 @@ struct ProgramRunStats {
     stage_ticks: Vec<u64>,
 }
 
-/// Runs the spec on its backend through the pooled, zero-allocation data
-/// path: grids are leased from `env.pool`, stencils and compiled kernels
-/// come from `env.stencils`, and the executor writes into the leased output
-/// via its `_into` variant. Attempt numbers ≤ `fail_times` panic (the load
+/// Runs the spec on its backend through the pooled data path: grids are
+/// leased from `env.pool`, the stencil or compiled kernel is built for
+/// this run, and the executor writes into the leased output via its
+/// `_into` variant. Attempt numbers ≤ `fail_times` panic (the load
 /// test's injected transient fault); the panic unwinds to the shard's
 /// `catch_unwind`, and any live leases return to the pool on the way out.
 fn execute(
@@ -844,14 +831,14 @@ fn execute(
         program::fill_source_2d(&mut input, spec.seed);
         let mut out = env.pool.lease_2d(spec.nx, spec.ny);
         let mut scratch = env.pool.lease_2d(spec.nx, spec.ny);
-        let counters = run_2d(spec, token, env, &input, &mut out, &mut scratch);
+        let counters = run_2d(spec, token, &input, &mut out, &mut scratch);
         (counters, checksum_f32(out.as_slice()), OutputGrid::G2(out))
     } else {
         let mut input = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
         program::fill_source_3d(&mut input, spec.seed);
         let mut out = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
         let mut scratch = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
-        let counters = run_3d(spec, token, env, &input, &mut out, &mut scratch);
+        let counters = run_3d(spec, token, &input, &mut out, &mut scratch);
         (counters, checksum_f32(out.as_slice()), OutputGrid::G3(out))
     };
     match counters {
@@ -864,12 +851,6 @@ fn execute(
         _ => Err(Interrupted),
     }
 }
-
-/// Lane width the worker compiles desc kernels at (through the
-/// [`StencilMemo`] kernel cache). Eight f32 lanes is the widest row kernel
-/// the specializer emits and matches the paper's `parvec` sweet spot on the
-/// DDR profile.
-const KERNEL_LANES: usize = 8;
 
 /// Rebuilds the validated [`KernelDesc`] a kernel job describes. Pure
 /// function of the spec (taps family × boundary × dim/rad/seed), so the
@@ -918,13 +899,13 @@ fn grid_resident_counters(spec: &JobSpec, lanes: usize) -> SimCounters {
 fn run_2d(
     spec: &JobSpec,
     token: &CancelToken,
-    env: &ExecEnv,
     input: &Grid2D<f32>,
     out: &mut Grid2D<f32>,
     scratch: &mut Grid2D<f32>,
 ) -> Option<SimCounters> {
     let cancel = || token.is_cancelled();
-    let star = || env.stencils.stencil_2d(spec.rad, spec.seed);
+    let star =
+        || Stencil2D::<f32>::random(spec.rad, spec.seed).expect("spec validated at admission");
     let cfg = || spec.block_config().expect("spec validated at admission");
     match (spec.backend, spec.kernel.is_some()) {
         (Backend::Functional, false) => functional::run_2d_replicated_cancellable_into(
@@ -939,11 +920,9 @@ fn run_2d(
         ),
         (Backend::Functional | Backend::CpuEngine, _) => {
             let kernel = match spec.kernel {
-                Some(_) => env
-                    .stencils
-                    .kernel_2d(&kernel_desc_for(spec), KERNEL_LANES)
+                Some(_) => compile_2d(&kernel_desc_for(spec), engines::CPU_LANES)
                     .expect("kernel desc validated at admission"),
-                None => Arc::new(compile_star_2d(&star(), engines::CPU_LANES)),
+                None => compile_star_2d(&star(), engines::CPU_LANES),
             };
             engines::parallel_2d_kernel_into(&kernel, input, spec.iters, &cancel, out, scratch)
                 .then(|| grid_resident_counters(spec, kernel.lanes()))
@@ -964,13 +943,13 @@ fn run_2d(
 fn run_3d(
     spec: &JobSpec,
     token: &CancelToken,
-    env: &ExecEnv,
     input: &Grid3D<f32>,
     out: &mut Grid3D<f32>,
     scratch: &mut Grid3D<f32>,
 ) -> Option<SimCounters> {
     let cancel = || token.is_cancelled();
-    let star = || env.stencils.stencil_3d(spec.rad, spec.seed);
+    let star =
+        || Stencil3D::<f32>::random(spec.rad, spec.seed).expect("spec validated at admission");
     let cfg = || spec.block_config().expect("spec validated at admission");
     match (spec.backend, spec.kernel.is_some()) {
         (Backend::Functional, false) => functional::run_3d_replicated_cancellable_into(
@@ -985,11 +964,9 @@ fn run_3d(
         ),
         (Backend::Functional | Backend::CpuEngine, _) => {
             let kernel = match spec.kernel {
-                Some(_) => env
-                    .stencils
-                    .kernel_3d(&kernel_desc_for(spec), KERNEL_LANES)
+                Some(_) => compile_3d(&kernel_desc_for(spec), engines::CPU_LANES)
                     .expect("kernel desc validated at admission"),
-                None => Arc::new(compile_star_3d(&star(), engines::CPU_LANES)),
+                None => compile_star_3d(&star(), engines::CPU_LANES),
             };
             engines::parallel_3d_kernel_into(&kernel, input, spec.iters, &cancel, out, scratch)
                 .then(|| grid_resident_counters(spec, kernel.lanes()))
@@ -1170,7 +1147,7 @@ fn execute_program(
             |slot, input, out, scratch| {
                 let (node, seed, stage) = node(slot);
                 functional::run_2d_replicated_cancellable_into(
-                    &env.stencils.stencil_2d(node.rad, seed),
+                    &Stencil2D::random(node.rad, seed).expect("program validated at admission"),
                     input,
                     &stage.config,
                     node.iters,
@@ -1194,7 +1171,7 @@ fn execute_program(
             |slot, input, out, scratch| {
                 let (node, seed, stage) = node(slot);
                 functional::run_3d_replicated_cancellable_into(
-                    &env.stencils.stencil_3d(node.rad, seed),
+                    &Stencil3D::random(node.rad, seed).expect("program validated at admission"),
                     input,
                     &stage.config,
                     node.iters,
@@ -1250,9 +1227,8 @@ fn execute_program(
 }
 
 /// Re-executes the spec on the frozen `serial_ref` oracle and bit-compares.
-/// The oracle *input* grid is pooled and the stencil memoized; the oracle
-/// itself still allocates internally — it is the frozen reference and stays
-/// untouched.
+/// The oracle *input* grid is pooled; the oracle itself still allocates
+/// internally — it is the frozen reference and stays untouched.
 fn shadow_verify(spec: &JobSpec, output: &OutputGrid, env: &ExecEnv) -> bool {
     match output {
         // Kernel jobs verify against the frozen generic-reference
@@ -1272,7 +1248,7 @@ fn shadow_verify(spec: &JobSpec, output: &OutputGrid, env: &ExecEnv) -> bool {
         }
         OutputGrid::G2(out) => {
             let cfg = spec.block_config().expect("spec validated at admission");
-            let st = env.stencils.stencil_2d(spec.rad, spec.seed);
+            let st = Stencil2D::random(spec.rad, spec.seed).expect("spec validated at admission");
             let mut input = env.pool.lease_2d(spec.nx, spec.ny);
             program::fill_source_2d(&mut input, spec.seed);
             let oracle = serial_ref::run_2d_serial(&st, &input, &cfg, spec.iters);
@@ -1280,7 +1256,7 @@ fn shadow_verify(spec: &JobSpec, output: &OutputGrid, env: &ExecEnv) -> bool {
         }
         OutputGrid::G3(out) => {
             let cfg = spec.block_config().expect("spec validated at admission");
-            let st = env.stencils.stencil_3d(spec.rad, spec.seed);
+            let st = Stencil3D::random(spec.rad, spec.seed).expect("spec validated at admission");
             let mut input = env.pool.lease_3d(spec.nx, spec.ny, spec.nz);
             program::fill_source_3d(&mut input, spec.seed);
             let oracle = serial_ref::run_3d_serial(&st, &input, &cfg, spec.iters);
@@ -1422,7 +1398,7 @@ fn install_quiet_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::{exec, Stencil2D, Stencil3D};
+    use stencil_core::exec;
 
     /// A standalone execution environment with its own metrics registry,
     /// so pool counters can be asserted in isolation.
@@ -1569,8 +1545,8 @@ mod tests {
     fn retries_materialize_grids_once_per_job() {
         // Regression for retry waste: the two injected-failure attempts
         // panic *before* any lease is taken, and the succeeding attempt
-        // leases exactly one set of buffers and builds the stencil once —
-        // retrying must not multiply either.
+        // leases exactly one set of buffers — retrying must not multiply
+        // them.
         let token = CancelToken::new();
         let (env, metrics) = test_env();
         install_quiet_panic_hook();
@@ -1588,14 +1564,12 @@ mod tests {
             3,
             "one input + one output + one scratch across the whole retry sequence"
         );
-        assert_eq!(metrics.counter("stencil_memo_misses").get(), 1);
         drop(out);
         // The same job replayed end-to-end is now fully pool-served.
         let out = execute(&spec, 3, &token, &env).ok().expect("completes");
         drop(out);
         assert_eq!(metrics.counter("pool_misses").get(), 3);
         assert_eq!(metrics.counter("pool_hits").get(), 3);
-        assert_eq!(metrics.counter("stencil_memo_hits").get(), 1);
     }
 
     #[test]
@@ -1818,7 +1792,7 @@ mod tests {
         use crate::job::KernelSpec;
         use stencil_core::{BoundaryCond, KernelClass};
         let token = CancelToken::new();
-        let (env, metrics) = test_env();
+        let (env, _) = test_env();
         for backend in [Backend::SerialRef, Backend::CpuEngine, Backend::Functional] {
             for (taps, boundary) in [
                 (KernelClass::Box, BoundaryCond::Periodic),
@@ -1844,10 +1818,6 @@ mod tests {
                 }
             }
         }
-        // Compiled kernels are memoized: 3 distinct 2D descs were compiled
-        // once each and then re-served across backends and shadow runs.
-        assert_eq!(metrics.counter("kernel_memo_misses").get(), 3);
-        assert!(metrics.counter("kernel_memo_hits").get() >= 3);
     }
 
     #[test]

@@ -284,11 +284,8 @@ fn synthesize_program_job(id: u64, rng: &mut XorShift64, quick: bool) -> JobSpec
 /// The desc itself (taps + boundary + radius + coefficient seed) is drawn
 /// from a *small fixed table* of recurring kernel types rather than fully
 /// at random: a serving fleet runs a handful of kernel shapes over and
-/// over, and recurring descs are exactly what the compiled-kernel cache
-/// exists for — a fully random coefficient seed would make every desc
-/// hash unique and pin the cache hit rate at zero. Radii stay small (1–2)
-/// so box neighborhoods stay affordable at serve scale; the bench matrix
-/// covers the deep-radius shapes.
+/// over. Radii stay small (1–2) so box neighborhoods stay affordable at
+/// serve scale; the bench matrix covers the deep-radius shapes.
 fn synthesize_kernel_job(id: u64, rng: &mut XorShift64, quick: bool) -> JobSpec {
     /// The recurring kernel types: (taps, boundary, rad, 3D?). The 2D
     /// slice spans every tap family and boundary condition; the 3D slice
@@ -337,8 +334,7 @@ fn synthesize_kernel_job(id: u64, rng: &mut XorShift64, quick: bool) -> JobSpec 
     };
     spec.backend = backend;
     spec.kernel = Some(KernelSpec { taps, boundary });
-    // The coefficient seed is the type index: same type, same desc, same
-    // stable hash — the compiled-kernel cache hits on every repeat.
+    // The coefficient seed is the type index: same type, same desc.
     spec.seed = kind as u64;
     spec.priority = match rng.next_u64() % 10 {
         0..=1 => Priority::Low,

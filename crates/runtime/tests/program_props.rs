@@ -20,8 +20,7 @@ use std::time::Duration;
 use fpga_sim::cluster::{self, ClusterNode, ClusterSpec};
 use proptest::prelude::*;
 use stencil_runtime::{
-    Backend, BatchPolicy, JobSpec, Outcome, ProgramEdge, ProgramNode, Runtime, RuntimeConfig,
-    StencilProgram,
+    Backend, JobSpec, Outcome, ProgramEdge, ProgramNode, Runtime, RuntimeConfig, StencilProgram,
 };
 
 /// xorshift64* expansion of one proptest-drawn seed into a draw stream —
@@ -113,7 +112,6 @@ fn assert_cluster_matches_interpreter(seed: u64, dim3: bool) {
         workers_per_shard: 1,
         backends: vec![Backend::Functional],
         shadow_percent: 0, // programs shadow regardless; prove the override
-        batch: BatchPolicy::disabled(),
         ..RuntimeConfig::default()
     });
     rt.submit(spec).expect("admission");

@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use stencil_runtime::job::MAX_GRID_CELLS;
 use stencil_runtime::workload::parse_jsonl;
 use stencil_runtime::{
-    Backend, BatchPolicy, JobSpec, Outcome, PlanError, Priority, ResultStream, Runtime,
-    RuntimeConfig, SubmitError,
+    Backend, JobSpec, Outcome, PlanError, Priority, ResultStream, Runtime, RuntimeConfig,
+    SubmitError,
 };
 
 /// A runtime with a single one-worker shard, so a heavy head-of-line job
@@ -19,7 +19,6 @@ fn single_lane(backend: Backend, queue_capacity: usize) -> Runtime {
         workers_per_shard: 1,
         backends: vec![backend],
         shadow_percent: 0,
-        batch: BatchPolicy::disabled(),
         ..RuntimeConfig::default()
     })
 }

@@ -7,21 +7,17 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 use stencil_runtime::{
-    Backend, BatchPolicy, JobSpec, Outcome, ResultStream, Runtime, RuntimeConfig, SubmitError,
-    Tenant, TenantConfig, TenantPolicy,
+    Backend, JobSpec, Outcome, ResultStream, Runtime, RuntimeConfig, SubmitError, Tenant,
+    TenantConfig, TenantPolicy,
 };
 
-/// A runtime with one multi-worker shard whose small jobs batch.
-fn batching_runtime(workers: usize, queue_capacity: usize) -> Runtime {
+/// A runtime with one multi-worker shard.
+fn multi_worker_runtime(workers: usize, queue_capacity: usize) -> Runtime {
     Runtime::start(RuntimeConfig {
         queue_capacity,
         workers_per_shard: workers,
         backends: vec![Backend::CpuEngine],
         shadow_percent: 0,
-        batch: BatchPolicy {
-            max_batch: 8,
-            small_cells: 1 << 20,
-        },
         ..RuntimeConfig::default()
     })
 }
@@ -38,13 +34,12 @@ fn tenant_job(id: u64, tenant: &str) -> JobSpec {
     s
 }
 
-/// Close-then-drain across a batching multi-worker shard loses nothing:
-/// many small jobs over 4 workers, every id terminal exactly once, and
-/// the jobs really did run in multi-job batches.
+/// Close-then-drain across a multi-worker shard loses nothing: many
+/// small jobs over 4 workers, every id terminal exactly once.
 #[test]
-fn close_then_drain_with_batching_workers_loses_nothing() {
+fn close_then_drain_with_multiple_workers_loses_nothing() {
     let jobs = 400u64;
-    let rt = batching_runtime(4, jobs as usize);
+    let rt = multi_worker_runtime(4, jobs as usize);
     for id in 0..jobs {
         rt.submit(small(id)).unwrap();
     }
@@ -52,7 +47,6 @@ fn close_then_drain_with_batching_workers_loses_nothing() {
         rt.wait_for_results(jobs as usize, Duration::from_secs(120)),
         "jobs stuck"
     );
-    let batches = rt.metrics().counter("batches").get();
     let outcome = rt.drain();
     assert_eq!(outcome.wedged_workers, 0);
     assert_eq!(outcome.results.len(), jobs as usize, "no job lost");
@@ -65,7 +59,6 @@ fn close_then_drain_with_batching_workers_loses_nothing() {
     }
     assert_eq!(by_id.len(), jobs as usize, "every id terminal");
     assert!(by_id.values().all(|&n| n == 1), "no id terminal twice");
-    assert!(batches > 0, "small jobs formed multi-job batches");
 }
 
 /// A heavy tenant flooding the queue must not starve a light tenant: with
@@ -78,7 +71,6 @@ fn light_tenant_p99_is_bounded_under_heavy_flood() {
         workers_per_shard: 2,
         backends: vec![Backend::CpuEngine],
         shadow_percent: 0,
-        batch: BatchPolicy::disabled(),
         ..RuntimeConfig::default()
     });
     // Flood first so the heavy tenant owns the whole queue head, then
@@ -148,7 +140,6 @@ fn quota_rejections_are_distinct_from_queue_full() {
         workers_per_shard: 1,
         backends: vec![Backend::CpuEngine],
         shadow_percent: 0,
-        batch: BatchPolicy::disabled(),
         tenants: policy,
         ..RuntimeConfig::default()
     });
@@ -207,7 +198,7 @@ fn rt_count(outcome: &stencil_runtime::DrainOutcome, tenant: &str) -> usize {
 #[test]
 fn streamed_results_arrive_exactly_once() {
     let jobs = 64u64;
-    let rt = batching_runtime(2, jobs as usize);
+    let rt = multi_worker_runtime(2, jobs as usize);
     let (tx, rx) = ResultStream::bounded(8); // deliberately tight: backpressure
     let consumer = std::thread::spawn(move || {
         let mut ids = Vec::new();

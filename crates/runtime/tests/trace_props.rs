@@ -19,8 +19,8 @@
 //!    nearest-rank over the trace file's records.
 //!
 //! Deterministic companions prove that jobs expiring while queued
-//! (TimedOut, zero attempts) and jobs run inside one multi-job batch
-//! still hit the single record-emission site exactly once.
+//! (TimedOut, zero attempts) and a burst queued behind busy workers still
+//! hit the single record-emission site exactly once.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -30,9 +30,8 @@ use proptest::prelude::*;
 use stencil_runtime::metrics::exact_quantile_ms;
 use stencil_runtime::trace::outcome_label;
 use stencil_runtime::{
-    synthetic_workload, validate_trace_file, Backend, BatchPolicy, DeviceProfile, JobResult,
-    JobSpec, Runtime, RuntimeConfig, ServeReport, SyntheticParams, TenantConfig, TenantPolicy,
-    TraceRecord,
+    synthetic_workload, validate_trace_file, Backend, DeviceProfile, JobResult, JobSpec, Runtime,
+    RuntimeConfig, ServeReport, SyntheticParams, TraceRecord,
 };
 
 /// Slack when comparing sums of measured sub-spans against an enclosing
@@ -317,7 +316,6 @@ fn queued_deadline_expiry_is_traced_once_with_no_attempts() {
         workers_per_shard: 1,
         backends: vec![Backend::CpuEngine],
         shadow_percent: 0,
-        batch: BatchPolicy::disabled(),
         trace_out: Some(path.clone()),
         ..RuntimeConfig::default()
     });
@@ -358,31 +356,18 @@ fn queued_deadline_expiry_is_traced_once_with_no_attempts() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A burst that lands as one multi-job batch while both workers are busy
-/// is traced exactly once per job, like every other job.
+/// A burst that lands while both workers are busy is traced exactly once
+/// per job, like every other job.
 #[test]
-fn batched_burst_is_traced_exactly_once() {
-    let jobs = 10u64; // 2 blockers + one 8-job batch
-    let path = temp_trace("batch", 0);
+fn burst_behind_busy_workers_is_traced_exactly_once() {
+    let jobs = 10u64; // 2 blockers + an 8-job burst
+    let path = temp_trace("burst", 0);
     let _ = std::fs::remove_file(&path);
     let rt = Runtime::start(RuntimeConfig {
         queue_capacity: jobs as usize,
         workers_per_shard: 2,
         backends: vec![Backend::CpuEngine],
         shadow_percent: 0,
-        batch: BatchPolicy {
-            max_batch: 8,
-            small_cells: u64::MAX, // everything batches...
-        },
-        tenants: TenantPolicy {
-            // ...and one DWRR quantum affords the whole burst, so the
-            // first worker to free up pops it as one batch.
-            default: TenantConfig {
-                weight: 4096,
-                max_in_flight: 0,
-            },
-            overrides: Default::default(),
-        },
         trace_out: Some(path.clone()),
         ..RuntimeConfig::default()
     });
@@ -406,7 +391,7 @@ fn batched_burst_is_traced_exactly_once() {
     assert_eq!(outcome.trace_records_written, jobs);
 
     let stats = validate_trace_file(&path).expect("trace validates");
-    assert_eq!(stats.records, jobs, "lossless under a batched burst");
+    assert_eq!(stats.records, jobs, "lossless under a burst");
 
     let records = read_records(&path);
     assert_trace_matches_results(&records, &outcome.results);

@@ -13,30 +13,27 @@ use serde::{Deserialize, Serialize};
 use stencil_core::{BlockConfig, BoundaryCond, KernelClass, KernelDesc, StencilError};
 
 /// Which execution engine serves the job. One worker-pool shard exists per
-/// backend, so the backend choice is also the routing key.
+/// backend, so the backend choice is also the routing key. Each runs one
+/// executor; the frozen oracles never serve a job, they only verify one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Backend {
-    /// Block-parallel lane-vectorized simulator (`fpga_sim::functional`).
-    /// The only backend with sub-job cancellation granularity: the cancel
-    /// token is polled at every block boundary.
+    /// The simulated FPGA block schedule (`fpga_sim::functional`): star
+    /// jobs and program nodes, cancellable at every block boundary.
     Functional,
-    /// YASK-style parallel CPU baseline (`cpu_engine::engines`).
+    /// The YASK-style CPU baseline's compiled kernel (`cpu_engine::engines`):
+    /// star and desc jobs, cancellable between row bands.
     CpuEngine,
-    /// The frozen seed data path (`fpga_sim::serial_ref`) — also the shadow
-    /// verification oracle.
-    SerialRef,
 }
 
 impl Backend {
     /// Every backend, in shard order.
-    pub const ALL: [Backend; 3] = [Backend::Functional, Backend::CpuEngine, Backend::SerialRef];
+    pub const ALL: [Backend; 2] = [Backend::Functional, Backend::CpuEngine];
 
     /// Stable lowercase name (used in CLI flags, metrics keys, reports).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Functional => "functional",
             Backend::CpuEngine => "cpu-engine",
-            Backend::SerialRef => "serial_ref",
         }
     }
 
@@ -57,7 +54,7 @@ impl std::fmt::Display for Backend {
 /// single deep-temporal chain; `Replicas(r)` runs `r` independent chains
 /// over halo-overlapped partitions of the x extent (see
 /// `fpga_sim::functional::replica_spans`). Only the functional backend
-/// executes the replicated shape; the other backends ignore the field.
+/// executes the replicated shape; the CPU engine ignores the field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Replicas(pub usize);
 
@@ -240,7 +237,8 @@ pub struct JobSpec {
     /// workloads, which deserialize as `Replicas(1)`.
     pub replicas: Replicas,
     /// Backend shard that serves the job. Under [`PlanMode::Auto`] this is
-    /// only a hint — the planner overwrites it at admission.
+    /// only a hint for single-kernel jobs — the planner overwrites it at
+    /// admission.
     pub backend: Backend,
     /// The tenant this job bills to: its fair-scheduling lane and quota
     /// bucket. Absent in pre-tenant JSONL workloads, which deserialize as
@@ -367,7 +365,9 @@ impl JobSpec {
 
     /// Admission-time validation: block config plus grid/iteration sanity.
     /// Auto-planned jobs skip the block-config check (the planner replaces
-    /// those fields) but still require sane geometry.
+    /// those fields) but still require sane geometry. A program job must
+    /// name [`Backend::Functional`] in either mode (programs are placed,
+    /// never planned), an explicit desc job [`Backend::CpuEngine`].
     ///
     /// # Errors
     /// The exact [`PlanError`] variant naming why the spec cannot be served.
@@ -395,6 +395,9 @@ impl JobSpec {
             if self.program.is_some() {
                 return Err(PlanError::KernelWithProgram);
             }
+            if self.plan == PlanMode::Explicit {
+                self.runs_on(Backend::CpuEngine)?;
+            }
             spec.desc(self.dim, self.rad, self.seed)
                 .map_err(PlanError::Config)?;
         }
@@ -402,6 +405,7 @@ impl JobSpec {
             // Program jobs take their block configurations from placement,
             // so the spec-level config fields are not checked; the graph
             // and its halo/shape compatibility are.
+            self.runs_on(Backend::Functional)?;
             program.validate().map_err(PlanError::Program)?;
             return program
                 .validate_shape(self.dim, self.nx, self.ny, self.nz)
@@ -410,6 +414,18 @@ impl JobSpec {
         match self.plan {
             PlanMode::Auto => Ok(()),
             PlanMode::Explicit => self.block_config().map(|_| ()),
+        }
+    }
+
+    /// [`PlanError::WrongBackend`] unless the spec names `backend`.
+    fn runs_on(&self, backend: Backend) -> Result<(), PlanError> {
+        if self.backend == backend {
+            Ok(())
+        } else {
+            Err(PlanError::WrongBackend {
+                backend: self.backend,
+                runs_on: backend,
+            })
         }
     }
 
@@ -492,7 +508,7 @@ pub struct JobResult {
     /// only) — lets a replayed workload assert end-to-end determinism.
     pub checksum: Option<u64>,
     /// Shadow verification verdict: `Some(true)` = bit-exact match with the
-    /// frozen serial oracle, `Some(false)` = mismatch, `None` = not sampled.
+    /// job's frozen oracle, `Some(false)` = mismatch, `None` = not sampled.
     pub shadow_match: Option<bool>,
     /// The planner's decision for auto-planned jobs (backend, block config,
     /// lanes, and model/cached/warm provenance); `None` for explicit jobs.
@@ -663,6 +679,7 @@ mod tests {
     #[test]
     fn kernel_jobs_validate_program_exclusion() {
         let mut s = JobSpec::new_2d(1, 2, 96, 32, 4);
+        s.backend = Backend::CpuEngine;
         s.kernel = Some(KernelSpec {
             taps: KernelClass::Asymmetric,
             boundary: BoundaryCond::Reflective,
@@ -671,6 +688,33 @@ mod tests {
         // Kernel and program are mutually exclusive.
         s.program = Some(crate::program::StencilProgram::heat_gradient_2d(2));
         assert_eq!(s.validate().unwrap_err(), PlanError::KernelWithProgram);
+    }
+
+    #[test]
+    fn desc_and_program_jobs_must_name_their_backend() {
+        let wrong = |backend, runs_on| Err(PlanError::WrongBackend { backend, runs_on });
+        let mut desc = JobSpec::new_2d(1, 2, 96, 32, 4);
+        desc.kernel = Some(KernelSpec {
+            taps: KernelClass::Box,
+            boundary: BoundaryCond::Periodic,
+        });
+        assert_eq!(
+            desc.validate(),
+            wrong(Backend::Functional, Backend::CpuEngine)
+        );
+        // An auto desc job is planned onto the CPU engine.
+        desc.plan = PlanMode::Auto;
+        desc.validate().unwrap();
+        // Programs are placed, never planned, so both modes check.
+        for plan in [PlanMode::Explicit, PlanMode::Auto] {
+            let mut prog = JobSpec::new_2d(1, 1, 64, 48, 2);
+            prog.program = Some(crate::program::StencilProgram::heat_gradient_2d(2));
+            (prog.plan, prog.backend) = (plan, Backend::CpuEngine);
+            assert_eq!(
+                prog.validate(),
+                wrong(Backend::CpuEngine, Backend::Functional)
+            );
+        }
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! [`job::JobSpec`] names a stencil problem (dims, radius, time steps,
 //! block config, backend, deadline, priority) and enters a bounded
 //! [`queue::AdmissionQueue`]; a sharded worker pool — one shard per
-//! [`job::Backend`] — drains it one job per pop, with per-job
+//! [`job::Backend`], the simulated FPGA block schedule and the CPU
+//! baseline's compiled kernel — drains it one job per pop, with per-job
 //! deadline/cancellation via a cooperative [`cancel::CancelToken`] and
 //! capped-backoff retry for transient failures. A configurable fraction of
-//! completed jobs is *shadow verified*: re-executed on the frozen
-//! `serial_ref` oracle and bit-compared, which the repo-wide bit-exactness
-//! contract makes an exact-equality check. A [`metrics::MetricsRegistry`]
+//! completed jobs is *shadow verified*: re-executed on its frozen oracle
+//! (`serial_ref`, the kernel-IR reference interpreter or the serial
+//! program interpreter) and bit-compared, which the repo-wide
+//! bit-exactness contract makes an exact-equality check. The oracles only
+//! verify; no job runs on one. A [`metrics::MetricsRegistry`]
 //! aggregates counters and gauges, and [`report::ServeReport`] folds them
 //! and the per-job results (every latency summary is nearest-rank over
 //! those results) into `BENCH_serve.json`.

@@ -69,7 +69,8 @@ pub enum PersistError {
         found: String,
     },
     /// A persisted shape key is not one this planner could produce
-    /// (wrong dimensionality or non-power-of-two extent classes).
+    /// (wrong dimensionality, an unknown kernel class, a radius or an
+    /// extent class out of range, or a non-power-of-two extent class).
     ShapeKeyDrift {
         /// The offending shape's label.
         label: String,
@@ -171,10 +172,11 @@ impl ShapeMemory {
     /// suffix for desc-kernel shapes), matching
     /// [`crate::planner::ShapeKey::label`].
     pub fn label(&self) -> String {
+        // Characters, not bytes: the name is unparsed sidecar text.
         let suffix = if self.kernel_class.is_empty() {
             String::new()
         } else {
-            format!("k{}", &self.kernel_class[..self.kernel_class.len().min(4)])
+            format!("k{}", self.kernel_class.chars().take(4).collect::<String>())
         };
         format!(
             "d{}r{}x{}y{}z{}{suffix}",
@@ -272,7 +274,8 @@ pub fn parse_planner_memory(text: &str) -> Result<PlannerMemory, PersistError> {
             found,
         });
     }
-    let mut shapes = Vec::with_capacity(header.shapes as usize);
+    // The header's count is not checksummed, so it sizes nothing.
+    let mut shapes = Vec::new();
     for line in lines {
         if line.trim().is_empty() {
             continue;

@@ -10,13 +10,15 @@
 //! candidate plans (backend + `BlockConfig` + lane width) for the job's
 //! `(dim, rad, grid shape, deadline)`, every one re-validated against the
 //! Eq. 2 / Eq. 6 constraints, and picks one through a concurrent **plan
-//! cache** keyed by job shape class.
+//! cache** keyed by job shape class. A star shape's table holds those
+//! four plans on the functional backend plus a CPU-engine alternate; a
+//! desc shape's holds only the CPU-engine plan, the one that runs a desc.
 //!
 //! The cache refines the model's static ranking with *measured* feedback:
 //! workers report each completed auto-planned job's achieved cells/s back
 //! into the cache, and every cache hit exploits the candidate with the
 //! best estimated throughput — its measured mean once it has one, the
-//! backend's conservative prior until then. A cache miss trusts the
+//! conservative prior until then. A cache miss trusts the
 //! model's top pick. The planner never selects a candidate that failed
 //! validation, because invalid configurations are filtered out before
 //! they ever enter the candidate table.
@@ -37,7 +39,7 @@
 //! `plan_cache_misses`, `plan_cache_warm_hits`, `plan_feedback_samples`)
 //! in the [`MetricsRegistry`].
 
-use crate::job::{Backend, JobSpec};
+use crate::job::{Backend, JobSpec, MAX_GRID_CELLS};
 use crate::metrics::MetricsRegistry;
 use crate::persist::{PersistError, PlannerMemory, ShapeMemory, StatMemory};
 use crate::program::StencilProgram;
@@ -91,6 +93,14 @@ pub enum PlanError {
         /// The cap it exceeds.
         max: u64,
     },
+    /// The spec names a backend that does not run its kind of job (a
+    /// program runs on Functional, a desc kernel on CpuEngine).
+    WrongBackend {
+        /// The backend the spec names.
+        backend: Backend,
+        /// The one backend that runs this kind of job.
+        runs_on: Backend,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -113,6 +123,9 @@ impl std::fmt::Display for PlanError {
                     f,
                     "grid has {cells} cells, more than the {max} a job may hold"
                 )
+            }
+            PlanError::WrongBackend { backend, runs_on } => {
+                write!(f, "this job runs on backend {runs_on}, not {backend}")
             }
         }
     }
@@ -248,10 +261,8 @@ pub struct ShapeKey {
     pub nz_class: usize,
     /// Kernel class for desc-kernel jobs (`None` for legacy star jobs,
     /// keeping their shape keys and labels byte-identical). Desc kernels
-    /// get their own candidate tables even for the star family: on
-    /// Functional a desc job runs the grid-resident executor, not the
-    /// simulated block schedule, so its measured rates must not mix with
-    /// a star job's.
+    /// get their own candidate tables even for the star family: those
+    /// hold a different candidate set, the CPU engine alone.
     pub kernel_class: Option<KernelClass>,
 }
 
@@ -378,7 +389,7 @@ const TOP_K: usize = 4;
 
 /// Half-life, in boots, of persisted measured rates. A warm-started shape
 /// that last saw fresh feedback `age` boots ago has its means blended
-/// toward the backend prior with weight `0.5^(age / half_life)` — after
+/// toward the prior with weight `0.5^(age / half_life)` — after
 /// enough idle boots a once-fast candidate's stale rate decays to the
 /// prior and fresh feedback beats it. Rates measured (or refreshed) in
 /// the current run never decay.
@@ -400,14 +411,13 @@ impl Stat {
     }
 
     /// The throughput the decision rules see: fresh feedback verbatim,
-    /// persisted feedback blended toward the backend prior by the
+    /// persisted feedback blended toward [`PRIOR_CELLS_PER_SEC`] by the
     /// age-decay weight, and the prior itself until feedback arrives.
-    fn estimate(&self, backend: Backend, decay: f64) -> f64 {
-        let prior = prior_cells_per_sec(backend);
+    fn estimate(&self, decay: f64) -> f64 {
         match self.mean() {
             Some(m) if self.fresh => m,
-            Some(m) => decay * m + (1.0 - decay) * prior,
-            None => prior,
+            Some(m) => decay * m + (1.0 - decay) * PRIOR_CELLS_PER_SEC,
+            None => PRIOR_CELLS_PER_SEC,
         }
     }
 }
@@ -556,12 +566,7 @@ impl Planner {
         // the entry stays mutable below.
         let decay = entry.decay();
         let backends: Vec<Backend> = entry.candidates.iter().map(|c| c.backend).collect();
-        let est: Vec<f64> = entry
-            .stats
-            .iter()
-            .zip(&backends)
-            .map(|(s, &b)| s.estimate(b, decay))
-            .collect();
+        let est: Vec<f64> = entry.stats.iter().map(|s| s.estimate(decay)).collect();
 
         // Candidates eligible for this job: backend is served (the table
         // is already filtered at build time, but the served set may differ
@@ -675,7 +680,7 @@ impl Planner {
             return;
         };
         stat.sum_cells_per_sec += cells_per_sec;
-        stat.samples += 1;
+        stat.samples = stat.samples.saturating_add(1);
         stat.fresh = true;
         metrics.counter("plan_feedback_samples").inc();
     }
@@ -728,7 +733,7 @@ impl Planner {
                     age: if entry.stats.iter().any(|s| s.fresh) {
                         0
                     } else {
-                        entry.age + 1
+                        entry.age.saturating_add(1)
                     },
                     stats: entry
                         .stats
@@ -776,7 +781,10 @@ impl Planner {
         // half-adopted table behind.
         let mut adopted: Vec<(ShapeKey, CacheEntry)> = Vec::with_capacity(memory.shapes.len());
         for shape in &memory.shapes {
-            let pow2 = |n: u64| n > 0 && (n as usize).is_power_of_two();
+            // Exported shapes come from admitted jobs, whose grids hold at
+            // most MAX_GRID_CELLS cells; the bounds also keep the tuner's
+            // arithmetic in range for any sidecar.
+            let class = |n: u64| n.is_power_of_two() && n <= MAX_GRID_CELLS;
             let kernel_class = if shape.kernel_class.is_empty() {
                 None
             } else {
@@ -787,9 +795,10 @@ impl Planner {
                 })?)
             };
             let valid_key = (shape.dim == 2 || shape.dim == 3)
-                && pow2(shape.nx_class)
-                && pow2(shape.ny_class)
-                && pow2(shape.nz_class)
+                && (1..=MAX_GRID_CELLS).contains(&shape.rad)
+                && class(shape.nx_class)
+                && class(shape.ny_class)
+                && class(shape.nz_class)
                 && (shape.dim == 3 || shape.nz_class == 1);
             if !valid_key {
                 return Err(PersistError::ShapeKeyDrift {
@@ -868,11 +877,10 @@ impl Planner {
     }
 
     /// Builds the validated candidate table for one shape class: the
-    /// model's top-k block configurations on the vectorized functional
-    /// backend, plus CPU-engine and serial-reference alternatives on the
-    /// best configuration — so the load-aware exploit rule has genuinely
-    /// different backends to spill onto and measure, not just different
-    /// block shapes.
+    /// model's top-k block configurations on the functional backend (star
+    /// shapes only), plus a CPU-engine alternative on the best
+    /// configuration — so the load-aware exploit rule has two genuinely
+    /// different executors to spill between and measure.
     fn build_candidates(&self, key: &ShapeKey, served: &[Backend]) -> Vec<PlanCandidate> {
         let dim = if key.dim == 2 { Dim::D2 } else { Dim::D3 };
         let ranked = tuner::shape_candidates(
@@ -884,7 +892,7 @@ impl Planner {
             TOP_K,
         );
         let mut out: Vec<PlanCandidate> = Vec::new();
-        if served.contains(&Backend::Functional) {
+        if served.contains(&Backend::Functional) && key.kernel_class.is_none() {
             out.extend(ranked.iter().map(|c| PlanCandidate {
                 backend: Backend::Functional,
                 config: c.config,
@@ -896,7 +904,7 @@ impl Planner {
             // The CPU engine ignores the block configuration at execution
             // time but is recorded under the model's best one; its score is
             // nudged below so the functional path stays the static winner
-            // until measurements say otherwise. The alternates always run
+            // until measurements say otherwise. It always runs
             // single-chain: only the functional simulator executes the
             // replicated shape.
             if served.contains(&Backend::CpuEngine) {
@@ -905,17 +913,6 @@ impl Planner {
                     config: best.config,
                     replicas: 1,
                     score: best.score * 0.75,
-                });
-            }
-            // The serial reference is slow but real: under sustained
-            // overload the load-aware rule can spill onto its otherwise
-            // idle shard instead of queueing behind the fast backends.
-            if served.contains(&Backend::SerialRef) {
-                out.push(PlanCandidate {
-                    backend: Backend::SerialRef,
-                    config: best.config,
-                    replicas: 1,
-                    score: best.score * 0.25,
                 });
             }
         }
@@ -949,17 +946,10 @@ fn exploit_index(
     best
 }
 
-/// Conservative prior throughput per backend (cells/s): a candidate's
-/// estimate, for deadline screening and the exploit rule, until it is
-/// measured. Deliberately pessimistic so a tight deadline prefers the
-/// fast paths.
-fn prior_cells_per_sec(backend: Backend) -> f64 {
-    match backend {
-        Backend::Functional => 5e7,
-        Backend::CpuEngine => 5e7,
-        Backend::SerialRef => 5e6,
-    }
-}
+/// Conservative prior throughput (cells/s), the same for both backends: a
+/// candidate's estimate, for deadline screening and the exploit rule,
+/// until it is measured.
+const PRIOR_CELLS_PER_SEC: f64 = 5e7;
 
 /// One program node placed on a simulated device: the block configuration
 /// the tuner chose for it, the resources it occupies, and the perf-model
@@ -1125,12 +1115,14 @@ mod tests {
     #[test]
     fn candidate_fingerprint_is_pinned() {
         // Pinned: a changed fingerprint silently cold-starts every sidecar
-        // written before the change (`planner_warm_rejected`).
+        // written before the change (`planner_warm_rejected`). The value
+        // hashes the first five candidates of this shape's table when it
+        // also held a serial-reference one: the fold and they are unchanged.
         let planner = Planner::new(DeviceProfile::Ddr);
         let key = ShapeKey::of(&auto_spec(1, 2, 96, 32));
         let candidates = planner.build_candidates(&key, &Backend::ALL);
-        assert_eq!(candidates.len(), 6);
-        assert_eq!(candidate_fingerprint(&candidates), 0x69f6_47d4_cbca_dd57);
+        assert_eq!(candidates.len(), 5);
+        assert_eq!(candidate_fingerprint(&candidates), 0x032c_7805_a4eb_b054);
     }
 
     #[test]
@@ -1272,27 +1264,29 @@ mod tests {
 
     #[test]
     fn tight_deadlines_screen_out_slow_backends() {
-        let planner = Planner::new(DeviceProfile::Ddr);
-        let metrics = MetricsRegistry::new();
-        let served = Backend::ALL.to_vec();
-        let mut spec = auto_spec(1, 1, 256, 128);
-        spec.iters = 8;
-        planner.plan(&spec, &served, &metrics).unwrap();
-        // Nothing is released, so after about twenty jobs the load spill
-        // would prefer the idle serial shard; the deadline screens it out.
-        for id in 2..40 {
-            let mut s = auto_spec(id, 1, 256, 128);
-            s.iters = 8;
-            // 256*128*8 cells at the serial prior (5e6/s) need 52 ms,
-            // over the 50 ms half of the deadline budgeted for the run.
-            s.deadline_ms = 100;
-            let asg = planner.plan(&s, &served, &metrics).unwrap();
-            assert_ne!(
-                asg.choice.backend,
-                Backend::SerialRef,
-                "a 100 ms deadline must exclude the serial prior"
-            );
-        }
+        // Where 38 jobs land, nothing released, once the CPU engine (the
+        // table's last candidate) measured 4e6 cells/s on their shape.
+        let spread = |deadline_ms: u64| -> Vec<Backend> {
+            let (planner, metrics) = (Planner::new(DeviceProfile::Ddr), MetricsRegistry::new());
+            let mut spec = auto_spec(1, 1, 256, 128);
+            spec.iters = 8;
+            let first = planner.plan(&spec, &Backend::ALL, &metrics).unwrap();
+            let index = planner.snapshot()[0].candidates.len() - 1;
+            planner.record_throughput(&PlanAssignment { index, ..first }, 4e6, &metrics);
+            spec.deadline_ms = deadline_ms;
+            (2..40)
+                .map(|_| planner.plan(&spec, &Backend::ALL, &metrics).unwrap())
+                .map(|asg| asg.choice.backend)
+                .collect()
+        };
+        // The load spill reaches it once 12 jobs divide the 5e7 prior;
+        // at 4e6/s the 256*128*8 cells need 66 ms, over the 50 ms half of
+        // a 100 ms deadline budgeted for the run.
+        assert!(spread(0).contains(&Backend::CpuEngine));
+        assert!(
+            spread(100).iter().all(|&b| b == Backend::Functional),
+            "a 100 ms deadline must exclude the slow measured rate"
+        );
     }
 
     #[test]
@@ -1533,6 +1527,15 @@ mod tests {
         assert_ne!(lk, kk, "kernel jobs never share legacy candidate tables");
         assert_eq!(lk.label(), "d2r2x128y32z1", "legacy labels unchanged");
         assert_eq!(kk.label(), "d2r2x128y32z1kbox");
+        // A desc table holds the CPU engine alone; every desc job lands there.
+        let planner = Planner::new(DeviceProfile::Ddr);
+        let table = planner.build_candidates(&kk, &Backend::ALL);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table[0].backend, Backend::CpuEngine);
+        for _ in 0..3 {
+            let asg = planner.plan(&kernel, &Backend::ALL, &MetricsRegistry::new());
+            assert_eq!(asg.unwrap().choice.backend, Backend::CpuEngine);
+        }
         // Even the star family gets its own class.
         let mut star = auto_spec(3, 2, 96, 32);
         star.kernel = Some(KernelSpec {

@@ -360,10 +360,10 @@ mod tests {
     #[test]
     fn bounded_push_rejects_overflow() {
         let q = queue(2);
-        push(&q, spec(1, Backend::SerialRef, Priority::Normal)).unwrap();
-        push(&q, spec(2, Backend::SerialRef, Priority::Normal)).unwrap();
+        push(&q, spec(1, Backend::CpuEngine, Priority::Normal)).unwrap();
+        push(&q, spec(2, Backend::CpuEngine, Priority::Normal)).unwrap();
         assert_eq!(
-            push(&q, spec(3, Backend::SerialRef, Priority::Normal)).unwrap_err(),
+            push(&q, spec(3, Backend::CpuEngine, Priority::Normal)).unwrap_err(),
             PushError::Full
         );
         assert_eq!(q.depth(), 2);
@@ -372,10 +372,10 @@ mod tests {
     #[test]
     fn capacity_is_global_across_tenants() {
         let q = queue(2);
-        push(&q, tenant_spec(1, "a", Backend::SerialRef)).unwrap();
-        push(&q, tenant_spec(2, "b", Backend::SerialRef)).unwrap();
+        push(&q, tenant_spec(1, "a", Backend::CpuEngine)).unwrap();
+        push(&q, tenant_spec(2, "b", Backend::CpuEngine)).unwrap();
         assert_eq!(
-            push(&q, tenant_spec(3, "c", Backend::SerialRef)).unwrap_err(),
+            push(&q, tenant_spec(3, "c", Backend::CpuEngine)).unwrap_err(),
             PushError::Full
         );
     }
@@ -420,16 +420,16 @@ mod tests {
     #[test]
     fn close_drains_then_ends() {
         let q = queue(4);
-        push(&q, spec(1, Backend::SerialRef, Priority::Normal)).unwrap();
+        push(&q, spec(1, Backend::CpuEngine, Priority::Normal)).unwrap();
         q.close();
         assert_eq!(
-            push(&q, spec(2, Backend::SerialRef, Priority::Normal)).unwrap_err(),
+            push(&q, spec(2, Backend::CpuEngine, Priority::Normal)).unwrap_err(),
             PushError::Closed
         );
         // The queued job still drains...
-        assert_eq!(q.pop(Backend::SerialRef).unwrap().spec.id, 1);
+        assert_eq!(q.pop(Backend::CpuEngine).unwrap().spec.id, 1);
         // ...then the shard is released.
-        assert!(q.pop(Backend::SerialRef).is_none());
+        assert!(q.pop(Backend::CpuEngine).is_none());
         assert!(q.pop(Backend::Functional).is_none());
     }
 
@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn blocked_pop_returns_none_after_close() {
         let q = Arc::new(queue(4));
-        let rx = pop_on_thread(&q, Backend::SerialRef);
+        let rx = pop_on_thread(&q, Backend::CpuEngine);
         assert!(
             still_blocked(&rx),
             "an open, empty queue keeps the pop asleep"
@@ -470,14 +470,14 @@ mod tests {
     #[test]
     fn blocked_pop_sleeps_through_other_backends_pushes() {
         let q = Arc::new(queue(4));
-        let rx = pop_on_thread(&q, Backend::SerialRef);
+        let rx = pop_on_thread(&q, Backend::CpuEngine);
         assert!(still_blocked(&rx));
         push(&q, spec(1, Backend::Functional, Priority::Normal)).unwrap();
         assert!(
             still_blocked(&rx),
-            "a functional job must not release a serial_ref pop"
+            "a functional job must not release a cpu-engine pop"
         );
-        push(&q, spec(2, Backend::SerialRef, Priority::Normal)).unwrap();
+        push(&q, spec(2, Backend::CpuEngine, Priority::Normal)).unwrap();
         assert_eq!(
             rx.recv_timeout(WAKE).expect("its own job wakes the pop"),
             Some(2)
@@ -491,13 +491,13 @@ mod tests {
         // Tenant "a" floods first; "b" trickles in after. Equal weights
         // mean the rotation alternates between them regardless.
         for id in 0..4 {
-            push(&q, tenant_spec(id, "a", Backend::SerialRef)).unwrap();
+            push(&q, tenant_spec(id, "a", Backend::CpuEngine)).unwrap();
         }
         for id in 10..12 {
-            push(&q, tenant_spec(id, "b", Backend::SerialRef)).unwrap();
+            push(&q, tenant_spec(id, "b", Backend::CpuEngine)).unwrap();
         }
         let ids: Vec<u64> = (0..6)
-            .map(|_| q.pop(Backend::SerialRef).unwrap().spec.id)
+            .map(|_| q.pop(Backend::CpuEngine).unwrap().spec.id)
             .collect();
         // Rotation starts at "a" (BTreeMap order), then alternates while
         // both lanes hold work; "a" finishes its backlog after "b" drains.
@@ -521,7 +521,7 @@ mod tests {
         // job, so the rotation alternates — weights show up through the
         // deficit when costs exceed a quantum. Use big jobs to exercise it.
         for id in 0..6 {
-            let mut s = tenant_spec(id, "vip", Backend::SerialRef);
+            let mut s = tenant_spec(id, "vip", Backend::CpuEngine);
             // ~8.4M cells ≈ 128 quanta: needs ~43 rotations at weight 3.
             s.nx = 2048;
             s.ny = 2048;
@@ -529,14 +529,14 @@ mod tests {
             push(&q, s).unwrap();
         }
         for id in 100..103 {
-            let mut s = tenant_spec(id, "std", Backend::SerialRef);
+            let mut s = tenant_spec(id, "std", Backend::CpuEngine);
             s.nx = 2048;
             s.ny = 2048;
             s.iters = 2;
             push(&q, s).unwrap();
         }
         let order: Vec<u64> = (0..9)
-            .map(|_| q.pop(Backend::SerialRef).unwrap().spec.id)
+            .map(|_| q.pop(Backend::CpuEngine).unwrap().spec.id)
             .collect();
         // First 4 pops: vip gets 3 for std's 1 (3x weight, equal cost).
         let vip_in_first_4 = order.iter().take(4).filter(|&&id| id < 100).count();
@@ -552,16 +552,16 @@ mod tests {
         let q = queue(64);
         // One huge job for tenant "big" amid a stream of small "small"
         // jobs. The multi-round grant must eventually serve it.
-        let mut huge = tenant_spec(1, "big", Backend::SerialRef);
+        let mut huge = tenant_spec(1, "big", Backend::CpuEngine);
         huge.nx = 4096;
         huge.ny = 1024;
         huge.iters = 4; // 16.7M cells ≈ 256 quanta
         push(&q, huge).unwrap();
         for id in 10..20 {
-            push(&q, tenant_spec(id, "small", Backend::SerialRef)).unwrap();
+            push(&q, tenant_spec(id, "small", Backend::CpuEngine)).unwrap();
         }
         let ids: Vec<u64> = (0..11)
-            .map(|_| q.pop(Backend::SerialRef).unwrap().spec.id)
+            .map(|_| q.pop(Backend::CpuEngine).unwrap().spec.id)
             .collect();
         assert!(ids.contains(&1), "huge job served: {ids:?}");
         assert_eq!(q.depth(), 0);
@@ -570,19 +570,19 @@ mod tests {
     #[test]
     fn emptied_lane_forfeits_credit() {
         let q = queue(8);
-        push(&q, tenant_spec(1, "a", Backend::SerialRef)).unwrap();
-        q.pop(Backend::SerialRef).unwrap();
+        push(&q, tenant_spec(1, "a", Backend::CpuEngine)).unwrap();
+        q.pop(Backend::CpuEngine).unwrap();
         // Lane "a" drained; its deficit must reset so a later burst gets
         // no banked head start. Observable via interleave order: a fresh
         // burst from "a" and "b" still alternates from the rotation point.
         for id in 2..4 {
-            push(&q, tenant_spec(id, "a", Backend::SerialRef)).unwrap();
+            push(&q, tenant_spec(id, "a", Backend::CpuEngine)).unwrap();
         }
         for id in 10..12 {
-            push(&q, tenant_spec(id, "b", Backend::SerialRef)).unwrap();
+            push(&q, tenant_spec(id, "b", Backend::CpuEngine)).unwrap();
         }
         let ids: Vec<u64> = (0..4)
-            .map(|_| q.pop(Backend::SerialRef).unwrap().spec.id)
+            .map(|_| q.pop(Backend::CpuEngine).unwrap().spec.id)
             .collect();
         // last_served = "a", so rotation starts at "b".
         assert_eq!(ids, vec![10, 2, 11, 3]);

@@ -1398,7 +1398,7 @@ mod tests {
         metrics.counter("kernel_memo_evictions").add(1);
         let results = [
             result(1, Backend::Functional, Outcome::Completed),
-            result(2, Backend::SerialRef, Outcome::TimedOut),
+            result(2, Backend::CpuEngine, Outcome::TimedOut),
         ];
         report_of(DeviceProfile::Ddr, &results, &metrics, None, &[])
     }
@@ -1469,7 +1469,7 @@ mod tests {
         let mut bad = sample_report();
         bad.backends[1].run_ms.count = 0;
         let err = validate_report_json(&serde_json::to_string(&bad).unwrap()).unwrap_err();
-        assert!(err.contains("backend `serial_ref` run_ms.count"), "{err}");
+        assert!(err.contains("backend `cpu-engine` run_ms.count"), "{err}");
 
         let mut bad = sample_report();
         bad.tenants[0].total_ms.count -= 1;

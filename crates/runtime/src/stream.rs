@@ -74,11 +74,6 @@ impl ResultStream {
             Err(RecvTimeoutError::Timeout) => Err(()),
         }
     }
-
-    /// Non-blocking poll: a result if one is queued right now.
-    pub fn try_recv(&self) -> Option<JobResult> {
-        self.rx.try_recv().ok()
-    }
 }
 
 impl Iterator for ResultStream {
@@ -98,7 +93,7 @@ mod tests {
         JobResult {
             id,
             tenant: crate::tenant::Tenant::default().name().to_string(),
-            backend: Backend::SerialRef,
+            backend: Backend::CpuEngine,
             outcome: Outcome::Completed,
             attempts: 1,
             queue_wait_ms: 0.0,
@@ -160,15 +155,18 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_and_timeouts() {
+    fn recv_timeouts() {
         let (tx, rx) = ResultStream::bounded(2);
-        assert!(rx.try_recv().is_none());
         assert!(
             rx.recv_timeout(Duration::from_millis(5)).is_err(),
             "open stream times out"
         );
         tx.send(result(7));
-        assert_eq!(rx.try_recv().map(|r| r.id), Some(7));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(5))
+                .map(|r| r.map(|r| r.id)),
+            Ok(Some(7))
+        );
         drop(tx);
         assert!(matches!(
             rx.recv_timeout(Duration::from_millis(5)),

@@ -39,11 +39,6 @@ impl Tenant {
     pub fn name(&self) -> &str {
         &self.0
     }
-
-    /// Whether this is the implicit single-tenant default.
-    pub fn is_default(&self) -> bool {
-        self.0 == Tenant::DEFAULT
-    }
 }
 
 impl Default for Tenant {
@@ -261,8 +256,6 @@ mod tests {
         assert_eq!(Tenant::from_value(&Value::Null).unwrap(), Tenant::default());
         assert!(Tenant::from_value(&Value::Str(String::new())).is_err());
         assert!(Tenant::from_value(&Value::Int(3)).is_err());
-        assert!(Tenant::default().is_default());
-        assert!(!t.is_default());
     }
 
     #[test]

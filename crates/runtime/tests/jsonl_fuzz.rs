@@ -94,14 +94,18 @@ proptest! {
 
 #[test]
 fn the_retired_threaded_backend_is_a_typed_error_on_its_line() {
+    // Both retired wire names: `Threaded` (the threaded simulator) and
+    // `SerialRef` (the frozen oracle, which now only verifies).
     let line = FIXTURE.lines().next().unwrap();
     let key = "\"backend\":\"";
     let start = line.find(key).unwrap() + key.len();
     let end = start + line[start..].find('"').unwrap();
-    let threaded = format!("{}Threaded{}", &line[..start], &line[end..]);
-    let (at, msg) = parse_jsonl(&threaded).unwrap_err();
-    assert_eq!(at, 1);
-    assert!(msg.contains("Threaded"), "{msg}");
+    for retired in ["Threaded", "SerialRef"] {
+        let named = format!("{}{retired}{}", &line[..start], &line[end..]);
+        let (at, msg) = parse_jsonl(&named).unwrap_err();
+        assert_eq!(at, 1);
+        assert!(msg.contains(retired), "{msg}");
+    }
 }
 
 #[test]

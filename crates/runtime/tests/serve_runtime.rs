@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use stencil_runtime::job::MAX_GRID_CELLS;
 use stencil_runtime::workload::parse_jsonl;
 use stencil_runtime::{
-    Backend, JobSpec, Outcome, PlanError, Priority, ResultStream, Runtime, RuntimeConfig,
-    SubmitError,
+    Backend, JobSpec, Outcome, PlanError, PlanMode, Priority, ResultStream, Runtime, RuntimeConfig,
+    StencilProgram, SubmitError,
 };
 
 /// A runtime with a single one-worker shard, so a heavy head-of-line job
@@ -49,10 +49,10 @@ fn wait_started(rt: &Runtime, n: u64) {
 
 #[test]
 fn deadline_expires_while_queued_without_running() {
-    let rt = single_lane(Backend::SerialRef, 8);
-    rt.submit(blocker(1, Backend::SerialRef)).unwrap();
+    let rt = single_lane(Backend::CpuEngine, 8);
+    rt.submit(blocker(1, Backend::CpuEngine)).unwrap();
     wait_started(&rt, 1); // the worker is now busy with the blocker
-    let mut doomed = small(2, Backend::SerialRef);
+    let mut doomed = small(2, Backend::CpuEngine);
     doomed.deadline_ms = 1; // expires long before the blocker finishes
     rt.submit(doomed).unwrap();
     assert!(
@@ -100,14 +100,14 @@ fn cancel_mid_run_leaves_the_pool_healthy() {
 
 #[test]
 fn burst_overflow_is_rejected_with_queue_full() {
-    let rt = single_lane(Backend::SerialRef, 3);
-    rt.submit(blocker(1, Backend::SerialRef)).unwrap();
+    let rt = single_lane(Backend::CpuEngine, 3);
+    rt.submit(blocker(1, Backend::CpuEngine)).unwrap();
     wait_started(&rt, 1); // queue is empty again, worker busy
     for id in 2..=4 {
-        rt.submit(small(id, Backend::SerialRef)).unwrap();
+        rt.submit(small(id, Backend::CpuEngine)).unwrap();
     }
     // Capacity 3 is exhausted: the next submission is shed, not queued.
-    let err = rt.submit(small(5, Backend::SerialRef)).unwrap_err();
+    let err = rt.submit(small(5, Backend::CpuEngine)).unwrap_err();
     assert_eq!(err, SubmitError::QueueFull);
     assert_eq!(rt.metrics().counter("jobs_rejected").get(), 1);
     let outcome = rt.drain();
@@ -179,13 +179,29 @@ fn dropping_a_result_stream_does_not_wedge_drain() {
 
 #[test]
 fn unserved_backend_is_refused_at_submission() {
-    let rt = single_lane(Backend::SerialRef, 4);
-    let err = rt.submit(small(1, Backend::CpuEngine)).unwrap_err();
-    assert_eq!(err, SubmitError::UnservedBackend(Backend::CpuEngine));
+    let rt = single_lane(Backend::CpuEngine, 4);
+    let err = rt.submit(small(1, Backend::Functional)).unwrap_err();
+    assert_eq!(err, SubmitError::UnservedBackend(Backend::Functional));
     let mut bad = JobSpec::new_2d(2, 9, 0, 0, 1);
-    bad.backend = Backend::SerialRef; // served shard, but invalid geometry
+    bad.backend = Backend::CpuEngine; // served shard, but invalid geometry
     let err = rt.submit(bad).unwrap_err();
     assert!(matches!(err, SubmitError::Invalid(_)));
+    assert_eq!(rt.drain().results.len(), 0);
+}
+
+#[test]
+fn an_auto_program_job_naming_an_unserved_backend_is_refused() {
+    // The planner never routes a program, so a runtime without the shard
+    // it names must refuse it, not admit a job no shard ever pops.
+    let rt = single_lane(Backend::CpuEngine, 4);
+    let mut spec = JobSpec::new_2d(1, 1, 64, 48, 2);
+    spec.program = Some(StencilProgram::heat_gradient_2d(2));
+    spec.plan = PlanMode::Auto;
+    assert_eq!(
+        rt.submit(spec).unwrap_err(),
+        SubmitError::UnservedBackend(Backend::Functional)
+    );
+    assert_eq!(rt.metrics().counter("jobs_admitted").get(), 0);
     assert_eq!(rt.drain().results.len(), 0);
 }
 
@@ -214,7 +230,7 @@ fn an_overflowing_grid_is_refused_and_the_runtime_keeps_serving() {
         .lines()
         .next()
         .unwrap();
-    let rt = single_lane(Backend::SerialRef, 8);
+    let rt = single_lane(Backend::CpuEngine, 8);
     for (side, why) in [
         (1u64 << 32, PlanError::WorkOverflow),
         (
@@ -232,10 +248,10 @@ fn an_overflowing_grid_is_refused_and_the_runtime_keeps_serving() {
         );
         assert_ne!(huge, line, "the fixture's first line names a 71x42 grid");
         let spec = parse_jsonl(&huge).unwrap().remove(0);
-        assert_eq!(spec.backend, Backend::SerialRef);
+        assert_eq!(spec.backend, Backend::CpuEngine);
         assert_eq!(rt.submit(spec).unwrap_err(), SubmitError::Invalid(why));
     }
-    rt.submit(small(1, Backend::SerialRef)).unwrap();
+    rt.submit(small(1, Backend::CpuEngine)).unwrap();
     assert!(
         rt.wait_for_results(1, Duration::from_secs(60)),
         "runtime wedged"
